@@ -8,11 +8,24 @@ From the Fox Jacobian of a diagram we compute:
   * the torsion Alexander polynomial, the order of the torsion
     submodule, which is never zero.
 
-Rank is computed by exact fraction-free (Bareiss) elimination over the
-polynomial ring; a randomized integer-evaluation rank is provided as a
-cross-check.  Orders come from gcds of minors of the Jacobian, with the
-gcd short-circuited at 1 and determinants computed by sparse cofactor
-expansion with memoization.
+The Jacobian is first reduced by unit pivots.  An entry ±t^k is a unit
+of the Laurent ring, so its column can be cleared by exact row
+operations and its row and column dropped: the matrix is equivalent to
+(±t^k) ⊕ M', and every elementary ideal of the original is the ideal of
+one size smaller of M'.  A Wirtinger row has such an entry, the -1 of
+its outgoing under-arc, unless that arc is also the incoming one (a
+component with a single under-crossing), so a diagram's n x n Jacobian
+usually shrinks to a few rows.  Pivots are taken in Markowitz order,
+least fill first.
+
+After k pivots the rank is k plus the rank of M', computed by exact
+fraction-free (Bareiss) elimination over the polynomial ring.  The
+torsion order is the gcd of the rank-sized minors, that is of the
+(rank - k)-minors of M', with the gcd short-circuited at 1 and
+determinants computed by sparse cofactor expansion with memoization.
+When beta = 0 the rank is ngen - 1, and these corank-1 minors generate
+(Delta) for a knot and Delta times the augmentation ideal for m >= 2
+(Torres, Crowell-Fox); the t_i - 1 are coprime, so their gcd is Delta.
 
 Crossing-free components contribute through the split-union rules: each
 one raises beta by 1, kills the multivariable polynomial (for links with
@@ -25,7 +38,6 @@ and the Sato-Levine invariant.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -37,6 +49,49 @@ CONWAY_CROSSING_BUDGET = 16
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over the Laurent ring
+
+def reduce_unit_pivots(rows):
+    """Eliminate unit pivots; return (M', k) after k pivots.
+
+    A pivot is an entry ±t^e.  Its row, multiplied by ∓t^-e, clears the
+    rest of its column by exact row operations; then the pivot's row
+    and column are dropped.  Each step takes the unit entry of least
+    Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), ties
+    broken by row and then column index.  M' keeps every elementary
+    ideal one size down per pivot, so rank(M) = k + rank(M') and the
+    j-minors of M have the gcd of the (j - k)-minors of M'.
+    """
+    m = [list(r) for r in rows]
+    live_rows = list(range(len(m)))
+    live_cols = list(range(len(m[0]))) if m else []
+    k = 0
+    while True:
+        nonzero = [(r, c) for r in live_rows for c in live_cols
+                   if not m[r][c].is_zero()]
+        row_nz = dict.fromkeys(live_rows, 0)
+        col_nz = dict.fromkeys(live_cols, 0)
+        for r, c in nonzero:
+            row_nz[r] += 1
+            col_nz[c] += 1
+        pivots = [((row_nz[r] - 1) * (col_nz[c] - 1), r, c)
+                  for r, c in nonzero if m[r][c].is_unit()]
+        if not pivots:
+            break
+        _, p, q = min(pivots)
+        (exps, sign), = m[p][q].terms.items()
+        inverse = tuple(-e for e in exps)
+        pivot_row = {c: m[p][c].shift(inverse, sign) for c in live_cols
+                     if c != q and not m[p][c].is_zero()}
+        for r in live_rows:
+            f = m[r][q]
+            if r != p and not f.is_zero():
+                for c, x in pivot_row.items():
+                    m[r][c] = m[r][c] - f * x
+        live_rows.remove(p)
+        live_cols.remove(q)
+        k += 1
+    return [[m[r][c] for c in live_cols] for r in live_rows], k
+
 
 def matrix_rank(rows):
     """Rank over the quotient field, by fraction-free Bareiss elimination."""
@@ -67,51 +122,6 @@ def matrix_rank(rows):
         if rank == nr:
             break
     return rank
-
-
-def matrix_rank_numeric(rows, nvars, trials=3, seed=0):
-    """Randomized-evaluation rank modulo a large prime.
-
-    Evaluates the variables at random units mod p and takes the maximal
-    integer-matrix rank over several trials.  Never exceeds the true
-    rank; used as a fast cross-check against matrix_rank.
-    """
-    if not rows:
-        return 0
-    p = (1 << 61) - 1
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        vals = [rng.randrange(2, p - 1) for _ in range(nvars)]
-        inv = [pow(v, p - 2, p) for v in vals]
-
-        def ev(poly):
-            total = 0
-            for exps, c in poly.terms.items():
-                t = c % p
-                for i, e in enumerate(exps):
-                    base = vals[i] if e > 0 else inv[i]
-                    t = t * pow(base, abs(e), p) % p
-                total = (total + t) % p
-            return total
-
-        m = [[ev(x) for x in row] for row in rows]
-        nr, nc = len(m), len(m[0])
-        rank = 0
-        for col in range(nc):
-            piv = next((r for r in range(rank, nr) if m[r][col] % p), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            pinv = pow(m[rank][col], p - 2, p)
-            for r in range(rank + 1, nr):
-                f = m[r][col] * pinv % p
-                if f:
-                    for c in range(col, nc):
-                        m[r][c] = (m[r][c] - f * m[rank][c]) % p
-            rank += 1
-        best = max(best, rank)
-    return best
 
 
 def _determinant(rows, row_idx, col_idx, memo):
@@ -152,24 +162,22 @@ def _determinant(rows, row_idx, col_idx, memo):
     return result
 
 
-def minor_gcd(rows, size, columns=None):
-    """GCD of all size x size minors using the given columns (default all).
+def minor_gcd(rows, size, nvars):
+    """GCD of all size x size minors of a matrix over nvars variables.
 
-    Returns the zero polynomial when every minor vanishes.  Short
-    circuits once the running gcd reaches 1.
+    Returns 1 for size 0, whatever the matrix, and the zero polynomial
+    when every minor vanishes.  Short circuits once the running gcd
+    reaches 1.
     """
-    nvars = rows[0][0].nvars
-    ncols = len(rows[0])
-    cols = list(range(ncols)) if columns is None else list(columns)
     if size == 0:
         return LaurentPoly.one(nvars)
-    if size > len(rows) or size > len(cols):
+    if size > len(rows) or size > len(rows[0]):
         return LaurentPoly.zero(nvars)
     memo = {}
     acc = None
     for ri in combinations(range(len(rows)), size):
-        for ci in combinations(cols, size):
-            det = _determinant(rows, tuple(ri), tuple(ci), memo)
+        for ci in combinations(range(len(rows[0])), size):
+            det = _determinant(rows, ri, ci, memo)
             if det.is_zero():
                 continue
             acc = unit_normal_form(det) if acc is None else \
@@ -206,51 +214,16 @@ def alexander_data(d):
         return AlexanderData(m=m, beta=beta, delta=delta,
                              delta_tor=LaurentPoly.one(m))
     rows, arc_component = fox_jacobian(d)
-    ngen = len(arc_component)
-    r = matrix_rank(rows)
-    beta = (ngen - r - 1) + d.nfree
-    if beta > 0:
-        delta = LaurentPoly.zero(m)
-        delta_tor = minor_gcd(rows, r)
-        if delta_tor.is_zero():
-            raise PDError("rank/minor inconsistency in torsion order")
-        return AlexanderData(m=m, beta=beta, delta=delta,
-                             delta_tor=unit_normal_form(delta_tor))
-    # beta == 0: compute the order of the (all-torsion) module from the
-    # deleted-column minors
-    delta = _deleted_column_order(rows, arc_component, 0, m)
-    return AlexanderData(m=m, beta=0, delta=delta, delta_tor=delta)
-
-
-def _deleted_column_order(rows, arc_component, col, m):
-    """Alexander polynomial via the minors that omit one generator column.
-
-    For a knot the minor gcd is the polynomial itself; for more
-    components it carries an extra factor (t_j - 1) for the omitted
-    column's component, which is divided out exactly.
-    """
-    ngen = len(arc_component)
-    cols = [c for c in range(ngen) if c != col]
-    a = minor_gcd(rows, ngen - 1, columns=cols)
-    if a.is_zero():
-        raise PDError("vanishing deleted-column minors at rank ngen-1")
-    if m == 1:
-        return unit_normal_form(a)
-    tj = LaurentPoly.var(m, arc_component[col])
-    return unit_normal_form(divide_exact(a, tj - LaurentPoly.one(m)))
-
-
-def deleted_column_minor_gcd(d, col):
-    """The raw deleted-column minor gcd A_col (testing hook).
-
-    Satisfies A_i * (t_j - 1) = A_j * (t_i - 1) up to units for any two
-    columns i, j.
-    """
-    rows, arc_component = fox_jacobian(d)
-    ngen = len(arc_component)
-    cols = [c for c in range(ngen) if c != col]
-    a = minor_gcd(rows, ngen - 1, columns=cols)
-    return a if a.is_zero() else unit_normal_form(a)
+    reduced, k = reduce_unit_pivots(rows)
+    rank = matrix_rank(reduced)
+    beta = (len(arc_component) - k - rank - 1) + d.nfree
+    # beta == 0 forces k + rank == ngen - 1: these are the corank-1 minors
+    delta_tor = minor_gcd(reduced, rank, m)
+    if delta_tor.is_zero():
+        raise PDError("rank/minor inconsistency in torsion order")
+    delta_tor = unit_normal_form(delta_tor)
+    delta = delta_tor if beta == 0 else LaurentPoly.zero(m)
+    return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor)
 
 
 # ---------------------------------------------------------------------------

@@ -109,13 +109,6 @@ class LaurentPoly:
     def constant_value(self):
         return self.terms.get((0,) * self.nvars, 0)
 
-    def total_degree_span(self):
-        """Max total degree minus min total degree over the support."""
-        if not self.terms:
-            return 0
-        tot = [sum(e) for e in self.terms]
-        return max(tot) - min(tot)
-
     def degree_span(self, i):
         """Spread of the exponents of variable i across the support."""
         if not self.terms:
@@ -266,22 +259,6 @@ class LaurentPoly:
                 img[j] = 1
             images.append(tuple(img))
         return self.evaluate(images, self.nvars)
-
-    def eval_int(self, values):
-        """Evaluate at integer points; every value must be a nonzero int."""
-        total = 0
-        for exps, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exps):
-                base = values[i]
-                if e >= 0:
-                    v *= base ** e
-                else:
-                    # Laurent evaluation at integers only used with ±1 values
-                    # or through a common-denominator trick by callers.
-                    raise ValueError("negative exponent in integer evaluation")
-            total += v
-        return total
 
 
 # -- unit normal form -----------------------------------------------------

@@ -1,11 +1,13 @@
 """Alexander data, Conway polynomials and their consistency relations."""
 
+import random
+
 import pytest
 
 import alexlink as al
-from alexlink.invariants import (conway_polynomial, deleted_column_minor_gcd,
-                                 embed_univariate, matrix_rank,
-                                 matrix_rank_numeric, one_variable_alexander)
+from alexlink.invariants import (conway_polynomial, embed_univariate,
+                                 matrix_rank, minor_gcd,
+                                 one_variable_alexander, reduce_unit_pivots)
 from alexlink.laurent import LaurentPoly, unit_normal_form
 
 from conftest import corpus_diagrams, load_fixture
@@ -13,6 +15,83 @@ from conftest import corpus_diagrams, load_fixture
 
 def P(text, nvars):
     return al.parse_poly(text, nvars)
+
+
+def matrix_rank_numeric(rows, nvars, trials=3, seed=0):
+    """Randomized-evaluation rank modulo a large prime.
+
+    Evaluates the variables at random units mod p and takes the maximal
+    integer-matrix rank over several trials.  Never exceeds the true
+    rank; used as a fast cross-check against matrix_rank.
+    """
+    if not rows:
+        return 0
+    p = (1 << 61) - 1
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(trials):
+        vals = [rng.randrange(2, p - 1) for _ in range(nvars)]
+        inv = [pow(v, p - 2, p) for v in vals]
+
+        def ev(poly):
+            total = 0
+            for exps, c in poly.terms.items():
+                t = c % p
+                for i, e in enumerate(exps):
+                    base = vals[i] if e > 0 else inv[i]
+                    t = t * pow(base, abs(e), p) % p
+                total = (total + t) % p
+            return total
+
+        m = [[ev(x) for x in row] for row in rows]
+        nr, nc = len(m), len(m[0])
+        rank = 0
+        for col in range(nc):
+            piv = next((r for r in range(rank, nr) if m[r][col] % p), None)
+            if piv is None:
+                continue
+            m[rank], m[piv] = m[piv], m[rank]
+            pinv = pow(m[rank][col], p - 2, p)
+            for r in range(rank + 1, nr):
+                f = m[r][col] * pinv % p
+                if f:
+                    for c in range(col, nc):
+                        m[r][c] = (m[r][c] - f * m[rank][c]) % p
+            rank += 1
+        best = max(best, rank)
+    return best
+
+
+def deleted_column_minor_gcd(d, col):
+    """The raw deleted-column minor gcd A_col of the full Jacobian.
+
+    Satisfies A_i * (t_j - 1) = A_j * (t_i - 1) up to units for any two
+    columns i, j.
+    """
+    rows, arc_component = al.fox_jacobian(d)
+    kept = [[x for c, x in enumerate(row) if c != col] for row in rows]
+    a = minor_gcd(kept, len(arc_component) - 1, d.ncomps)
+    return a if a.is_zero() else unit_normal_form(a)
+
+
+def unreduced_alexander_data(d):
+    """(beta, delta, delta_tor) from the full Jacobian, with no pivots.
+
+    Rank and rank-r minor gcd of the whole matrix; for beta = 0, the
+    minor gcd without column 0 divided by t_j - 1 of that column's
+    component (m >= 2).
+    """
+    rows, arc_component = al.fox_jacobian(d)
+    m = d.ncomps
+    r = matrix_rank(rows)
+    beta = (len(arc_component) - r - 1) + d.nfree
+    if beta > 0:
+        return beta, LaurentPoly.zero(m), minor_gcd(rows, r, m)
+    delta = deleted_column_minor_gcd(d, 0)
+    if m > 1:
+        tj = LaurentPoly.var(m, arc_component[0]) - LaurentPoly.one(m)
+        delta = al.divide_exact(delta, tj)
+    return 0, delta, delta
 
 
 class TestRank:
@@ -33,6 +112,71 @@ class TestRank:
         t = LaurentPoly.var(1, 0)
         z = LaurentPoly.zero(1)
         assert matrix_rank([[one, t], [z, t - one]]) == 2
+
+
+class TestUnitPivotReduction:
+    def test_matches_unreduced_route_on_corpus(self, corpus):
+        for d in corpus:
+            if d.ncrossings == 0:
+                continue
+            a = al.alexander_data(d)
+            beta, delta, delta_tor = unreduced_alexander_data(d)
+            assert a.beta == beta, d.name
+            assert al.unit_equal(a.delta, delta), d.name
+            assert al.unit_equal(a.delta_tor, delta_tor), d.name
+
+    def test_reduced_sizes_add_up_on_corpus(self, corpus):
+        for d in corpus:
+            if d.ncrossings == 0:
+                continue
+            rows, _ = al.fox_jacobian(d)
+            reduced, k = reduce_unit_pivots(rows)
+            assert len(reduced) == len(rows) - k, d.name
+            assert all(len(row) == len(rows[0]) - k for row in reduced)
+            assert k + matrix_rank(reduced) == matrix_rank(rows), d.name
+
+    def test_no_unit_entry_comes_back_unchanged(self):
+        rows = [[P("1+t", 1), P("2", 1), P("0", 1)],
+                [P("t^2-1", 1), P("0", 1), P("3*t^-1", 1)]]
+        assert reduce_unit_pivots(rows) == (rows, 0)
+
+    def test_markowitz_order(self):
+        # The 1 at (0,0) costs (3-1)*(3-1) = 4 and the t at (1,1) costs
+        # (2-1)*(3-1) = 2, so t is taken although it comes later.  The
+        # fill leaves no unit, so the reduction stops after one pivot.
+        rows = [[P("1", 1), P("2", 1), P("3", 1)],
+                [P("2", 1), P("t", 1), P("0", 1)],
+                [P("3", 1), P("5", 1), P("7", 1)]]
+        reduced, k = reduce_unit_pivots(rows)
+        assert k == 1
+        assert reduced == [[P("1-4*t^-1", 1), P("3", 1)],
+                           [P("3-10*t^-1", 1), P("7", 1)]]
+        assert al.unit_equal(minor_gcd(rows, 3, 1), minor_gcd(reduced, 2, 1))
+
+    def test_markowitz_ties_go_to_lower_row_then_column(self):
+        one, two, three, t = (P(x, 1) for x in ("1", "2", "3", "t"))
+        assert reduce_unit_pivots([[one, two], [t, three]]) == \
+            ([[P("3-2*t", 1)]], 1)
+        assert reduce_unit_pivots([[one, t], [two, three]]) == \
+            ([[P("3-2*t", 1)]], 1)
+
+    def test_empty_reduced_matrix(self):
+        one, t = P("1", 1), P("t", 1)
+        assert reduce_unit_pivots([[one, t]]) == ([], 1)
+        assert reduce_unit_pivots([[one], [-t]]) == ([[]], 1)
+        for empty in ([], [[]]):
+            assert matrix_rank(empty) == 0
+            assert minor_gcd(empty, 0, 2).is_one()
+            assert minor_gcd(empty, 1, 2).is_zero()
+
+    def test_hopf_has_no_unit_pivot(self):
+        """Each Hopf component passes under once, so at each crossing the
+        incoming and outgoing under-arcs coincide and the -1 merges into
+        t - 1: no entry is a unit and the 2 x 2 Jacobian stays whole."""
+        d = load_fixture("hopf")
+        rows, _ = al.fox_jacobian(d)
+        assert reduce_unit_pivots(rows) == (rows, 0)
+        assert al.alexander_data(d).delta.is_one()
 
 
 class TestKnownValues:
