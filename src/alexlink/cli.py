@@ -22,8 +22,7 @@ import sys
 from pathlib import Path
 
 from .diagram import PDError, parse_fixture
-from .factor import factor_irreducible, is_norm_modulo_univariate, \
-    is_norm_up_to_negligible
+from .factor import factor_irreducible, norm_verdict
 from .invariants import (CONWAY_CROSSING_BUDGET, alexander_data,
                          component_polynomials, conway_polynomial)
 from .laurent import (PolyParseError, format_poly, negligible_decompose,
@@ -125,12 +124,16 @@ def _obstruct_record(d, path, search_depth=None, mode="inter"):
     }
     if search_depth is not None:
         result = bounded_split_search(d, search_depth, mode=mode)
-        gap = certify_gap(report, result)
         rec["search"] = _search_fields(result)
-        rec["intervals"] = {q: {"lower": lo, "upper": up,
-                                "exact": gap.exact[q]}
-                            for q, (lo, up) in gap.intervals.items()}
+        rec["intervals"] = _intervals(report, result)
     return rec
+
+
+def _intervals(report, result):
+    """{quantity: {lower, upper, exact}} from a report and a search."""
+    gap = certify_gap(report, result)
+    return {q: {"lower": lo, "upper": up, "exact": gap.exact[q]}
+            for q, (lo, up) in gap.intervals.items()}
 
 
 def _search_fields(result):
@@ -270,10 +273,9 @@ def main(argv=None, out=None, err=None):
                 "core": _poly_str(dec.core),
                 "isNegligible": dec.is_negligible,
             },
-            "isNormUpToNegligible":
-                _norm_verdict_record(is_norm_up_to_negligible(p)),
-            "isNormModuloUnivariate":
-                _norm_verdict_record(is_norm_modulo_univariate(p)),
+            "isNormUpToNegligible": _norm_verdict_record(norm_verdict(fact)),
+            "isNormModuloUnivariate": _norm_verdict_record(
+                norm_verdict(fact, skip_univariate=True)),
         }
         _emit(rec, out)
         return 0
@@ -283,7 +285,6 @@ def main(argv=None, out=None, err=None):
             report = build_report(d)
             result = bounded_split_search(d, args.search_depth,
                                           mode=args.mode)
-            gap = certify_gap(report, result)
             return {
                 "schemaVersion": SCHEMA_VERSION,
                 "kind": "search",
@@ -291,9 +292,7 @@ def main(argv=None, out=None, err=None):
                 "file": str(path),
                 "m": d.ncomps,
                 "search": _search_fields(result),
-                "intervals": {q: {"lower": lo, "upper": up,
-                                  "exact": gap.exact[q]}
-                              for q, (lo, up) in gap.intervals.items()},
+                "intervals": _intervals(report, result),
             }
         status, records = _run_over_fixtures(args, make, out, err)
         for r in records:

@@ -457,7 +457,7 @@ def parse_fixture(text, name_hint=""):
     Lines: ``name: <string>``, ``components: <m>``, optional
     ``freeloops: <k>``, ``pd: X[a,b,c,d], ...`` (possibly empty for
     unlinks).  Lines starting with '#' are comments; ``note:`` lines are
-    carried as annotations.
+    carried as annotations.  A PD code that is not planar is rejected.
     """
     name = name_hint
     m = None
@@ -490,6 +490,9 @@ def parse_fixture(text, name_hint=""):
     if m is not None and d.ncomps != m:
         raise PDError(
             f"fixture declares {m} components but diagram has {d.ncomps}")
+    if not is_planar(d):
+        raise PDError("diagram is not planar: its PD code does not embed "
+                      "in the sphere")
     d.notes = notes
     return d
 

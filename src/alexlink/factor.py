@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import sympy
 
-from .laurent import (LaurentPoly, NotDivisible, ZeroInputError, divide_exact,
-                      is_negligible, unit_equal, unit_normal_form)
+from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
+                      _to_polynomial, divide_exact, is_negligible, unit_equal,
+                      unit_normal_form)
 
 
 _symbol_cache = {}
@@ -33,11 +34,8 @@ def _symbols(nvars):
 
 def to_sympy(p):
     """Ordinary-polynomial part of p as a sympy Poly (unit part dropped)."""
-    syms = _symbols(p.nvars)
-    mins = [min(exps[i] for exps in p.terms) for i in range(p.nvars)]
-    terms = {tuple(e[i] - mins[i] for i in range(p.nvars)): c
-             for e, c in p.terms.items()}
-    return sympy.Poly.from_dict(terms, *syms, domain=sympy.ZZ)
+    _, terms = _to_polynomial(p)
+    return sympy.Poly.from_dict(terms, *_symbols(p.nvars), domain=sympy.ZZ)
 
 
 def from_sympy(poly, nvars):
@@ -76,13 +74,18 @@ class Factorization:
 
 
 def factor_irreducible(p):
-    """Complete factorization of p into irreducibles over the Laurent ring."""
+    """Complete factorization of p into irreducibles over the Laurent ring.
+
+    sympy factors the ordinary part as a Poly (``Poly.factor_list``), with
+    no round trip through a symbolic expression; the result is checked by
+    exact division.
+    """
     if p.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
     n = p.nvars
     if p.is_unit():
         return Factorization(unit=p, factors=())
-    coeff, raw = sympy.factor_list(to_sympy(p).as_expr(), *_symbols(n))
+    coeff, raw = to_sympy(p).factor_list()
     factors = {}
     coeff = int(coeff)
     for prime, mult in sympy.factorint(abs(coeff)).items():
@@ -184,22 +187,27 @@ def _pair_off(classes, nvars):
     return NormVerdict(is_norm=True, witness=witness)
 
 
-def _factor_classes(p, skip_univariate=False):
-    classes = {}
-    for q, mult in factor_irreducible(p).factors:
-        if is_negligible(q):
-            continue
-        if skip_univariate and len(q.variables_used()) <= 1:
-            continue
-        classes[q] = classes.get(q, 0) + mult
-    return classes
+def norm_classes(fact, skip_univariate=False):
+    """{class: multiplicity} of the non-negligible factors of fact.
+
+    With ``skip_univariate``, factors in at most one variable (integer
+    constants included) are left out as well.
+    """
+    return {q: mult for q, mult in fact.factors
+            if not is_negligible(q)
+            and not (skip_univariate and len(q.variables_used()) <= 1)}
+
+
+def norm_verdict(fact, skip_univariate=False):
+    """The norm test on a factored polynomial; see is_norm_up_to_negligible."""
+    return _pair_off(norm_classes(fact, skip_univariate), fact.unit.nvars)
 
 
 def is_norm_up_to_negligible(p):
     """Does p = f * conj(f) * n for some f and some negligible n?"""
     if p.is_zero():
         raise ZeroInputError("norm test needs a nonzero polynomial")
-    return _pair_off(_factor_classes(p), p.nvars)
+    return norm_verdict(factor_irreducible(p))
 
 
 def is_norm_modulo_univariate(p):
@@ -210,7 +218,7 @@ def is_norm_modulo_univariate(p):
     """
     if p.is_zero():
         raise ZeroInputError("norm test needs a nonzero polynomial")
-    return _pair_off(_factor_classes(p, skip_univariate=True), p.nvars)
+    return norm_verdict(factor_irreducible(p), skip_univariate=True)
 
 
 def norm_equivalent(a, b):
@@ -222,8 +230,8 @@ def norm_equivalent(a, b):
     if a.is_zero() or b.is_zero():
         raise ZeroInputError("norm equivalence needs nonzero polynomials")
     a._check(b)
-    classes = dict(_factor_classes(a))
-    for q, mult in _factor_classes(b).items():
+    classes = norm_classes(factor_irreducible(a))
+    for q, mult in norm_classes(factor_irreducible(b)).items():
         classes[q] = classes.get(q, 0) - mult
     classes = {q: m for q, m in classes.items() if m != 0}
     return _pair_off(classes, a.nvars)

@@ -263,6 +263,17 @@ class LaurentPoly:
 
 # -- unit normal form -----------------------------------------------------
 
+def _to_polynomial(p):
+    """Return (mins, terms): p times t^-mins, an ordinary polynomial.
+
+    ``mins`` holds each variable's least exponent in p, so every variable
+    has least exponent 0 in ``terms``.  p must be nonzero.
+    """
+    mins = tuple(map(min, zip(*p.terms)))
+    return mins, {tuple(e - s for e, s in zip(exps, mins)): c
+                  for exps, c in p.terms.items()}
+
+
 def unit_normal_form(p):
     """The canonical representative of p under multiplication by units.
 
@@ -272,14 +283,11 @@ def unit_normal_form(p):
     """
     if p.is_zero():
         raise ZeroInputError("the zero polynomial has no unit normal form")
-    n = p.nvars
-    mins = [min(exps[i] for exps in p.terms) for i in range(n)]
-    shifted = {tuple(e[i] - mins[i] for i in range(n)): c
-               for e, c in p.terms.items()}
+    _, shifted = _to_polynomial(p)
     lead = min(shifted)
     if shifted[lead] < 0:
         shifted = {e: -c for e, c in shifted.items()}
-    return LaurentPoly(n, shifted)
+    return LaurentPoly(p.nvars, shifted)
 
 
 def unit_equal(a, b):
@@ -349,15 +357,6 @@ def is_negligible(p):
 
 # -- exact division -------------------------------------------------------
 
-def _to_polynomial(p):
-    """Shift exponents so the polynomial is ordinary; return (shift, poly)."""
-    n = p.nvars
-    mins = [min(exps[i] for exps in p.terms) for i in range(n)]
-    shifted = {tuple(e[i] - mins[i] for i in range(n)): c
-               for e, c in p.terms.items()}
-    return tuple(mins), LaurentPoly(n, shifted)
-
-
 def divide_exact(a, b):
     """Return q with a = b*q, or raise NotDivisible.
 
@@ -369,13 +368,12 @@ def divide_exact(a, b):
         return LaurentPoly(a.nvars)
     a._check(b)
     n = a.nvars
-    shift_a, pa = _to_polynomial(a)
+    shift_a, rest = _to_polynomial(a)
     shift_b, pb = _to_polynomial(b)
-    # Ordinary-polynomial division in lex order; if pb | pa in the Laurent
+    # Ordinary-polynomial division in lex order; if b | a in the Laurent
     # ring, the quotient of the shifted parts is an ordinary polynomial.
-    lead_b = max(pb.terms)
-    cb = pb.terms[lead_b]
-    rest = dict(pa.terms)
+    lead_b = max(pb)
+    cb = pb[lead_b]
     quot = {}
     while rest:
         lead_r = max(rest)
@@ -385,7 +383,7 @@ def divide_exact(a, b):
             raise NotDivisible(f"{a} is not divisible by {b}")
         qc = cr // cb
         quot[qe] = qc
-        for eb, coeff in pb.terms.items():
+        for eb, coeff in pb.items():
             key = tuple(qe[i] + eb[i] for i in range(n))
             new = rest.get(key, 0) - qc * coeff
             if new:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .factor import (NormVerdict, _pair_off, factor_irreducible,
-                     is_norm_modulo_univariate, is_norm_up_to_negligible,
-                     norm_equivalent, odd_multiplicity_divisor)
+                     is_norm_up_to_negligible, norm_classes, norm_equivalent,
+                     norm_verdict, odd_multiplicity_divisor)
 from .invariants import AlexanderData, embed_univariate
 from .laurent import (LaurentPoly, NotDivisible, divide_exact, unit_equal,
                       unit_normal_form)
@@ -42,17 +42,64 @@ RULE_WSP_NORM = ("delta is not a norm times negligible modulo one-variable "
 RULE_PARITY = "splitting parity equals total linking number parity"
 
 
-def unlinking_bound(a: AlexanderData, m: int):
-    """Lower bound for the unlinking number, with the rules that fired."""
+def _factor_delta(a: AlexanderData):
+    """The factorization of delta, or None when delta = 0."""
+    return None if a.delta.is_zero() else factor_irreducible(a.delta)
+
+
+def _delta_bound(a: AlexanderData, m: int, fact, rule, test):
+    """The rank bound, raised to m when delta fails a norm test.
+
+    ``fact`` is the factorization of delta (None when delta = 0, and
+    then no test runs); ``test`` maps it to a NormVerdict.  Returns
+    (bound, reasons, verdict).
+    """
     bound = m - 1 - a.beta
     reasons = [RULE_RANK]
     verdict = None
-    if not a.delta.is_zero():
-        verdict = is_norm_up_to_negligible(a.delta)
+    if fact is not None:
+        verdict = test(fact)
         if not verdict.is_norm and bound <= m - 1:
             bound = m
-            reasons.append(RULE_UNLINK_NORM)
+            reasons.append(rule)
     return bound, reasons, verdict
+
+
+def _splitting_verdict(fact, delta, component_polys, m):
+    """Norm test on delta over the product of the component polynomials.
+
+    The quotient's factorization is delta's minus the component
+    polynomials' (each factored once, in one variable, then embedded in
+    its component's variable), so nothing is divided out or factored
+    again.  The product divides delta exactly when no class needs a
+    larger multiplicity than delta has.
+    """
+    factored = {unit_normal_form(delta): fact} if m == 1 else {}
+    divisor = {}
+    for i, p in enumerate(component_polys):
+        if p.is_unit():
+            continue
+        key = unit_normal_form(p)
+        if key not in factored:
+            factored[key] = factor_irreducible(p)
+        for q, mult in factored[key].factors:
+            q = unit_normal_form(embed_univariate(q, i, m))
+            divisor[q] = divisor.get(q, 0) + mult
+    have = dict(fact.factors)
+    if any(mult > have.get(q, 0) for q, mult in divisor.items()):
+        prod = LaurentPoly.one(m)
+        for i, p in enumerate(component_polys):
+            prod = prod * embed_univariate(p, i, m)
+        return NormVerdict(is_norm=False, blocking_factors=(prod,))
+    classes = {q: mult - divisor.get(q, 0)
+               for q, mult in norm_classes(fact).items()}
+    return _pair_off({q: c for q, c in classes.items() if c}, m)
+
+
+def unlinking_bound(a: AlexanderData, m: int):
+    """Lower bound for the unlinking number, with the rules that fired."""
+    return _delta_bound(a, m, _factor_delta(a), RULE_UNLINK_NORM,
+                        norm_verdict)
 
 
 def splitting_bound(a: AlexanderData, component_polys, m: int):
@@ -61,35 +108,15 @@ def splitting_bound(a: AlexanderData, component_polys, m: int):
     ``component_polys`` lists the one-variable Alexander polynomial of
     each component as a knot, in component order.
     """
-    bound = m - 1 - a.beta
-    reasons = [RULE_RANK]
-    verdict = None
-    if not a.delta.is_zero():
-        prod = LaurentPoly.one(m)
-        for i, p in enumerate(component_polys):
-            prod = prod * embed_univariate(p, i, m)
-        try:
-            quotient = divide_exact(a.delta, prod)
-            verdict = is_norm_up_to_negligible(quotient)
-        except NotDivisible:
-            verdict = NormVerdict(is_norm=False, blocking_factors=(prod,))
-        if not verdict.is_norm and bound <= m - 1:
-            bound = m
-            reasons.append(RULE_SPLIT_NORM)
-    return bound, reasons, verdict
+    return _delta_bound(
+        a, m, _factor_delta(a), RULE_SPLIT_NORM,
+        lambda fact: _splitting_verdict(fact, a.delta, component_polys, m))
 
 
 def weak_splitting_bound(a: AlexanderData, m: int):
     """Lower bound for the weak splitting number (any crossing changes)."""
-    bound = m - 1 - a.beta
-    reasons = [RULE_RANK]
-    verdict = None
-    if not a.delta.is_zero():
-        verdict = is_norm_modulo_univariate(a.delta)
-        if not verdict.is_norm and bound <= m - 1:
-            bound = m
-            reasons.append(RULE_WSP_NORM)
-    return bound, reasons, verdict
+    return _delta_bound(a, m, _factor_delta(a), RULE_WSP_NORM,
+                        lambda fact: norm_verdict(fact, skip_univariate=True))
 
 
 def parity_refine(bound: int, total_linking: int):
@@ -250,13 +277,18 @@ def build_report(d, alex=None, component_polys=None):
         component_polys = component_polynomials(d)
     m = d.ncomps
     lk_sum = d.total_linking_number()
-    u_bound, u_reasons, u_verdict = unlinking_bound(alex, m)
-    sp_bound, sp_reasons, sp_verdict = splitting_bound(
-        alex, component_polys, m)
+    fact = _factor_delta(alex)
+    u_bound, u_reasons, u_verdict = _delta_bound(
+        alex, m, fact, RULE_UNLINK_NORM, norm_verdict)
+    sp_bound, sp_reasons, sp_verdict = _delta_bound(
+        alex, m, fact, RULE_SPLIT_NORM,
+        lambda f: _splitting_verdict(f, alex.delta, component_polys, m))
     sp_refined = parity_refine(sp_bound, lk_sum)
     if sp_refined != sp_bound:
         sp_reasons = sp_reasons + [RULE_PARITY]
-    wsp_bound, wsp_reasons, wsp_verdict = weak_splitting_bound(alex, m)
+    wsp_bound, wsp_reasons, wsp_verdict = _delta_bound(
+        alex, m, fact, RULE_WSP_NORM,
+        lambda f: norm_verdict(f, skip_univariate=True))
     notes = dict(getattr(d, "notes", {}))
     inconclusive = []
     if "note_open" in notes:

@@ -59,3 +59,68 @@ def random_negligible(rng, nvars, max_exp=2, max_s=2):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def braid_closure_pd(word, n):
+    """PD text of the closure of a braid word on n strands.
+
+    ``word`` holds +i for sigma_i and -i for its inverse.  A positive
+    sigma_i at edges (a at position i, b at i+1) is X[b, b', a', a] and a
+    negative one X[a, b, b', a'], where a' and b' leave at positions i
+    and i+1.  Edges are numbered along each component in the braid's
+    direction, which is how parse_pd orients a component that never
+    passes under.  Every generator should occur in the word, so that no
+    strand closes up into a loop with no crossing.
+    """
+    at = list(range(n))      # edge currently at each position
+    succ = {}                # edge -> next edge along its strand
+    raw = []
+    fresh = n
+    for g in word:
+        i = abs(g) - 1
+        a, b = at[i], at[i + 1]
+        a2, b2 = fresh, fresh + 1
+        fresh += 2
+        raw.append((b, b2, a2, a) if g > 0 else (a, b, b2, a2))
+        succ[a], succ[b] = b2, a2
+        at[i], at[i + 1] = a2, b2
+    bottom = {at[p]: p for p in range(n)}   # bottom edge p is top edge p
+    succ = {bottom.get(e, e): bottom.get(f, f) for e, f in succ.items()}
+    label = {}
+    for p in range(n):
+        e = p
+        while e not in label:
+            label[e] = len(label) + 1
+            e = succ[e]
+    return ", ".join("X[{},{},{},{}]".format(
+        *(label[bottom.get(e, e)] for e in cr)) for cr in raw)
+
+
+def random_braid_closures(rng, count, strands=(3, 4), length=(8, 14)):
+    """``count`` seeded braid-closure diagrams using every generator."""
+    out = []
+    while len(out) < count:
+        n = rng.choice(strands)
+        word = [rng.choice([1, -1]) * rng.randrange(1, n)
+                for _ in range(rng.randrange(length[0], length[1] + 1))]
+        if {abs(g) for g in word} != set(range(1, n)):
+            continue
+        out.append(al.parse_pd(braid_closure_pd(word, n),
+                               name=f"braid{n}:{word}"))
+    return out
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The inputs of every factor_irreducible call, through any module."""
+    from alexlink import cli, factor, obstructions
+    calls = []
+    real = factor.factor_irreducible
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (factor, obstructions, cli):
+        monkeypatch.setattr(module, "factor_irreducible", counting)
+    return calls

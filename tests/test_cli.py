@@ -3,6 +3,7 @@
 import io
 import json
 
+import alexlink as al
 from alexlink.cli import main
 
 from conftest import FIXTURE_DIR
@@ -111,6 +112,20 @@ class TestFactor:
         status, _, err = run(["factor", "0", "--vars", "1"])
         assert status == 1 and "zero" in err
 
+    def test_one_factorization_feeds_both_verdicts(self, factor_calls):
+        text = "(t1^2-t1+1)*(2*t2^2-3*t2+2)*(t1*t2-1)^2"
+        _, out, _ = run(["factor", text, "--vars", "2"])
+        (rec,) = records(out)
+        assert len(factor_calls) == 1
+        p = al.parse_poly(text, 2)
+        for key, test in [
+                ("isNormUpToNegligible", al.is_norm_up_to_negligible),
+                ("isNormModuloUnivariate", al.is_norm_modulo_univariate)]:
+            v = test(p)
+            assert rec[key]["isNorm"] == v.is_norm
+            assert rec[key]["blockingFactors"] == \
+                [al.format_poly(b) for b in v.blocking_factors]
+
 
 class TestSearchCommand:
     def test_hopf(self):
@@ -140,6 +155,13 @@ class TestExitCodes:
         p.write_text("name: bad\ncomponents: 2\npd: X[1,2,3]\n")
         status, _, err = run(["invariants", str(p)])
         assert status == 1 and "error" in err
+
+    def test_non_planar_rejected(self, tmp_path):
+        p = tmp_path / "nonplanar.lnk"
+        p.write_text("name: nonplanar\npd: X[1,3,2,4], X[2,4,3,1]\n")
+        status, out, err = run(["obstruct", str(p)])
+        assert status == 1 and out == ""
+        assert "planar" in err
 
     def test_bad_file_does_not_stop_good_ones(self, tmp_path):
         p = tmp_path / "bad.lnk"

@@ -192,6 +192,10 @@ class TestPlanarity:
         d = al.parse_pd("X[1,3,2,4], X[2,4,3,1]")
         assert not is_planar(d)
 
+    def test_parse_fixture_rejects_nonplanar(self):
+        with pytest.raises(PDError, match="planar"):
+            al.parse_fixture("pd: X[1,3,2,4], X[2,4,3,1]\n")
+
 
 class TestFoxJacobian:
     def test_row_identity_corpus(self):

@@ -75,6 +75,56 @@ class TestFactorization:
                 assert len(sub.factors) == 1 and sub.factors[0][1] == 1
 
 
+def _expression_path_factorization(p):
+    """The factorization through a sympy expression, kept as the reference.
+
+    Converts the ordinary part to an expression and calls the symbolic
+    ``sympy.factor_list``; factor_irreducible calls ``Poly.factor_list``
+    on the Poly directly.  Normalization and the exact recombination
+    check are the same on both routes.
+    """
+    import sympy
+    from alexlink.factor import _symbols
+    n = p.nvars
+    if p.is_unit():
+        return al.Factorization(unit=p, factors=())
+    coeff, raw = sympy.factor_list(to_sympy(p).as_expr(), *_symbols(n))
+    factors = {}
+    for prime, mult in sympy.factorint(abs(int(coeff))).items():
+        factors[LaurentPoly.const(n, int(prime))] = mult
+    for fac, mult in raw:
+        q = unit_normal_form(from_sympy(fac, n))
+        if not q.is_one():
+            factors[q] = factors.get(q, 0) + mult
+    ordered = tuple(sorted(factors.items(),
+                           key=lambda fm: sorted(fm[0].terms.items())))
+    prod = LaurentPoly.one(n)
+    for f, mult in ordered:
+        prod = prod * f ** mult
+    return al.Factorization(unit=al.divide_exact(p, prod), factors=ordered)
+
+
+class TestPolyPathMatchesExpressionPath:
+    def test_random_products(self):
+        rng = seeded(29)
+        for _ in range(150):
+            nvars = rng.choice([1, 2, 3])
+            p = random_unit(rng, nvars)
+            for _ in range(rng.randrange(1, 4)):
+                p = p * random_poly(rng, nvars, max_exp=2)
+            p = p * rng.choice([1, 1, 2, -6, 12])
+            assert al.factor_irreducible(p) == \
+                _expression_path_factorization(p), al.format_poly(p)
+
+    def test_repeated_and_conjugate_factors(self):
+        for text, nvars in [("(t1*t2-1)^2*(t1-t2)*(t1^-1-t2^-1)", 2),
+                            ("-4*t1^-2*(t1+t2+t3)^3*(t2*t3-1)", 3),
+                            ("(t^2-t+1)^3*(t-1)^2", 1), ("-7*t1^3*t2^-1", 2)]:
+            p = P(text, nvars)
+            assert al.factor_irreducible(p) == \
+                _expression_path_factorization(p), text
+
+
 def _univariate_irreducible_by_brute_force(p):
     """Interpolation-based divisor search confirming irreducibility over Z.
 

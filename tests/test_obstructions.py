@@ -3,8 +3,12 @@
 import pytest
 
 import alexlink as al
-from alexlink.invariants import AlexanderData, embed_univariate
-from alexlink.laurent import LaurentPoly
+from alexlink.factor import (NormVerdict, is_norm_modulo_univariate,
+                             is_norm_up_to_negligible)
+from alexlink.invariants import (AlexanderData, component_polynomials,
+                                 embed_univariate)
+from alexlink.laurent import (LaurentPoly, NotDivisible, divide_exact,
+                              unit_normal_form)
 from alexlink.obstructions import (RULE_PARITY, RULE_RANK, RULE_SPLIT_NORM,
                                    RULE_UNLINK_NORM, RULE_WSP_NORM,
                                    band_clasping_check, build_report,
@@ -15,7 +19,7 @@ from alexlink.obstructions import (RULE_PARITY, RULE_RANK, RULE_SPLIT_NORM,
                                    splitting_sequence_knot_constraint,
                                    unlinking_bound, weak_splitting_bound)
 
-from conftest import load_fixture
+from conftest import load_fixture, random_braid_closures, seeded
 
 TREF = "t^2-t+1"
 
@@ -282,3 +286,144 @@ class TestBuildReport:
             r = build_report(d)
             for q, (bound, reasons) in r.bounds.items():
                 assert reasons[0] == RULE_RANK, (d.name, q)
+
+
+# ---------------------------------------------------------------------------
+# the three-call route, kept as the reference for one factorization per report
+
+def _three_call_bound(a, m, rule, test):
+    bound = m - 1 - a.beta
+    reasons = [RULE_RANK]
+    verdict = None
+    if not a.delta.is_zero():
+        verdict = test(a.delta)
+        if not verdict.is_norm and bound <= m - 1:
+            bound = m
+            reasons.append(rule)
+    return bound, reasons, verdict
+
+
+def _three_call_splitting_verdict(delta, component_polys, m):
+    """Divide delta by the product of the component polynomials, then
+    factor the quotient again."""
+    prod = LaurentPoly.one(m)
+    for i, p in enumerate(component_polys):
+        prod = prod * embed_univariate(p, i, m)
+    try:
+        quotient = divide_exact(delta, prod)
+    except NotDivisible:
+        return NormVerdict(is_norm=False, blocking_factors=(prod,))
+    return is_norm_up_to_negligible(quotient)
+
+
+def three_call_bounds(a, component_polys, m):
+    """{quantity: (bound, reasons, verdict)}, each norm test factoring on
+    its own; the splitting entry is before the parity step."""
+    return {
+        "unlinking": _three_call_bound(a, m, RULE_UNLINK_NORM,
+                                       is_norm_up_to_negligible),
+        "splitting": _three_call_bound(
+            a, m, RULE_SPLIT_NORM,
+            lambda p: _three_call_splitting_verdict(p, component_polys, m)),
+        "weakSplitting": _three_call_bound(a, m, RULE_WSP_NORM,
+                                           is_norm_modulo_univariate),
+    }
+
+
+def _beta_zero_braid_closures():
+    return [d for d in random_braid_closures(seeded(31), 120)
+            if al.alexander_data(d).beta == 0]
+
+
+class TestOneFactorizationMatchesThreeCalls:
+    @staticmethod
+    def _check(d):
+        """Compare build_report with the three-call route on d.
+
+        Returns (a component is knotted, so the quotient differs from
+        delta; the product of the component polynomials does not divide
+        delta), both False when delta = 0.
+        """
+        alex = al.alexander_data(d)
+        comps = component_polynomials(d)
+        r = build_report(d, alex=alex, component_polys=comps)
+        ref = three_call_bounds(alex, comps, d.ncomps)
+        sp_bound, sp_reasons, _ = ref["splitting"]
+        sp_refined = parity_refine(sp_bound, d.total_linking_number())
+        if sp_refined != sp_bound:
+            sp_reasons = sp_reasons + [RULE_PARITY]
+        ref["splitting"] = (sp_refined, sp_reasons, ref["splitting"][2])
+        for q, (bound, reasons, verdict) in ref.items():
+            assert r.bounds[q] == (bound, reasons), (d.name, q)
+            assert r.norm_verdicts[q] == verdict, (d.name, q)
+        if alex.delta.is_zero():
+            return False, False
+        prod = LaurentPoly.one(d.ncomps)
+        for i, p in enumerate(comps):
+            prod = prod * embed_univariate(p, i, d.ncomps)
+        knotted = any(not p.is_unit() for p in comps)
+        return knotted, not al.divides(prod, alex.delta)
+
+    def test_corpus(self, corpus):
+        for d in corpus:
+            self._check(d)
+
+    def test_seeded_braid_closures(self):
+        seen = [(d.ncomps, *self._check(d))
+                for d in _beta_zero_braid_closures()]
+        assert sum(m >= 2 for m, _, _ in seen) >= 30
+        # links with knotted components, where the quotient differs from
+        # delta; some of their products do not divide delta at all
+        assert sum(m >= 2 and knotted for m, knotted, _ in seen) >= 10
+        assert any(m >= 2 and not_divisible for m, _, not_divisible in seen)
+
+    def test_hand_built_cases(self):
+        tref = P(TREF, 1)
+        cases = [
+            # quotient is (t1-1)(t2-1), negligible
+            (P(f"({TREF.replace('t', 't1')})*(t1-1)*(t2-1)", 2),
+             [tref, LaurentPoly.one(1)]),
+            # the product does not divide delta
+            (P("(t1-1)*(t2-1)", 2), [tref, LaurentPoly.one(1)]),
+            # the trefoil factor is in t1 but the knotted component is 2
+            (P(f"({TREF.replace('t', 't1')})*(t1*t2-1)", 2),
+             [LaurentPoly.one(1), tref]),
+            # delta has the class once, the product needs it twice
+            (P(f"({TREF.replace('t', 't1')})*(t2*t1^-1-1)", 2),
+             [tref ** 2, LaurentPoly.one(1)]),
+            # the same component polynomial twice, quotient a norm
+            (P(f"({TREF.replace('t', 't1')})*({TREF.replace('t', 't2')})"
+               "*(t1*t2+2)*(t1^-1*t2^-1+2)", 2), [tref, tref]),
+            # a knot: delta over its own polynomial is a unit
+            (tref * P("-t^3", 1), [tref]),
+            # the component cancels 2t1-1 but not its conjugate class t1-2,
+            # which must be the blocking factor
+            (P("(2*t1-1)*(t1-2)^2*(t1*t2-1)", 2),
+             [P("2*t^2-5*t+2", 1), LaurentPoly.one(1)]),
+            # integer content must divide as well
+            (P("2*(t1-1)", 2), [P("3", 1), LaurentPoly.one(1)]),
+        ]
+        for delta, comps in cases:
+            m = delta.nvars
+            a = AlexanderData(m=m, beta=0, delta=delta, delta_tor=delta)
+            ref = three_call_bounds(a, comps, m)
+            assert splitting_bound(a, comps, m) == ref["splitting"], \
+                al.format_poly(delta)
+            assert unlinking_bound(a, m) == ref["unlinking"]
+            assert weak_splitting_bound(a, m) == ref["weakSplitting"]
+
+    def test_one_factor_call_per_distinct_polynomial(self, corpus,
+                                                     factor_calls):
+        for d in corpus + _beta_zero_braid_closures()[:20]:
+            alex = al.alexander_data(d)
+            comps = component_polynomials(d)
+            factor_calls.clear()
+            build_report(d, alex=alex, component_polys=comps)
+            inputs = [unit_normal_form(p) for p in factor_calls]
+            assert len(inputs) == len(set(inputs)), d.name
+            if alex.delta.is_zero():
+                assert not factor_calls, d.name
+            else:
+                assert alex.delta in factor_calls, d.name
+                assert len(inputs) <= 1 + len(
+                    {unit_normal_form(p) for p in comps if not p.is_unit()})
