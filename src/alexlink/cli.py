@@ -28,7 +28,8 @@ from .invariants import (CONWAY_CROSSING_BUDGET, alexander_data,
 from .laurent import (PolyParseError, format_poly, negligible_decompose,
                       parse_poly)
 from .obstructions import build_report
-from .search import bounded_split_search, certify_gap
+from .search import (MAX_SEARCH_DEPTH, SearchBudgetExceeded,
+                     bounded_split_search, certify_gap)
 
 SCHEMA_VERSION = 1
 
@@ -123,14 +124,25 @@ def _obstruct_record(d, path, search_depth=None, mode="inter"):
         "annotations": report.annotations,
     }
     if search_depth is not None:
-        result = bounded_split_search(d, search_depth, mode=mode)
-        rec["search"] = _search_fields(result)
+        try:
+            result = bounded_split_search(d, search_depth, mode=mode)
+        except SearchBudgetExceeded:
+            # main has checked the depth, so the diagram is over the
+            # search's crossing budget: only the upper bounds are lost
+            result = None
+        rec["search"] = None if result is None else _search_fields(result)
         rec["intervals"] = _intervals(report, result)
     return rec
 
 
 def _intervals(report, result):
-    """{quantity: {lower, upper, exact}} from a report and a search."""
+    """{quantity: {lower, upper, exact}} from a report and a search.
+
+    Without a search (``result`` None) every upper bound is null.
+    """
+    if result is None:
+        return {q: {"lower": lo, "upper": None, "exact": False}
+                for q, (lo, _) in report.bounds.items()}
     gap = certify_gap(report, result)
     return {q: {"lower": lo, "upper": up, "exact": gap.exact[q]}
             for q, (lo, up) in gap.intervals.items()}
@@ -235,6 +247,12 @@ def main(argv=None, out=None, err=None):
         return status
 
     if args.command == "obstruct":
+        if args.search_depth is not None \
+                and args.search_depth > MAX_SEARCH_DEPTH:
+            err.write(f"error: --search-depth {args.search_depth} exceeds "
+                      f"the budget of {MAX_SEARCH_DEPTH}\n")
+            return 1
+
         def make(d, path):
             return _obstruct_record(d, path,
                                     search_depth=args.search_depth,

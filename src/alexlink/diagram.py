@@ -434,7 +434,7 @@ def parse_pd(text, nfree=0, name=""):
     """Parse a comma-separated list of X[a,b,c,d] crossings.
 
     ``nfree`` extra crossing-free components are appended after the
-    PD components.
+    PD components.  A PD code that is not planar is rejected.
     """
     crossings = _parse_crossing_list(text)
     if not crossings:
@@ -442,8 +442,12 @@ def parse_pd(text, nfree=0, name=""):
             raise PDError("empty diagram: need crossings or free loops")
         return LinkDiagram([], [], {}, nfree, nfree, name)
     signs, comp_of_edge, ncomps = _orient(crossings)
-    return LinkDiagram(crossings, signs, comp_of_edge,
-                       ncomps + nfree, nfree, name)
+    d = LinkDiagram(crossings, signs, comp_of_edge,
+                    ncomps + nfree, nfree, name)
+    if not is_planar(d):
+        raise PDError("diagram is not planar: its PD code does not embed "
+                      "in the sphere")
+    return d
 
 
 def serialize_pd(d):
@@ -457,7 +461,7 @@ def parse_fixture(text, name_hint=""):
     Lines: ``name: <string>``, ``components: <m>``, optional
     ``freeloops: <k>``, ``pd: X[a,b,c,d], ...`` (possibly empty for
     unlinks).  Lines starting with '#' are comments; ``note:`` lines are
-    carried as annotations.  A PD code that is not planar is rejected.
+    carried as annotations.
     """
     name = name_hint
     m = None
@@ -490,9 +494,6 @@ def parse_fixture(text, name_hint=""):
     if m is not None and d.ncomps != m:
         raise PDError(
             f"fixture declares {m} components but diagram has {d.ncomps}")
-    if not is_planar(d):
-        raise PDError("diagram is not planar: its PD code does not embed "
-                      "in the sphere")
     d.notes = notes
     return d
 

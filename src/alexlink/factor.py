@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import sympy
 
 from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
-                      _to_polynomial, divide_exact, is_negligible, unit_equal,
-                      unit_normal_form)
+                      _to_polynomial, divide_exact, divides, is_negligible,
+                      unit_equal, unit_normal_form)
 
 
 _symbol_cache = {}
@@ -122,12 +122,18 @@ def gcd(a, b):
 
 
 def gcd_many(polys):
-    """GCD of a sequence, short-circuiting once it collapses to 1."""
+    """GCD of a sequence, short-circuiting once it collapses to 1.
+
+    Calls sympy only when the running gcd does not divide the next term.
+    """
     acc = None
     for p in polys:
         if p.is_zero():
             continue
-        acc = unit_normal_form(p) if acc is None else gcd(acc, p)
+        if acc is None:
+            acc = unit_normal_form(p)
+        elif not divides(acc, p):
+            acc = gcd(acc, p)
         if acc.is_one():
             return acc
     if acc is None:

@@ -21,8 +21,9 @@ least fill first.
 After k pivots the rank is k plus the rank of M', computed by exact
 fraction-free (Bareiss) elimination over the polynomial ring.  The
 torsion order is the gcd of the rank-sized minors, that is of the
-(rank - k)-minors of M', with the gcd short-circuited at 1 and
-determinants computed by sparse cofactor expansion with memoization.
+(rank - k)-minors of M', determinants computed lazily by sparse cofactor
+expansion with memoization; factor.gcd_many stops at 1 and asks sympy
+only when the running gcd does not divide the next minor exactly.
 When beta = 0 the rank is ngen - 1, and these corank-1 minors generate
 (Delta) for a knot and Delta times the augmentation ideal for m >= 2
 (Torres, Crowell-Fox); the t_i - 1 are coprime, so their gcd is Delta.
@@ -31,9 +32,10 @@ Crossing-free components contribute through the split-union rules: each
 one raises beta by 1, kills the multivariable polynomial (for links with
 more than one component) and leaves the torsion polynomial unchanged.
 
-The module also evaluates the Conway polynomial by the skein relation on
-descending diagrams, and from it the one-variable Alexander polynomial
-and the Sato-Levine invariant.
+Each component's Alexander polynomial is the delta of its own
+sub-diagram.  The Conway polynomial is evaluated by the skein relation
+on descending diagrams, within a crossing budget, and from it the
+one-variable Alexander polynomial and the Sato-Levine invariant.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .diagram import PDError, fox_jacobian
-from .laurent import LaurentPoly, divide_exact, unit_normal_form
+from .factor import gcd_many
+from .laurent import (LaurentPoly, ZeroInputError, divide_exact,
+                      unit_normal_form)
 
 CONWAY_CROSSING_BUDGET = 16
 
@@ -166,30 +170,20 @@ def minor_gcd(rows, size, nvars):
     """GCD of all size x size minors of a matrix over nvars variables.
 
     Returns 1 for size 0, whatever the matrix, and the zero polynomial
-    when every minor vanishes.  Short circuits once the running gcd
-    reaches 1.
+    when every minor vanishes.  Minors are computed only as gcd_many
+    asks for them.
     """
     if size == 0:
         return LaurentPoly.one(nvars)
     if size > len(rows) or size > len(rows[0]):
         return LaurentPoly.zero(nvars)
     memo = {}
-    acc = None
-    for ri in combinations(range(len(rows)), size):
-        for ci in combinations(range(len(rows[0])), size):
-            det = _determinant(rows, ri, ci, memo)
-            if det.is_zero():
-                continue
-            acc = unit_normal_form(det) if acc is None else \
-                _gcd2(acc, det)
-            if acc.is_one():
-                return acc
-    return acc if acc is not None else LaurentPoly.zero(nvars)
-
-
-def _gcd2(a, b):
-    from .factor import gcd
-    return gcd(a, b)
+    try:
+        return gcd_many(_determinant(rows, ri, ci, memo)
+                        for ri in combinations(range(len(rows)), size)
+                        for ci in combinations(range(len(rows[0])), size))
+    except ZeroInputError:
+        return LaurentPoly.zero(nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,6 @@ def alexander_data(d):
     delta_tor = minor_gcd(reduced, rank, m)
     if delta_tor.is_zero():
         raise PDError("rank/minor inconsistency in torsion order")
-    delta_tor = unit_normal_form(delta_tor)
     delta = delta_tor if beta == 0 else LaurentPoly.zero(m)
     return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor)
 
@@ -353,15 +346,12 @@ def one_variable_alexander(d):
 def component_polynomials(d):
     """One-variable Alexander polynomial of each component on its own.
 
-    Component i is isolated with delete_components and fed through the
-    Conway route.  Returns a list of one-variable polynomials in the
+    Component i is isolated with delete_components and goes through
+    alexander_data.  Returns a list of one-variable polynomials in the
     link's component order.
     """
-    polys = []
-    for c in range(d.ncomps):
-        sub = d.delete_components({c}).reduce_bigons()
-        polys.append(one_variable_alexander(sub))
-    return polys
+    return [alexander_data(d.delete_components({c})).delta
+            for c in range(d.ncomps)]
 
 
 def embed_univariate(p, var_index, m):

@@ -124,3 +124,18 @@ def factor_calls(monkeypatch):
     for module in (factor, obstructions, cli):
         monkeypatch.setattr(module, "factor_irreducible", counting)
     return calls
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The argument pairs of every factor.gcd call (one sympy gcd each)."""
+    from alexlink import factor
+    calls = []
+    real = factor.gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(factor, "gcd", counting)
+    return calls

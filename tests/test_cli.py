@@ -6,7 +6,7 @@ import json
 import alexlink as al
 from alexlink.cli import main
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, braid_closure_pd
 
 
 def run(argv):
@@ -142,6 +142,51 @@ class TestSearchCommand:
         (rec,) = records(out)
         assert rec["search"]["mode"] == "any"
         assert rec["intervals"]["weakSplitting"]["upper"] == 2
+
+
+def torus_fixture(tmp_path, n):
+    """A fixture file holding T(2,n), the closure of sigma_1^n."""
+    p = tmp_path / f"T2_{n}.lnk"
+    p.write_text(f"name: T(2,{n})\npd: {braid_closure_pd([1] * n, 2)}\n")
+    return str(p)
+
+
+class TestOverBudget:
+    def test_over_skein_budget_succeeds(self, tmp_path):
+        # 17 crossings: one over the skein's, which guards only conway
+        path = torus_fixture(tmp_path, 17)
+        expected = al.divide_exact(al.parse_poly("t^17+1", 1),
+                                   al.parse_poly("t+1", 1))
+        for argv in (["invariants"], ["obstruct"],
+                     ["search", "--search-depth", "1"]):
+            status, out, err = run(argv + [path])
+            assert status == 0 and err == "", argv
+            (rec,) = records(out)
+            assert "conway" not in rec
+            if argv[0] != "search":
+                (poly,) = rec["componentPolys"]
+                assert al.unit_equal(al.parse_poly(poly, 1), expected)
+
+    def test_over_search_budget_keeps_obstruct_record(self, tmp_path):
+        # 21 crossings: one over the search's budget, which guards only
+        # the search and the upper bounds
+        path = torus_fixture(tmp_path, 21)
+        status, out, err = run(["obstruct", "--search-depth", "1", path,
+                                fx("hopf")])
+        assert status == 0 and err == ""
+        big, hopf = records(out)
+        assert big["search"] is None
+        assert big["bounds"]["unlinking"]["lower"] == 1
+        assert all(iv["upper"] is None and not iv["exact"]
+                   for iv in big["intervals"].values())
+        assert hopf["search"]["found"]
+        status, out, err = run(["search", "--search-depth", "1", path])
+        assert status == 1 and out == "" and "budget" in err
+
+    def test_search_depth_over_budget_is_an_error(self):
+        status, out, err = run(["obstruct", "--search-depth", "5",
+                                fx("hopf")])
+        assert status == 1 and out == "" and "budget" in err
 
 
 class TestExitCodes:

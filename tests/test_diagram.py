@@ -171,8 +171,8 @@ class TestBigonsAndSplitness:
         assert d.reduce_bigons().ncrossings == 0
 
     def test_rm2_reduces(self):
-        # two opposite clasps cancel: unknot with 2 crossings
-        d = al.parse_pd("X[1,4,2,3], X[2,4,3,1]")
+        # a Reidemeister II bigon between two components: an unlink
+        d = al.parse_pd("X[1,2,3,4], X[3,2,1,4]")
         r = d.reduce_bigons()
         assert r.ncrossings == 0
         assert r.ncomps == d.ncomps
@@ -188,9 +188,13 @@ class TestPlanarity:
         assert planar_face_count(al.parse_pd(HOPF)) == 4
 
     def test_nonplanar_rejected(self):
-        # virtual-trefoil style PD code: 2 crossings, not realizable
-        d = al.parse_pd("X[1,3,2,4], X[2,4,3,1]")
+        # virtual-trefoil style PD code: 2 crossings, not realizable;
+        # one component, built directly since parse_pd rejects it
+        d = al.LinkDiagram([(1, 3, 2, 4), (2, 4, 3, 1)], (1, 1),
+                           dict.fromkeys(range(1, 5), 0), 1)
         assert not is_planar(d)
+        with pytest.raises(PDError, match="planar"):
+            al.parse_pd("X[1,3,2,4], X[2,4,3,1]")
 
     def test_parse_fixture_rejects_nonplanar(self):
         with pytest.raises(PDError, match="planar"):

@@ -205,6 +205,19 @@ class TestGcd:
         g = gcd_many([P("t1-1", 2), P("t2-1", 2), P("(t1-1)*(t2-1)", 2)])
         assert g.is_one()
 
+    def test_gcd_many_skips_sympy_on_exact_division(self, gcd_calls):
+        # 1 - t^-1 divides both later terms: no sympy gcd at all
+        g = gcd_many([P("1-t^-1", 1), P("(t-1)*(t+2)", 1),
+                      LaurentPoly.zero(1), P("t^3-t^5", 1)])
+        assert g == unit_normal_form(P("t-1", 1)) and gcd_calls == []
+
+    def test_gcd_many_calls_sympy_when_no_division(self, gcd_calls):
+        a, b, c = P("(t-1)*(t+1)", 1), P("(t-1)*(t+2)", 1), P("t^2-1", 1)
+        g = gcd_many([a, b, c])
+        assert g == al.gcd(a, b) == unit_normal_form(P("t-1", 1))
+        # a does not divide b; their gcd t - 1 divides c
+        assert gcd_calls == [(unit_normal_form(a), b)]
+
     def test_gcd_divides_random(self):
         rng = seeded(24)
         for _ in range(N_RANDOM):

@@ -1,16 +1,20 @@
 """Alexander data, Conway polynomials and their consistency relations."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 import alexlink as al
-from alexlink.invariants import (conway_polynomial, embed_univariate,
+from alexlink import factor
+from alexlink.invariants import (CONWAY_CROSSING_BUDGET, _determinant,
+                                 conway_polynomial, embed_univariate,
                                  matrix_rank, minor_gcd,
                                  one_variable_alexander, reduce_unit_pivots)
 from alexlink.laurent import LaurentPoly, unit_normal_form
 
-from conftest import corpus_diagrams, load_fixture
+from conftest import (corpus_diagrams, load_fixture, random_braid_closures,
+                      seeded)
 
 
 def P(text, nvars):
@@ -92,6 +96,43 @@ def unreduced_alexander_data(d):
         tj = LaurentPoly.var(m, arc_component[0]) - LaurentPoly.one(m)
         delta = al.divide_exact(delta, tj)
     return 0, delta, delta
+
+
+def reference_minor_gcd(rows, size, nvars):
+    """minor_gcd with an accumulation loop of its own.
+
+    Asks sympy (factor.gcd) on every nonzero minor after the first
+    until the running gcd is 1; minor_gcd must agree with it exactly.
+    """
+    if size == 0:
+        return LaurentPoly.one(nvars)
+    if size > len(rows) or size > len(rows[0]):
+        return LaurentPoly.zero(nvars)
+    memo = {}
+    acc = None
+    for ri in combinations(range(len(rows)), size):
+        for ci in combinations(range(len(rows[0])), size):
+            det = _determinant(rows, ri, ci, memo)
+            if det.is_zero():
+                continue
+            acc = unit_normal_form(det) if acc is None else \
+                factor.gcd(acc, det)
+            if acc.is_one():
+                return acc
+    return acc if acc is not None else LaurentPoly.zero(nvars)
+
+
+def split_trefoils(n):
+    """PD text of the split union of n trefoils (3n crossings)."""
+    tref = [(4, 2, 5, 1), (2, 6, 3, 5), (6, 4, 1, 3)]
+    return ", ".join("X[%d,%d,%d,%d]" % tuple(6 * k + x for x in c)
+                     for k in range(n) for c in tref)
+
+
+def reduced_jacobian(d):
+    """The unit-pivot-reduced Fox Jacobian M' of d and its rank."""
+    reduced, _ = reduce_unit_pivots(al.fox_jacobian(d)[0])
+    return reduced, matrix_rank(reduced)
 
 
 class TestRank:
@@ -177,6 +218,31 @@ class TestUnitPivotReduction:
         rows, _ = al.fox_jacobian(d)
         assert reduce_unit_pivots(rows) == (rows, 0)
         assert al.alexander_data(d).delta.is_one()
+
+
+class TestMinorGcdThroughGcdMany:
+    def test_matches_reference_loop(self, corpus):
+        diagrams = corpus + [al.parse_pd(split_trefoils(2))] + \
+            random_braid_closures(seeded(61), 30)
+        for d in diagrams:
+            if d.ncrossings == 0:
+                continue
+            reduced, rank = reduced_jacobian(d)
+            # rank + 1: every minor vanishes and both return zero
+            for size in range(rank + 2):
+                assert minor_gcd(reduced, size, d.ncomps) == \
+                    reference_minor_gcd(reduced, size, d.ncomps), \
+                    (d.name, size)
+
+    def test_three_split_trefoils_ask_sympy_less(self, gcd_calls):
+        d = al.parse_pd(split_trefoils(3))
+        reduced, rank = reduced_jacobian(d)
+        g = minor_gcd(reduced, rank, 3)
+        calls = len(gcd_calls)
+        assert g == reference_minor_gcd(reduced, rank, 3)
+        # the reference asks sympy on every minor: 63 calls
+        assert len(gcd_calls) - calls == 63
+        assert calls < 63
 
 
 class TestKnownValues:
@@ -338,3 +404,13 @@ class TestComponentPolynomials:
         for name in ("hopf", "whitehead", "L6a4", "L9a54"):
             for p in al.component_polynomials(load_fixture(name)):
                 assert p.is_one() or al.unit_equal(p, P("1", 1)), name
+
+    def test_fox_route_agrees_with_skein(self, corpus):
+        """The skein on each component's sub-diagram is the reference."""
+        closures = random_braid_closures(seeded(62), 50)
+        assert max(d.ncrossings for d in closures) <= CONWAY_CROSSING_BUDGET
+        for d in corpus + closures:
+            for c, p in enumerate(al.component_polynomials(d)):
+                sub = d.delete_components({c})
+                assert al.unit_equal(p, one_variable_alexander(sub)), \
+                    (d.name, c)
