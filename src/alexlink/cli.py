@@ -252,6 +252,9 @@ def main(argv=None, out=None, err=None):
             err.write(f"error: --search-depth {args.search_depth} exceeds "
                       f"the budget of {MAX_SEARCH_DEPTH}\n")
             return 1
+        if args.search_depth is not None and args.search_depth < 0:
+            err.write(f"error: negative --search-depth {args.search_depth}\n")
+            return 1
 
         def make(d, path):
             return _obstruct_record(d, path,

@@ -258,9 +258,6 @@ class LinkDiagram:
             pieces.setdefault(uf.find(c), []).append(c)
         return sorted(tuple(sorted(p)) for p in pieces.values())
 
-    def is_split_diagram(self):
-        return len(self.split_partition()) > 1
-
     def _find_bigon_moves(self):
         """One removable curl (RM1) or cancelling bigon pair (RM2), if any."""
         for i, (a, b, c, d) in enumerate(self.crossings):

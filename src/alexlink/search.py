@@ -8,6 +8,13 @@ share a crossing.  This gives an upper bound for the splitting number
 that can be sandwiched against the algebraic lower bounds; both count
 changes to a completely split link, as does the rank bound.
 
+A completely split diagram has every lk(i,j) = 0, and changing crossing
+c between components i and j moves lk(i,j) by -sign(c).  So a set is
+skipped, before any diagram is built, unless for every pair the signs of
+its changed (i,j) crossings sum to lk(i,j), and the search starts at
+depth sum |lk(i,j)|.  Bigon reduction keeps linking numbers, so neither
+step changes the reported set.
+
 Splitness is only certified at the diagram level, so a genuinely split
 link can be missed on an unhelpful diagram: the upper bounds are
 conservative.  No isotopy beyond bigon reduction is attempted.
@@ -35,22 +42,6 @@ class SearchResult:
     mode: str
 
 
-def _parity_feasible(d, change_counts):
-    """Necessary condition for a full split after the given changes.
-
-    Every pairwise linking number ends at zero in a completely split
-    link, and each inter-component crossing change moves one of them by
-    one, so (linking number + change count) must be even for every pair.
-    """
-    m = d.ncomps
-    for i in range(m):
-        for j in range(i):
-            v = d.linking_number(i, j)
-            if (v + change_counts.get((i, j), 0)) % 2:
-                return False
-    return True
-
-
 def bounded_split_search(d, max_depth, mode="inter"):
     """Breadth-first search over crossing-change sets up to max_depth.
 
@@ -62,6 +53,8 @@ def bounded_split_search(d, max_depth, mode="inter"):
     """
     if mode not in ("inter", "any"):
         raise ValueError(f"unknown search mode {mode!r}")
+    if max_depth < 0:
+        raise ValueError(f"search depth {max_depth} is negative")
     if max_depth > MAX_SEARCH_DEPTH:
         raise SearchBudgetExceeded(
             f"depth {max_depth} exceeds the budget of {MAX_SEARCH_DEPTH}")
@@ -70,23 +63,26 @@ def bounded_split_search(d, max_depth, mode="inter"):
             f"{d.ncrossings} crossings exceed the budget "
             f"of {SEARCH_CROSSING_BUDGET}")
 
-    if mode == "inter":
-        candidates = [i for i in range(d.ncrossings)
-                      if len(set(d.crossing_components(i))) == 2]
-    else:
-        candidates = list(range(d.ncrossings))
+    lk = {(i, j): d.linking_number(i, j)
+          for i in range(d.ncomps) for j in range(i)}
+    # (component pair, sign) of each crossing between two components
+    mixed = {}
+    for c in range(d.ncrossings):
+        cu, co = d.crossing_components(c)
+        if cu != co:
+            mixed[c] = ((max(cu, co), min(cu, co)), d.signs[c])
+    candidates = list(mixed) if mode == "inter" else range(d.ncrossings)
 
     seen = set()
-    for depth in range(max_depth + 1):
+    for depth in range(sum(map(abs, lk.values())), max_depth + 1):
         for changes in combinations(candidates, depth):
-            if mode == "inter":
-                counts = {}
-                for i in changes:
-                    cu, co = d.crossing_components(i)
-                    key = (max(cu, co), min(cu, co))
-                    counts[key] = counts.get(key, 0) + 1
-                if not _parity_feasible(d, counts):
-                    continue
+            moved = dict.fromkeys(lk, 0)
+            for c in changes:
+                if c in mixed:
+                    pair, sign = mixed[c]
+                    moved[pair] += sign
+            if moved != lk:
+                continue
             cur = d
             for i in changes:
                 cur = cur.crossing_change(i)

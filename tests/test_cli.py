@@ -208,6 +208,16 @@ class TestExitCodes:
         assert status == 1 and out == ""
         assert "planar" in err
 
+    def test_negative_search_depth_rejected_by_obstruct(self):
+        # rejected before any file is read: a missing file would exit 2
+        status, out, err = run(["obstruct", "--search-depth", "-2",
+                                "/nonexistent/file.lnk"])
+        assert status == 1 and out == "" and "negative" in err
+
+    def test_negative_search_depth_rejected_by_search(self):
+        status, out, err = run(["search", fx("hopf"), "--search-depth", "-1"])
+        assert status == 1 and out == "" and "negative" in err
+
     def test_bad_file_does_not_stop_good_ones(self, tmp_path):
         p = tmp_path / "bad.lnk"
         p.write_text("garbage\n")

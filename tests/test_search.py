@@ -1,14 +1,90 @@
 """Bounded diagrammatic splitting search and the sandwich summaries."""
 
+from itertools import combinations
+
 import pytest
 
 import alexlink as al
+from alexlink.diagram import LinkDiagram
 from alexlink.obstructions import build_report
 from alexlink.search import (MAX_SEARCH_DEPTH, SEARCH_CROSSING_BUDGET,
                              SearchBudgetExceeded, SearchResult,
                              bounded_split_search, certify_gap)
 
-from conftest import load_fixture
+from conftest import (braid_closure_pd, corpus_diagrams, load_fixture,
+                      random_braid_closures, seeded)
+
+
+def _parity_feasible(d, change_counts):
+    """Necessary condition for a full split after the given changes.
+
+    Every pairwise linking number ends at zero in a completely split
+    link, and each inter-component crossing change moves one of them by
+    one, so (linking number + change count) must be even for every pair.
+    """
+    m = d.ncomps
+    for i in range(m):
+        for j in range(i):
+            v = d.linking_number(i, j)
+            if (v + change_counts.get((i, j), 0)) % 2:
+                return False
+    return True
+
+
+def reference_split_search(d, max_depth, mode="inter"):
+    """The search before the linking-number prune: every set from depth
+    0, with only a parity check, and only in inter mode."""
+    if mode == "inter":
+        candidates = [i for i in range(d.ncrossings)
+                      if len(set(d.crossing_components(i))) == 2]
+    else:
+        candidates = list(range(d.ncrossings))
+
+    seen = set()
+    for depth in range(max_depth + 1):
+        for changes in combinations(candidates, depth):
+            if mode == "inter":
+                counts = {}
+                for i in changes:
+                    cu, co = d.crossing_components(i)
+                    key = (max(cu, co), min(cu, co))
+                    counts[key] = counts.get(key, 0) + 1
+                if not _parity_feasible(d, counts):
+                    continue
+            cur = d
+            for i in changes:
+                cur = cur.crossing_change(i)
+            reduced = cur.reduce_bigons()
+            key = reduced.state_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            partition = reduced.split_partition()
+            if all(len(part) == 1 for part in partition):
+                return SearchResult(found=True, sequence=tuple(changes),
+                                    partition=tuple(partition), depth=depth,
+                                    mode=mode)
+    return SearchResult(found=False, sequence=(), partition=None,
+                        depth=max_depth, mode=mode)
+
+
+@pytest.fixture
+def crossing_changes(monkeypatch):
+    """The number of LinkDiagram.crossing_change calls, one per move."""
+    calls = []
+    real = LinkDiagram.crossing_change
+
+    def counting(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(LinkDiagram, "crossing_change", counting)
+    return calls
+
+
+def torus_2(n):
+    """T(2,n), the closure of sigma_1^n."""
+    return al.parse_pd(braid_closure_pd([1] * n, 2), name=f"T(2,{n})")
 
 
 class TestBoundedSplitSearch:
@@ -19,7 +95,8 @@ class TestBoundedSplitSearch:
         assert r.partition == ((0,), (1,))
 
     def test_whitehead_needs_two_inter_changes(self):
-        # depth 1 is parity-infeasible (linking number 0), depth 2 works
+        # depth 1 cannot split: one change would move the linking
+        # number 0 away from 0; depth 2 works
         r1 = bounded_split_search(load_fixture("whitehead"), 1, mode="inter")
         assert not r1.found
         r2 = bounded_split_search(load_fixture("whitehead"), 3, mode="inter")
@@ -34,6 +111,10 @@ class TestBoundedSplitSearch:
         # the search must say so rather than return a bogus sequence
         r = bounded_split_search(load_fixture("L6a4"), 3, mode="inter")
         assert not r.found and r.partition is None and r.depth == 3
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            bounded_split_search(load_fixture("hopf"), -1)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -56,6 +137,59 @@ class TestBoundedSplitSearch:
         r = bounded_split_search(d, 3, mode="inter")
         for i in r.sequence:
             assert len(set(d.crossing_components(i))) == 2
+
+
+class TestLinkingNumberPrune:
+    """The prune against the parity-only search it replaced."""
+
+    @pytest.mark.parametrize("mode", ["inter", "any"])
+    def test_matches_reference_on_corpus(self, mode):
+        for d in corpus_diagrams():
+            if d.ncrossings > SEARCH_CROSSING_BUDGET:
+                continue
+            for depth in range(4):
+                assert bounded_split_search(d, depth, mode) == \
+                    reference_split_search(d, depth, mode), (d.name, depth)
+
+    @pytest.mark.parametrize("mode", ["inter", "any"])
+    def test_matches_reference_on_closures(self, mode):
+        closures = random_braid_closures(seeded(606), 30, length=(6, 12))
+        assert any(d.ncomps > 1 and d.total_linking_number() != 0
+                   for d in closures)
+        for d in closures:
+            for depth in range(4):
+                assert bounded_split_search(d, depth, mode) == \
+                    reference_split_search(d, depth, mode), (d.name, depth)
+
+    @pytest.mark.parametrize("name", ["L6a4", "whitehead"])
+    @pytest.mark.parametrize("mode", ["inter", "any"])
+    def test_fewer_crossing_changes(self, crossing_changes, name, mode):
+        d = load_fixture(name)
+        expected = reference_split_search(d, 3, mode)
+        reference_calls = len(crossing_changes)
+        del crossing_changes[:]
+        assert bounded_split_search(d, 3, mode) == expected
+        if mode == "any":
+            assert len(crossing_changes) < reference_calls
+        else:
+            # each component pair here shares two crossings of opposite
+            # sign, so parity already pruned what the sum prunes
+            assert len(crossing_changes) == reference_calls
+
+    def test_start_depth_above_max_builds_nothing(self, crossing_changes):
+        d = torus_2(10)
+        assert abs(d.linking_number(0, 1)) == 5
+        r = bounded_split_search(d, 4, mode="any")
+        assert r == SearchResult(found=False, sequence=(), partition=None,
+                                 depth=4, mode="any")
+        assert crossing_changes == []
+
+    def test_start_depth_is_total_absolute_linking(self, crossing_changes):
+        # T(2,8) has |lk| = 4: the search starts at depth 4 and its first
+        # set changes four crossings
+        r = bounded_split_search(torus_2(8), 4, mode="inter")
+        assert r.found and r.depth == 4
+        assert crossing_changes[:4] == [0, 1, 2, 3]
 
 
 class TestCertifyGap:
