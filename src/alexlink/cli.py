@@ -34,10 +34,6 @@ from .search import (MAX_SEARCH_DEPTH, SearchBudgetExceeded,
 SCHEMA_VERSION = 1
 
 
-def _poly_str(p):
-    return format_poly(p)
-
-
 def _conway_str(nabla):
     if not nabla:
         return "0"
@@ -62,8 +58,8 @@ def _norm_verdict_record(v):
         return None
     return {
         "isNorm": v.is_norm,
-        "witness": _poly_str(v.witness) if v.witness is not None else None,
-        "blockingFactors": [_poly_str(b) for b in v.blocking_factors],
+        "witness": format_poly(v.witness) if v.witness is not None else None,
+        "blockingFactors": [format_poly(b) for b in v.blocking_factors],
     }
 
 
@@ -91,9 +87,9 @@ def _invariants_record(d, path):
         "m": d.ncomps,
         "crossings": d.ncrossings,
         "beta": alex.beta,
-        "delta": _poly_str(alex.delta),
-        "deltaTor": _poly_str(alex.delta_tor),
-        "componentPolys": [_poly_str(p) for p in component_polynomials(d)],
+        "delta": format_poly(alex.delta),
+        "deltaTor": format_poly(alex.delta_tor),
+        "componentPolys": [format_poly(p) for p in component_polynomials(d)],
         "linkingNumbers": {
             f"{i + 1},{j + 1}": d.linking_number(i, j)
             for i in range(d.ncomps) for j in range(i)},
@@ -112,9 +108,9 @@ def _obstruct_record(d, path, search_depth=None, mode="inter"):
         "file": str(path),
         "m": report.m,
         "beta": report.beta,
-        "delta": _poly_str(report.delta),
-        "deltaTor": _poly_str(report.delta_tor),
-        "componentPolys": [_poly_str(p) for p in report.component_polys],
+        "delta": format_poly(report.delta),
+        "deltaTor": format_poly(report.delta_tor),
+        "componentPolys": [format_poly(p) for p in report.component_polys],
         "bounds": {q: {"lower": b, "reasons": rs}
                    for q, (b, rs) in report.bounds.items()},
         "parityConstraint": report.parity_constraint,
@@ -239,6 +235,14 @@ def main(argv=None, out=None, err=None):
 
     args = parser.parse_args(argv)
 
+    # checked once, before any file is read
+    depth = getattr(args, "search_depth", None)
+    if depth is not None and not 0 <= depth <= MAX_SEARCH_DEPTH:
+        reason = ("is negative" if depth < 0
+                  else f"exceeds the budget of {MAX_SEARCH_DEPTH}")
+        err.write(f"error: --search-depth {depth} {reason}\n")
+        return 1
+
     if args.command == "invariants":
         status, records = _run_over_fixtures(args, _invariants_record,
                                              out, err)
@@ -247,15 +251,6 @@ def main(argv=None, out=None, err=None):
         return status
 
     if args.command == "obstruct":
-        if args.search_depth is not None \
-                and args.search_depth > MAX_SEARCH_DEPTH:
-            err.write(f"error: --search-depth {args.search_depth} exceeds "
-                      f"the budget of {MAX_SEARCH_DEPTH}\n")
-            return 1
-        if args.search_depth is not None and args.search_depth < 0:
-            err.write(f"error: negative --search-depth {args.search_depth}\n")
-            return 1
-
         def make(d, path):
             return _obstruct_record(d, path,
                                     search_depth=args.search_depth,
@@ -284,14 +279,14 @@ def main(argv=None, out=None, err=None):
             "kind": "factor",
             "input": args.poly,
             "vars": args.vars,
-            "unit": _poly_str(fact.unit),
-            "factors": [{"factor": _poly_str(f), "multiplicity": mult}
+            "unit": format_poly(fact.unit),
+            "factors": [{"factor": format_poly(f), "multiplicity": mult}
                         for f, mult in fact.factors],
             "negligible": {
                 "sign": dec.sign,
                 "monomial": list(dec.monomial),
                 "oneMinusTExponents": list(dec.one_minus_t_exponents),
-                "core": _poly_str(dec.core),
+                "core": format_poly(dec.core),
                 "isNegligible": dec.is_negligible,
             },
             "isNormUpToNegligible": _norm_verdict_record(norm_verdict(fact)),

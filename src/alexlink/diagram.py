@@ -16,7 +16,9 @@ carried as a count and ordered after all others.
 The module also derives the Wirtinger presentation and its Fox Jacobian,
 and implements the diagram moves the obstruction machinery quantifies
 over: crossing changes, deletion of sublinks, oriented smoothing, and a
-small bigon-reduction pass used by the split search.
+small bigon-reduction pass used by the split search.  Every move that
+drops crossings goes through one ``_rebuild``, and components, arcs,
+pieces and strands are all numbered by one routine, ``_classes``.
 """
 
 from __future__ import annotations
@@ -29,27 +31,38 @@ class PDError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small union-find used for strand tracing and splicing
+# classes of edges (strands, components, arcs) and of components (pieces)
 
-class _UF:
-    def __init__(self):
-        self.parent = {}
+def _classes(items, pairs):
+    """Number the classes of the equivalence on ``items`` made by ``pairs``.
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
+    Returns {item: class number}; classes are numbered 0, 1, ... in the
+    order of their smallest members.
+    """
+    adjacent = {}
+    for x, y in pairs:
+        adjacent.setdefault(x, []).append(y)
+        adjacent.setdefault(y, []).append(x)
+    label = {}
+    count = 0
+    for x in sorted(items):
+        if x in label:
+            continue
+        label[x] = count
+        if x in adjacent:
+            members = [x]
+            for y in members:
+                for z in adjacent[y]:
+                    if z not in label:
+                        label[z] = count
+                        members.append(z)
+        count += 1
+    return label
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # keep the smaller label as representative for determinism
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+
+def _strand_pairs(crossings):
+    """The edge pairs (a, c) and (b, d) a strand runs straight through."""
+    return [p for a, b, c, d in crossings for p in ((a, c), (b, d))]
 
 
 # ---------------------------------------------------------------------------
@@ -147,60 +160,31 @@ class LinkDiagram:
         return LinkDiagram(crossings, signs, self.comp_of_edge,
                            self.ncomps, self.nfree, self.name)
 
-    def _rebuild(self, keep_idx, splices, restrict_to=None,
-                 recompute_comps=False):
-        """Drop the crossings not in keep_idx, splicing edges per ``splices``.
+    def _rebuild(self, drop, splices, comps=None):
+        """Drop the crossings in ``drop``, splicing the edge pairs ``splices``.
 
-        ``splices`` is a list of edge pairs to identify (a strand passing
-        straight through a removed crossing).  ``restrict_to`` limits the
-        surviving components (by old index); by default all survive.
-        When ``recompute_comps`` is set the component structure is
-        retraced from scratch, which smoothings need because they can
-        merge or split components.
+        Only the components in ``comps`` (old indices; by default all)
+        survive.  The strands left at kept crossings are relabelled 1..N
+        in order, and a strand left with none closes up into a free loop.
+        Components are traced again; where no splice joins two of them,
+        one keeping a crossing keeps the strand of its smallest edge, so
+        the components keep their order.
         """
-        uf = _UF()
-        for e in self.comp_of_edge:
-            uf.find(e)
-        for x, y in splices:
-            uf.union(x, y)
-        kept = []
-        for i in keep_idx:
-            a, b, c, d = self.crossings[i]
-            kept.append(((uf.find(a), uf.find(b), uf.find(c), uf.find(d)),
-                         self.signs[i]))
-        used = sorted({e for cr, _ in kept for e in cr})
-        relabel = {e: k + 1 for k, e in enumerate(used)}
-        crossings = [tuple(relabel[e] for e in cr) for cr, _ in kept]
-        signs = [s for _, s in kept]
-
-        if recompute_comps:
-            comp_uf = _UF()
-            for a, b, c, d in crossings:
-                comp_uf.union(a, c)
-                comp_uf.union(b, d)
-            roots = sorted({comp_uf.find(e) for cr in crossings for e in cr})
-            comp_of_edge = {e: roots.index(comp_uf.find(e))
-                            for cr in crossings for e in cr}
-            # strand classes with no surviving crossing close up into
-            # crossing-free loops
-            old_classes = {uf.find(e) for e in self.comp_of_edge}
-            survivors = {uf.find(e) for e in used}
-            nfree = self.nfree + len(old_classes - survivors)
-            return LinkDiagram(crossings, signs, comp_of_edge,
-                               len(roots) + nfree, nfree, self.name)
-
-        # components keep their identity here (splices never join distinct
-        # components); ones losing all crossings become free loops
-        old_comps = (sorted(restrict_to) if restrict_to is not None
-                     else list(range(self.ncomps)))
-        old_free = {c for c in old_comps if c >= self.ncomps - self.nfree}
-        survivors = {self.comp_of_edge[e] for e in used}
-        comp_with = [c for c in old_comps if c in survivors]
-        comp_free = [c for c in old_comps if c not in survivors or c in old_free]
-        order = {c: k for k, c in enumerate(comp_with)}
-        comp_of_edge = {relabel[e]: order[self.comp_of_edge[e]] for e in used}
-        return LinkDiagram(crossings, signs, comp_of_edge,
-                           len(old_comps), len(comp_free), self.name)
+        if comps is None:
+            comps = range(self.ncomps)
+        strand = _classes([e for e, c in self.comp_of_edge.items()
+                           if c in comps], splices)
+        kept = [i for i in range(self.ncrossings) if i not in drop]
+        used = sorted({strand[e] for i in kept for e in self.crossings[i]})
+        relabel = {s: k for k, s in enumerate(used, 1)}
+        crossings = [tuple([relabel[strand[e]] for e in self.crossings[i]])
+                     for i in kept]
+        comp_of_edge = _classes(relabel.values(), _strand_pairs(crossings))
+        nfree = (sum(c >= self.ncomps - self.nfree for c in comps)
+                 + len(set(strand.values())) - len(used))
+        ncomps = len(set(comp_of_edge.values())) + nfree
+        return LinkDiagram(crossings, [self.signs[i] for i in kept],
+                           comp_of_edge, ncomps, nfree, self.name)
 
     def delete_components(self, keep):
         """Sub-diagram of the components in ``keep`` (0-based indices).
@@ -217,26 +201,24 @@ class LinkDiagram:
         for c in keep:
             if not 0 <= c < self.ncomps:
                 raise PDError(f"component {c} out of range")
-        keep_idx = []
+        drop = set()
         splices = []
-        for i in range(self.ncrossings):
-            a, b, c, d = self.crossings[i]
+        for i, (a, b, c, d) in enumerate(self.crossings):
             cu, co = self.crossing_components(i)
             if cu in keep and co in keep:
-                keep_idx.append(i)
-            elif cu in keep:
+                continue
+            drop.add(i)
+            if cu in keep:
                 splices.append((a, c))
             elif co in keep:
                 splices.append((b, d))
-        return self._rebuild(keep_idx, splices, restrict_to=keep)
+        return self._rebuild(drop, splices, keep)
 
     def smooth_crossing(self, i):
         """Oriented smoothing at crossing i (skein 0-resolution)."""
         a, b, c, d = self.crossings[i]
-        over_in, over_out = self.over_in_edge(i), self.over_out_edge(i)
-        keep_idx = [k for k in range(self.ncrossings) if k != i]
-        return self._rebuild(keep_idx, [(a, over_out), (over_in, c)],
-                             recompute_comps=True)
+        return self._rebuild((i,), [(a, self.over_out_edge(i)),
+                                    (self.over_in_edge(i), c)])
 
     # -- split detection and bigon reduction ------------------------------
 
@@ -247,41 +229,32 @@ class LinkDiagram:
         crossings joins them.  Free loops are singleton pieces.  Returns
         a sorted list of sorted component tuples.
         """
-        uf = _UF()
-        for c in range(self.ncomps):
-            uf.find(c)
-        for i in range(self.ncrossings):
-            cu, co = self.crossing_components(i)
-            uf.union(cu, co)
+        piece = _classes(range(self.ncomps),
+                         map(self.crossing_components, range(self.ncrossings)))
         pieces = {}
         for c in range(self.ncomps):
-            pieces.setdefault(uf.find(c), []).append(c)
-        return sorted(tuple(sorted(p)) for p in pieces.values())
+            pieces.setdefault(piece[c], []).append(c)
+        return [tuple(p) for p in pieces.values()]
 
     def _find_bigon_moves(self):
-        """One removable curl (RM1) or cancelling bigon pair (RM2), if any."""
+        """The crossings of a curl, (i,), or a cancelling bigon, (i, j)."""
         for i, (a, b, c, d) in enumerate(self.crossings):
             if a == b or b == c or c == d or d == a:
-                return ("rm1", i)
+                return (i,)
         by_edge = {}
         for i, cr in enumerate(self.crossings):
             for e in set(cr):
                 by_edge.setdefault(e, []).append(i)
         for e, locs in by_edge.items():
-            if len(locs) != 2 or locs[0] == locs[1]:
+            if len(locs) != 2:
                 continue
             i, j = locs
-            if self.signs[i] != -self.signs[j]:
-                continue
-            over_i = {self.crossings[i][1], self.crossings[i][3]}
-            over_j = {self.crossings[j][1], self.crossings[j][3]}
-            under_i = {self.crossings[i][0], self.crossings[i][2]}
-            under_j = {self.crossings[j][0], self.crossings[j][2]}
-            if e in over_i and e in over_j:
-                shared_under = under_i & under_j
-                for f in shared_under:
-                    if f != e:
-                        return ("rm2", i, j)
+            (ai, bi, ci, di), (aj, bj, cj, dj) = (self.crossings[i],
+                                                  self.crossings[j])
+            # opposite signs, e over at both and some edge under at both
+            if (self.signs[i] == -self.signs[j] and e in (bi, di)
+                    and e in (bj, dj) and {ai, ci} & {aj, cj}):
+                return (i, j)
         return None
 
     def reduce_bigons(self):
@@ -291,23 +264,9 @@ class LinkDiagram:
         changes; invariant computations never rely on it.
         """
         d = self
-        while True:
-            move = d._find_bigon_moves()
-            if move is None:
-                return d
-            if move[0] == "rm1":
-                i = move[1]
-                a, b, c2, d2 = d.crossings[i]
-                keep = [k for k in range(d.ncrossings) if k != i]
-                d = d._rebuild(keep, [(a, c2), (b, d2)])
-            else:
-                _, i, j = move
-                keep = [k for k in range(d.ncrossings) if k not in (i, j)]
-                splices = []
-                for k in (i, j):
-                    a, b, c2, d2 = d.crossings[k]
-                    splices.extend([(a, c2), (b, d2)])
-                d = d._rebuild(keep, splices)
+        while (drop := d._find_bigon_moves()) is not None:
+            d = d._rebuild(drop, _strand_pairs(d.crossings[k] for k in drop))
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +317,8 @@ def _orient(crossings):
             raise PDError(f"edge {e} appears {len(locs)} times, expected 2")
 
     # components via strand passages
-    uf = _UF()
-    for a, b, c, d in crossings:
-        uf.union(a, c)
-        uf.union(b, d)
-    roots = sorted({uf.find(e) for e in slots})
-    comp_of_edge = {e: roots.index(uf.find(e)) for e in slots}
-    ncomps = len(roots)
+    comp_of_edge = _classes(slots, _strand_pairs(crossings))
+    ncomps = len(set(comp_of_edge.values()))
 
     # in/out status per (crossing, slot); slot 0 = in, slot 2 = out
     status = {}
@@ -433,6 +387,8 @@ def parse_pd(text, nfree=0, name=""):
     ``nfree`` extra crossing-free components are appended after the
     PD components.  A PD code that is not planar is rejected.
     """
+    if nfree < 0:
+        raise PDError(f"negative free loop count {nfree}")
     crossings = _parse_crossing_list(text)
     if not crossings:
         if nfree == 0:
@@ -450,6 +406,13 @@ def parse_pd(text, nfree=0, name=""):
 def serialize_pd(d):
     """PD text for the crossings of d (free loops are not expressible)."""
     return ", ".join(f"X[{a},{b},{c},{e}]" for a, b, c, e in d.crossings)
+
+
+def _fixture_int(key, val):
+    try:
+        return int(val)
+    except ValueError:
+        raise PDError(f"{key}: needs an integer, got {val!r}") from None
 
 
 def parse_fixture(text, name_hint=""):
@@ -476,9 +439,9 @@ def parse_fixture(text, name_hint=""):
         if key == "name":
             name = val
         elif key == "components":
-            m = int(val)
+            m = _fixture_int(key, val)
         elif key == "freeloops":
-            nfree = int(val)
+            nfree = _fixture_int(key, val)
         elif key == "pd":
             pd_text = val
         elif key.startswith("note"):
@@ -523,8 +486,7 @@ def planar_face_count(d):
         for p, e in enumerate(cr):
             darts.setdefault(e, []).append((i, p))
     other = {}
-    for e, locs in darts.items():
-        (x, y) = locs
+    for x, y in darts.values():
         other[x] = y
         other[y] = x
     seen = set()
@@ -544,23 +506,13 @@ def planar_face_count(d):
 def is_planar(d):
     """Check that the crossing graph of each connected piece is planar.
 
-    A connected piece with n crossings embeds in the sphere exactly when
-    its traced face count is n + 2 (Euler characteristic 2).  Pieces are
-    checked independently; crossing-free loops are trivially planar.
+    A connected piece with n crossings traces at most n + 2 faces, with
+    equality exactly when it embeds in the sphere, and no face runs
+    between pieces; crossing-free loops are trivially planar.
     """
-    for piece in d.split_partition():
-        idx = [i for i in range(d.ncrossings)
-               if d.crossing_components(i)[0] in piece]
-        if not idx:
-            continue
-        sub_edges = {e for i in idx for e in d.crossings[i]}
-        sub = LinkDiagram([d.crossings[i] for i in idx],
-                          [d.signs[i] for i in idx],
-                          {e: d.comp_of_edge[e] for e in sub_edges},
-                          d.ncomps, d.nfree, d.name)
-        if planar_face_count(sub) != len(idx) + 2:
-            return False
-    return True
+    piece = _classes(d.comp_of_edge, [(a, e) for a, *rest in d.crossings
+                                      for e in rest])
+    return planar_face_count(d) == d.ncrossings + 2 * len(set(piece.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +525,12 @@ def wirtinger_arcs(d):
     representatives and arc_of_edge maps each edge to its arc index.
     Edges merge across a crossing they pass over.
     """
-    uf = _UF()
-    for e in d.comp_of_edge:
-        uf.find(e)
-    for i in range(d.ncrossings):
-        _, b, _, dd = d.crossings[i]
-        uf.union(b, dd)
-    arcs = sorted({uf.find(e) for e in d.comp_of_edge})
-    arc_of_edge = {e: arcs.index(uf.find(e)) for e in d.comp_of_edge}
+    arc_of_edge = _classes(d.comp_of_edge,
+                           [(b, dd) for _, b, _, dd in d.crossings])
+    arcs = []
+    for e in sorted(arc_of_edge):
+        if arc_of_edge[e] == len(arcs):
+            arcs.append(e)
     return arc_of_edge, arcs
 
 

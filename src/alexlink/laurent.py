@@ -2,8 +2,7 @@
 
 Polynomials live in Z[t1^±1, ..., tm^±1] and are stored sparsely as a
 mapping from exponent vectors to nonzero integer coefficients.  All
-operations are pure and values are treated as immutable, so they can be
-shared freely between threads and batch workers.
+operations are pure and values are treated as immutable.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 import io
 import json
 
+import pytest
+
 import alexlink as al
 from alexlink.cli import main
 
-from conftest import FIXTURE_DIR, braid_closure_pd
+from conftest import FIXTURE_DIR, braid_closure_pd, load_fixture
 
 
 def run(argv):
@@ -217,6 +219,30 @@ class TestExitCodes:
     def test_negative_search_depth_rejected_by_search(self):
         status, out, err = run(["search", fx("hopf"), "--search-depth", "-1"])
         assert status == 1 and out == "" and "negative" in err
+
+    @pytest.mark.parametrize("command", ["obstruct", "search"])
+    @pytest.mark.parametrize("depth", ["-1", "5"])
+    def test_search_depth_checked_once_before_reading(self, command, depth):
+        # a missing file would exit 2, and a per-file check would print
+        # one error per fixture
+        for path in ("/nonexistent/file.lnk", str(FIXTURE_DIR)):
+            status, out, err = run([command, path, "--search-depth", depth])
+            assert status == 1 and out == ""
+            assert err.count("\n") == 1 and "--search-depth" in err
+
+    def test_negative_freeloops_rejected_per_file(self, tmp_path):
+        # without a components: line to catch the count, the diagram
+        # would be built with one component fewer than its PD code has
+        bad = tmp_path / "trefoil_trefoil.lnk"
+        text = (FIXTURE_DIR / "trefoil_trefoil.lnk").read_text()
+        bad.write_text(text.replace("components: 2\n", "freeloops: -1\n"))
+        (tmp_path / "hopf.lnk").write_text(
+            (FIXTURE_DIR / "hopf.lnk").read_text())
+        status, out, err = run(["invariants", str(tmp_path)])
+        assert status == 1
+        assert err.startswith(f"error: {bad}:") and err.count("\n") == 1
+        (rec,) = records(out)
+        assert rec["name"] == load_fixture("hopf").name
 
     def test_bad_file_does_not_stop_good_ones(self, tmp_path):
         p = tmp_path / "bad.lnk"

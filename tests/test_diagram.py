@@ -3,11 +3,12 @@
 import pytest
 
 import alexlink as al
-from alexlink.diagram import (PDError, is_planar, planar_face_count,
-                              wirtinger_arcs)
+from alexlink.diagram import (LinkDiagram, PDError, is_planar,
+                              planar_face_count, wirtinger_arcs)
 from alexlink.laurent import LaurentPoly
 
-from conftest import corpus_diagrams, load_fixture
+from conftest import (corpus_diagrams, load_fixture, random_braid_closures,
+                      seeded)
 
 HOPF = "X[4,2,1,3], X[2,4,3,1]"
 TREFOIL = "X[4,2,5,1], X[2,6,3,5], X[6,4,1,3]"
@@ -64,6 +65,18 @@ class TestParsing:
     def test_fixture_component_mismatch(self):
         with pytest.raises(PDError):
             al.parse_fixture(f"name: bad\ncomponents: 3\npd: {HOPF}\n")
+
+    def test_negative_freeloops_rejected(self):
+        with pytest.raises(PDError, match="free loop"):
+            al.parse_pd(HOPF, nfree=-1)
+        with pytest.raises(PDError, match="free loop"):
+            al.parse_fixture(f"components: 1\nfreeloops: -1\npd: {HOPF}\n")
+
+    @pytest.mark.parametrize("key", ["components", "freeloops"])
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_fixture_count_must_be_an_integer(self, key, value):
+        with pytest.raises(PDError, match=key):
+            al.parse_fixture(f"{key}: {value}\npd: {HOPF}\n")
 
     def test_fixture_unknown_key(self):
         with pytest.raises(PDError):
@@ -237,3 +250,243 @@ class TestStateKey:
     def test_distinguishes(self):
         assert al.parse_pd(HOPF).state_key() != \
             al.parse_pd(TREFOIL).state_key()
+
+
+# ---------------------------------------------------------------------------
+# Reference moves: a union-find per class numbering, a rebuild with two
+# ways of tracking components, two bigon move kinds and a sub-diagram per
+# piece for planarity.  The moves above must build the same diagrams.
+
+class _UF:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[x] = p
+        return p
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def reference_rebuild(d, keep_idx, splices, restrict_to=None,
+                      recompute_comps=False):
+    uf = _UF()
+    for e in d.comp_of_edge:
+        uf.find(e)
+    for x, y in splices:
+        uf.union(x, y)
+    kept = []
+    for i in keep_idx:
+        a, b, c, dd = d.crossings[i]
+        kept.append(((uf.find(a), uf.find(b), uf.find(c), uf.find(dd)),
+                     d.signs[i]))
+    used = sorted({e for cr, _ in kept for e in cr})
+    relabel = {e: k + 1 for k, e in enumerate(used)}
+    crossings = [tuple(relabel[e] for e in cr) for cr, _ in kept]
+    signs = [s for _, s in kept]
+    if recompute_comps:
+        comp_uf = _UF()
+        for a, b, c, dd in crossings:
+            comp_uf.union(a, c)
+            comp_uf.union(b, dd)
+        roots = sorted({comp_uf.find(e) for cr in crossings for e in cr})
+        comp_of_edge = {e: roots.index(comp_uf.find(e))
+                        for cr in crossings for e in cr}
+        old_classes = {uf.find(e) for e in d.comp_of_edge}
+        survivors = {uf.find(e) for e in used}
+        nfree = d.nfree + len(old_classes - survivors)
+        return LinkDiagram(crossings, signs, comp_of_edge,
+                           len(roots) + nfree, nfree, d.name)
+    old_comps = (sorted(restrict_to) if restrict_to is not None
+                 else list(range(d.ncomps)))
+    old_free = {c for c in old_comps if c >= d.ncomps - d.nfree}
+    survivors = {d.comp_of_edge[e] for e in used}
+    comp_with = [c for c in old_comps if c in survivors]
+    comp_free = [c for c in old_comps if c not in survivors or c in old_free]
+    order = {c: k for k, c in enumerate(comp_with)}
+    comp_of_edge = {relabel[e]: order[d.comp_of_edge[e]] for e in used}
+    return LinkDiagram(crossings, signs, comp_of_edge,
+                       len(old_comps), len(comp_free), d.name)
+
+
+def reference_delete_components(d, keep):
+    keep_idx = []
+    splices = []
+    for i in range(d.ncrossings):
+        a, b, c, dd = d.crossings[i]
+        cu, co = d.crossing_components(i)
+        if cu in keep and co in keep:
+            keep_idx.append(i)
+        elif cu in keep:
+            splices.append((a, c))
+        elif co in keep:
+            splices.append((b, dd))
+    return reference_rebuild(d, keep_idx, splices, restrict_to=keep)
+
+
+def reference_smooth_crossing(d, i):
+    a, b, c, dd = d.crossings[i]
+    keep_idx = [k for k in range(d.ncrossings) if k != i]
+    return reference_rebuild(d, keep_idx,
+                             [(a, d.over_out_edge(i)), (d.over_in_edge(i), c)],
+                             recompute_comps=True)
+
+
+def reference_split_partition(d):
+    uf = _UF()
+    for c in range(d.ncomps):
+        uf.find(c)
+    for i in range(d.ncrossings):
+        uf.union(*d.crossing_components(i))
+    pieces = {}
+    for c in range(d.ncomps):
+        pieces.setdefault(uf.find(c), []).append(c)
+    return sorted(tuple(sorted(p)) for p in pieces.values())
+
+
+def reference_find_bigon_move(d):
+    for i, (a, b, c, dd) in enumerate(d.crossings):
+        if a == b or b == c or c == dd or dd == a:
+            return ("rm1", i)
+    by_edge = {}
+    for i, cr in enumerate(d.crossings):
+        for e in set(cr):
+            by_edge.setdefault(e, []).append(i)
+    for e, locs in by_edge.items():
+        if len(locs) != 2 or locs[0] == locs[1]:
+            continue
+        i, j = locs
+        if d.signs[i] != -d.signs[j]:
+            continue
+        over_i = {d.crossings[i][1], d.crossings[i][3]}
+        over_j = {d.crossings[j][1], d.crossings[j][3]}
+        under_i = {d.crossings[i][0], d.crossings[i][2]}
+        under_j = {d.crossings[j][0], d.crossings[j][2]}
+        if e in over_i and e in over_j:
+            for f in under_i & under_j:
+                if f != e:
+                    return ("rm2", i, j)
+    return None
+
+
+def reference_reduce_bigons(d):
+    while True:
+        move = reference_find_bigon_move(d)
+        if move is None:
+            return d
+        if move[0] == "rm1":
+            i = move[1]
+            a, b, c, dd = d.crossings[i]
+            keep = [k for k in range(d.ncrossings) if k != i]
+            d = reference_rebuild(d, keep, [(a, c), (b, dd)])
+        else:
+            _, i, j = move
+            keep = [k for k in range(d.ncrossings) if k not in (i, j)]
+            splices = []
+            for k in (i, j):
+                a, b, c, dd = d.crossings[k]
+                splices.extend([(a, c), (b, dd)])
+            d = reference_rebuild(d, keep, splices)
+
+
+def reference_is_planar(d):
+    for piece in reference_split_partition(d):
+        idx = [i for i in range(d.ncrossings)
+               if d.crossing_components(i)[0] in piece]
+        if not idx:
+            continue
+        sub_edges = {e for i in idx for e in d.crossings[i]}
+        sub = LinkDiagram([d.crossings[i] for i in idx],
+                          [d.signs[i] for i in idx],
+                          {e: d.comp_of_edge[e] for e in sub_edges},
+                          d.ncomps, d.nfree, d.name)
+        if planar_face_count(sub) != len(idx) + 2:
+            return False
+    return True
+
+
+def reference_wirtinger_arcs(d):
+    uf = _UF()
+    for e in d.comp_of_edge:
+        uf.find(e)
+    for _, b, _, dd in d.crossings:
+        uf.union(b, dd)
+    arcs = sorted({uf.find(e) for e in d.comp_of_edge})
+    return {e: arcs.index(uf.find(e)) for e in d.comp_of_edge}, arcs
+
+
+def shape(d):
+    return d.crossings, d.signs, d.comp_of_edge, d.ncomps, d.nfree
+
+
+class TestMovesMatchReference:
+    @pytest.fixture(scope="class")
+    def diagrams(self):
+        return corpus_diagrams() + random_braid_closures(
+            seeded(70), 60, strands=(2, 3, 4))
+
+    def test_crossing_change_then_reduce(self, diagrams):
+        for d in diagrams:
+            assert shape(d.reduce_bigons()) == \
+                shape(reference_reduce_bigons(d)), d.name
+            for i in range(d.ncrossings):
+                c = d.crossing_change(i)
+                assert shape(c.reduce_bigons()) == \
+                    shape(reference_reduce_bigons(c)), (d.name, i)
+
+    def test_smoothing(self, diagrams):
+        for d in diagrams:
+            for i in range(d.ncrossings):
+                s, r = d.smooth_crossing(i), reference_smooth_crossing(d, i)
+                assert shape(s) == shape(r), (d.name, i)
+                assert shape(s.reduce_bigons()) == \
+                    shape(reference_reduce_bigons(r)), (d.name, i)
+
+    def test_single_component_deletion_and_complement(self, diagrams):
+        for d in diagrams:
+            if d.ncomps < 2:
+                continue
+            for c in range(d.ncomps):
+                for keep in ({c}, set(range(d.ncomps)) - {c}):
+                    assert shape(d.delete_components(keep)) == \
+                        shape(reference_delete_components(d, keep)), \
+                        (d.name, keep)
+
+    def test_partition_planarity_and_arcs(self, diagrams):
+        for d in diagrams:
+            for e in [d] + [d.crossing_change(i).reduce_bigons()
+                            for i in range(d.ncrossings)]:
+                assert e.split_partition() == reference_split_partition(e)
+                assert is_planar(e) and reference_is_planar(e)
+                if e.ncrossings:
+                    assert wirtinger_arcs(e) == reference_wirtinger_arcs(e)
+
+
+class TestSplitPlanarity:
+    def test_planar_piece_with_nonplanar_piece_rejected(self):
+        # the trefoil (edges 1-6) beside the two-crossing non-planar code
+        # on edges 7-10: each piece is checked by its own Euler count
+        crossings = [(4, 2, 5, 1), (2, 6, 3, 5), (6, 4, 1, 3),
+                     (7, 9, 8, 10), (8, 10, 9, 7)]
+        comp_of_edge = {**dict.fromkeys(range(1, 7), 0),
+                        **dict.fromkeys(range(7, 11), 1)}
+        d = LinkDiagram(crossings, (1,) * 5, comp_of_edge, 2)
+        assert not is_planar(d) and not reference_is_planar(d)
+        with pytest.raises(PDError, match="planar"):
+            al.parse_pd(", ".join("X[{},{},{},{}]".format(*c)
+                                  for c in crossings))
+
+    def test_planar_union_with_free_loops_accepted(self):
+        d = al.parse_pd(TREFOIL + ", X[10,8,7,9], X[8,10,9,7]", nfree=2)
+        assert d.ncomps == 5 and d.nfree == 2
+        assert len(d.split_partition()) == 4
+        assert is_planar(d) and reference_is_planar(d)
