@@ -242,6 +242,9 @@ def main(argv=None, out=None, err=None):
                   else f"exceeds the budget of {MAX_SEARCH_DEPTH}")
         err.write(f"error: --search-depth {depth} {reason}\n")
         return 1
+    if getattr(args, "vars", 1) < 1:
+        err.write(f"error: --vars {args.vars}: need at least one variable\n")
+        return 1
 
     if args.command == "invariants":
         status, records = _run_over_fixtures(args, _invariants_record,

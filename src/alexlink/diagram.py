@@ -2,11 +2,13 @@
 
 A crossing is written X[a,b,c,d]: the four edge labels around the
 crossing in counterclockwise order starting from the incoming
-under-strand edge a.  So a is the under-strand entering the crossing,
-c is the under-strand leaving it, and {b, d} is the over-strand, whose
-direction is recovered from global consistency (every edge leaves one
-crossing and enters one).  The crossing is positive when the over-strand
-runs d -> b and negative when it runs b -> d.
+under-strand edge a.  So the under-strand runs a -> c and {b, d} is the
+over-strand, whose direction follows along its component from an
+under-passage; a component that never passes under runs the way its
+edge labels increase (cyclically).  A code with an under-strand that
+runs c -> a along its component is rejected as inconsistent.  The
+crossing is positive when the over-strand runs d -> b and negative when
+it runs b -> d.
 
 Edge labels are positive integers, each appearing exactly twice.
 Components are ordered by their smallest edge label; crossing-free
@@ -302,11 +304,14 @@ def _parse_crossing_list(text):
 def _orient(crossings):
     """Infer edge directions; return (signs, comp_of_edge, ncomps).
 
-    Each edge leaves one crossing slot and enters another.  Under-strand
-    slots are forced by the PD convention; over-strand directions follow
-    by propagation.  Components never passing under are oriented by edge
-    label succession (labels increase along the strand, cyclically), the
-    convention of the standard tables.
+    Each component is a cycle of crossing slots: an edge joins two slots
+    and a strand runs straight through a crossing from slot s to slot
+    s + 2.  A component is walked once round that cycle, from its first
+    under-passage entered at slot 0 as the PD convention demands; an
+    under-passage met from slot 2 makes the code inconsistent.  A
+    component that never passes under is walked from its lowest-index
+    crossing in the direction of edge-label succession (labels increase
+    along the strand, cyclically), the convention of the standard tables.
     """
     slots = {}  # edge -> list of (crossing, slot)
     for i, cr in enumerate(crossings):
@@ -315,70 +320,31 @@ def _orient(crossings):
     for e, locs in slots.items():
         if len(locs) != 2:
             raise PDError(f"edge {e} appears {len(locs)} times, expected 2")
-
-    # components via strand passages
     comp_of_edge = _classes(slots, _strand_pairs(crossings))
     ncomps = len(set(comp_of_edge.values()))
 
-    # in/out status per (crossing, slot); slot 0 = in, slot 2 = out
-    status = {}
+    entered = set()  # (crossing, slot) where the walks enter a crossing
+    signs = {}       # +1 where the over-strand enters at d, -1 at b
+
+    def walk(i, s):
+        while (i, s) not in entered:
+            if s == 2:
+                raise PDError(
+                    f"inconsistent strand traversal at edge {crossings[i][2]}")
+            entered.add((i, s))
+            if s % 2:
+                signs[i] = 1 if s == 3 else -1
+            x, y = slots[crossings[i][s ^ 2]]
+            i, s = y if x == (i, s ^ 2) else x
+
     for i in range(len(crossings)):
-        status[(i, 0)] = "in"
-        status[(i, 2)] = "out"
-
-    def propagate():
-        changed = True
-        while changed:
-            changed = False
-            for e, locs in slots.items():
-                (i1, s1), (i2, s2) = locs
-                st1, st2 = status.get((i1, s1)), status.get((i2, s2))
-                if st1 and st2:
-                    if (i1, s1) != (i2, s2) and st1 == st2:
-                        raise PDError(
-                            f"inconsistent strand traversal at edge {e}")
-                elif st1 and not st2:
-                    status[(i2, s2)] = "out" if st1 == "in" else "in"
-                    changed = True
-                elif st2 and not st1:
-                    status[(i1, s1)] = "out" if st2 == "in" else "in"
-                    changed = True
-            for i in range(len(crossings)):
-                sb, sd = status.get((i, 1)), status.get((i, 3))
-                if sb and sd and sb == sd:
-                    raise PDError(
-                        f"inconsistent over-strand at crossing {i}")
-                if sb and not sd:
-                    status[(i, 3)] = "out" if sb == "in" else "in"
-                    changed = True
-                if sd and not sb:
-                    status[(i, 1)] = "out" if sd == "in" else "in"
-                    changed = True
-
-    propagate()
-    # orient any component that never passes under, by label succession
-    while True:
-        undecided = [(i, s) for i in range(len(crossings)) for s in (1, 3)
-                     if (i, s) not in status]
-        if not undecided:
-            break
-        i, s = min(undecided)
-        e = crossings[i][s]
-        comp_edges = sorted(x for x in slots
-                            if comp_of_edge[x] == comp_of_edge[e])
-        nxt = {x: comp_edges[(k + 1) % len(comp_edges)]
-               for k, x in enumerate(comp_edges)}
-        b, d = crossings[i][1], crossings[i][3]
-        if nxt[d] == b:
-            status[(i, 3)], status[(i, 1)] = "in", "out"
-        else:
-            status[(i, 1)], status[(i, 3)] = "in", "out"
-        propagate()
-
-    signs = []
-    for i in range(len(crossings)):
-        signs.append(1 if status[(i, 3)] == "in" else -1)
-    return signs, comp_of_edge, ncomps
+        walk(i, 0)
+    for i, (_, b, _, d) in enumerate(crossings):
+        if i not in signs:
+            edges = sorted(e for e in slots
+                           if comp_of_edge[e] == comp_of_edge[b])
+            walk(i, 3 if edges[(edges.index(d) + 1) % len(edges)] == b else 1)
+    return [signs[i] for i in range(len(crossings))], comp_of_edge, ncomps
 
 
 def parse_pd(text, nfree=0, name=""):
@@ -510,9 +476,8 @@ def is_planar(d):
     equality exactly when it embeds in the sphere, and no face runs
     between pieces; crossing-free loops are trivially planar.
     """
-    piece = _classes(d.comp_of_edge, [(a, e) for a, *rest in d.crossings
-                                      for e in rest])
-    return planar_face_count(d) == d.ncrossings + 2 * len(set(piece.values()))
+    pieces = len(d.split_partition()) - d.nfree
+    return planar_face_count(d) == d.ncrossings + 2 * pieces
 
 
 # ---------------------------------------------------------------------------

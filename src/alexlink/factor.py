@@ -114,11 +114,8 @@ def gcd(a, b):
     if b.is_zero():
         return unit_normal_form(a)
     a._check(b)
-    g = sympy.gcd(to_sympy(a), to_sympy(b))
-    g = from_sympy(g, a.nvars)
-    if g.is_zero() or g.is_constant() and abs(g.constant_value()) == 1:
-        return LaurentPoly.one(a.nvars)
-    return unit_normal_form(g)
+    return unit_normal_form(
+        from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), a.nvars))
 
 
 def gcd_many(polys):

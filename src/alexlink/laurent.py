@@ -105,9 +105,6 @@ class LaurentPoly:
                     used.add(i)
         return used
 
-    def constant_value(self):
-        return self.terms.get((0,) * self.nvars, 0)
-
     def degree_span(self, i):
         """Spread of the exponents of variable i across the support."""
         if not self.terms:

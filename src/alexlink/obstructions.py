@@ -158,8 +158,7 @@ def gordian_extremal_divisibility(a_l: AlexanderData, a_j: AlexanderData):
         quotient = divide_exact(a_l.delta_tor, a_j.delta_tor)
     except NotDivisible:
         return ExtremalVerdict(compatible=False)
-    verdict = is_norm_up_to_negligible(quotient) if not quotient.is_unit() \
-        else NormVerdict(is_norm=True, witness=LaurentPoly.one(a_l.m))
+    verdict = is_norm_up_to_negligible(quotient)
     return ExtremalVerdict(compatible=verdict.is_norm, quotient=quotient,
                            norm_verdict=verdict)
 
@@ -232,10 +231,7 @@ def band_clasping_check(delta_l, delta_k, delta_j):
                                    blocking_factors=(unit_normal_form(prod),))
     # pair off the full factorization: unlike the negligible-slack tests,
     # (1 - t_i) and prime factors here must pair as well
-    classes = {}
-    for q, mult in factor_irreducible(quotient).factors:
-        classes[q] = classes.get(q, 0) + mult
-    verdict = _pair_off(classes, m)
+    verdict = _pair_off(dict(factor_irreducible(quotient).factors), m)
     if not verdict.is_norm:
         return BandClaspingVerdict(compatible=False,
                                    blocking_factors=verdict.blocking_factors)

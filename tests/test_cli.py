@@ -114,6 +114,12 @@ class TestFactor:
         status, _, err = run(["factor", "0", "--vars", "1"])
         assert status == 1 and "zero" in err
 
+    @pytest.mark.parametrize("nvars", ["0", "-3"])
+    def test_vars_below_one_rejected(self, nvars):
+        status, out, err = run(["factor", "1", "--vars", nvars])
+        assert status == 1 and out == ""
+        assert err == f"error: --vars {nvars}: need at least one variable\n"
+
     def test_one_factorization_feeds_both_verdicts(self, factor_calls):
         text = "(t1^2-t1+1)*(2*t2^2-3*t2+2)*(t1*t2-1)^2"
         _, out, _ = run(["factor", text, "--vars", "2"])

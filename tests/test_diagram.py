@@ -3,8 +3,9 @@
 import pytest
 
 import alexlink as al
-from alexlink.diagram import (LinkDiagram, PDError, is_planar,
-                              planar_face_count, wirtinger_arcs)
+from alexlink.diagram import (LinkDiagram, PDError, _classes, _orient,
+                              _strand_pairs, is_planar, planar_face_count,
+                              wirtinger_arcs)
 from alexlink.laurent import LaurentPoly
 
 from conftest import (corpus_diagrams, load_fixture, random_braid_closures,
@@ -91,12 +92,27 @@ class TestOrientationInference:
         assert d.linking_number(0, 1) == -1
 
     def test_braid_signs_match(self):
-        import sys
-        sys.path.insert(0, "/root/notes/tools")
         # signs are already validated against construction in fixtures;
         # spot-check a mixed word diagram here
         d = load_fixture("hopf_big")
         assert sorted(d.signs) == [-1, 1, 1, 1]
+
+    def test_reversed_under_strand_rejected(self):
+        # edge 3 leaves crossing 0 as an under-strand and enters crossing 1
+        # at its outgoing under slot
+        for orient in (_orient, reference_orient):
+            with pytest.raises(PDError, match="inconsistent"):
+                orient([(1, 2, 3, 1), (2, 4, 3, 4)])
+        with pytest.raises(PDError, match="inconsistent strand traversal"):
+            al.parse_pd("X[1,2,3,1], X[2,4,3,4]")
+
+    def test_over_only_component_follows_label_succession(self):
+        # in the closure of (s1 s1^-1)^2 the strand on edges 1-4 passes
+        # only over; numbering it backwards reverses it and every sign
+        forward = "X[5,2,6,1], X[6,2,7,3], X[7,4,8,3], X[8,4,5,1]"
+        backward = "X[5,3,6,4], X[6,3,7,2], X[7,1,8,2], X[8,1,5,4]"
+        assert al.parse_pd(forward).signs == (1, -1, 1, -1)
+        assert al.parse_pd(backward).signs == (-1, 1, -1, 1)
 
 
 class TestLinkingNumbers:
@@ -490,3 +506,128 @@ class TestSplitPlanarity:
         assert d.ncomps == 5 and d.nfree == 2
         assert len(d.split_partition()) == 4
         assert is_planar(d) and reference_is_planar(d)
+
+
+# ---------------------------------------------------------------------------
+# Reference orientation: in/out status per crossing slot, propagated along
+# edges and over-strands to a fixpoint.  ``_orient`` must give the same
+# signs and components, and reject the same codes.
+
+def reference_orient(crossings):
+    slots = {}  # edge -> list of (crossing, slot)
+    for i, cr in enumerate(crossings):
+        for s, e in enumerate(cr):
+            slots.setdefault(e, []).append((i, s))
+    for e, locs in slots.items():
+        if len(locs) != 2:
+            raise PDError(f"edge {e} appears {len(locs)} times, expected 2")
+
+    comp_of_edge = _classes(slots, _strand_pairs(crossings))
+    ncomps = len(set(comp_of_edge.values()))
+
+    # in/out status per (crossing, slot); slot 0 = in, slot 2 = out
+    status = {}
+    for i in range(len(crossings)):
+        status[(i, 0)] = "in"
+        status[(i, 2)] = "out"
+
+    def propagate():
+        changed = True
+        while changed:
+            changed = False
+            for e, locs in slots.items():
+                (i1, s1), (i2, s2) = locs
+                st1, st2 = status.get((i1, s1)), status.get((i2, s2))
+                if st1 and st2:
+                    if (i1, s1) != (i2, s2) and st1 == st2:
+                        raise PDError(
+                            f"inconsistent strand traversal at edge {e}")
+                elif st1 and not st2:
+                    status[(i2, s2)] = "out" if st1 == "in" else "in"
+                    changed = True
+                elif st2 and not st1:
+                    status[(i1, s1)] = "out" if st2 == "in" else "in"
+                    changed = True
+            for i in range(len(crossings)):
+                sb, sd = status.get((i, 1)), status.get((i, 3))
+                if sb and sd and sb == sd:
+                    raise PDError(
+                        f"inconsistent over-strand at crossing {i}")
+                if sb and not sd:
+                    status[(i, 3)] = "out" if sb == "in" else "in"
+                    changed = True
+                if sd and not sb:
+                    status[(i, 1)] = "out" if sd == "in" else "in"
+                    changed = True
+
+    propagate()
+    # orient any component that never passes under, by label succession
+    while True:
+        undecided = [(i, s) for i in range(len(crossings)) for s in (1, 3)
+                     if (i, s) not in status]
+        if not undecided:
+            break
+        i, s = min(undecided)
+        e = crossings[i][s]
+        comp_edges = sorted(x for x in slots
+                            if comp_of_edge[x] == comp_of_edge[e])
+        nxt = {x: comp_edges[(k + 1) % len(comp_edges)]
+               for k, x in enumerate(comp_edges)}
+        b, d = crossings[i][1], crossings[i][3]
+        if nxt[d] == b:
+            status[(i, 3)], status[(i, 1)] = "in", "out"
+        else:
+            status[(i, 1)], status[(i, 3)] = "in", "out"
+        propagate()
+
+    signs = []
+    for i in range(len(crossings)):
+        signs.append(1 if status[(i, 3)] == "in" else -1)
+    return signs, comp_of_edge, ncomps
+
+
+def orientation_codes(rng):
+    """Crossing lists to orient: the corpus and seeded braid closures,
+    each closure again with one component changed to pass over the
+    other components wherever it met them,
+    random relabellings of all of those, and each code so far with one
+    under-strand reversed."""
+    diagrams = corpus_diagrams() + random_braid_closures(
+        rng, 100, strands=(2, 3, 4))
+    codes = [list(d.crossings) for d in diagrams if d.ncrossings]
+    for d in diagrams[-100:]:
+        for c in range(d.ncomps):
+            e = d
+            for i in range(d.ncrossings):
+                under, over = d.crossing_components(i)
+                if under == c != over:
+                    e = e.crossing_change(i)
+            codes.append(list(e.crossings))
+    for cr in list(codes):
+        labels = sorted({x for t in cr for x in t})
+        relabel = dict(zip(labels, rng.sample(labels, len(labels))))
+        codes.append(rng.sample([tuple(relabel[x] for x in t) for t in cr],
+                                len(cr)))
+    for cr in list(codes):
+        k = rng.randrange(len(cr))
+        a, b, c, d = cr[k]
+        codes.append(cr[:k] + [(c, d, a, b)] + cr[k + 1:])
+    return codes
+
+
+def oriented_or_error(orient, crossings):
+    try:
+        signs, comp_of_edge, ncomps = orient(crossings)
+    except PDError:
+        return PDError
+    return list(signs), comp_of_edge, ncomps
+
+
+class TestOrientMatchesReference:
+    def test_codes(self):
+        codes = orientation_codes(seeded(80))
+        outcomes = [oriented_or_error(_orient, cr) for cr in codes]
+        for cr, got in zip(codes, outcomes):
+            assert got == oriented_or_error(reference_orient, cr), cr
+        rejected = outcomes.count(PDError)
+        assert len(codes) >= 1000 and 0 < rejected < len(codes)
