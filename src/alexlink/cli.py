@@ -95,7 +95,7 @@ def _invariants_record(d, path):
             for i in range(d.ncomps) for j in range(i)},
     }
     if d.ncrossings <= CONWAY_CROSSING_BUDGET:
-        rec["conway"] = _conway_str(conway_polynomial(d))
+        rec["conway"] = _conway_str(conway_polynomial(d, alex))
     return rec
 
 

@@ -33,15 +33,22 @@ one raises beta by 1, kills the multivariable polynomial (for links with
 more than one component) and leaves the torsion polynomial unchanged.
 
 Each component's Alexander polynomial is the delta of its own
-sub-diagram.  The Conway polynomial is evaluated by the skein relation
-on descending diagrams, within a crossing budget, and from it the
-one-variable Alexander polynomial and the Sato-Levine invariant.
+sub-diagram.  The Conway polynomial is read off delta, within a
+crossing budget: by Torres, nabla(t^(1/2) - t^(-1/2)) is delta(t) for a
+knot and (t-1) * delta(t,...,t) for a link, up to ±t^k.  Centring fixes
+t^k; the sign comes from nabla(0) = 1 for a knot and, for m components,
+from the z^(m-1) coefficient, which equals any cofactor of the
+linking-number Laplacian (Hoste).  Where that cofactor is 0 the skein
+relation on descending diagrams computes it instead.  The skein alone
+gives the Sato-Levine invariant and the one-variable Alexander
+polynomial, the route independent of the Fox Jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .diagram import PDError, fox_jacobian
 from .factor import gcd_many
@@ -220,10 +227,93 @@ def alexander_data(d):
 
 
 # ---------------------------------------------------------------------------
-# Conway polynomial via the skein relation on descending diagrams
+# Conway polynomial: from the Fox route, by the skein where it cannot
 
 class ConwayBudgetExceeded(ValueError):
     pass
+
+
+def _check_budget(d):
+    if d.ncrossings > CONWAY_CROSSING_BUDGET:
+        raise ConwayBudgetExceeded(
+            f"{d.ncrossings} crossings exceed the skein budget "
+            f"of {CONWAY_CROSSING_BUDGET}")
+
+
+def _linking_cofactor(d):
+    """A cofactor of the linking-number Laplacian: lk(1,2) when m = 2.
+
+    L[i][i] = sum_j lk(i,j) and L[i][j] = -lk(i,j); by Hoste every
+    cofactor equals the z^(m-1) coefficient of the Conway polynomial.
+    """
+    m = d.ncomps
+    lk = [[d.linking_number(i, j) if i != j else 0 for j in range(m)]
+          for i in range(m)]
+    rows = [[LaurentPoly.const(1, sum(lk[i]) if i == j else -lk[i][j])
+             for j in range(m)] for i in range(m)]
+    rest = tuple(range(1, m))
+    return _determinant(rows, rest, rest, {}).terms.get((0,), 0)
+
+
+def _peel_z(one):
+    """{k: c} with one ≐ sum c * z^k, z = t^(1/2) - t^(-1/2), up to ±t^j.
+
+    ``one`` is centred on exponents of x = t^(1/2), so that its top and
+    bottom x-exponents are opposite, and z^k = (x - 1/x)^k is peeled off
+    its top term until nothing is left.  A negative top exponent means
+    ``one`` was not (anti)symmetric under t -> 1/t.
+    """
+    exps = [e for (e,) in one.terms]
+    shift = min(exps) + max(exps)
+    rest = {2 * e - shift: c for (e,), c in one.terms.items()}
+    nabla = {}
+    while rest:
+        top = max(rest)
+        if top < 0:
+            raise PDError("one-variable Alexander polynomial is not "
+                          "symmetric under t -> 1/t")
+        c = nabla[top] = rest[top]
+        for j in range(top + 1):
+            e = top - 2 * j
+            new = rest.get(e, 0) - (-1) ** j * comb(top, j) * c
+            if new:
+                rest[e] = new
+            else:
+                rest.pop(e, None)
+    return nabla
+
+
+def conway_polynomial(d, alex=None):
+    """The Conway polynomial as a dict {z-degree: coefficient}.
+
+    By Torres, nabla(t^(1/2) - t^(-1/2)) is delta(t) for a knot and
+    (t-1) * delta(t,...,t) for a link, up to ±t^k, so ``_peel_z`` gives
+    nabla up to sign.  The sign is fixed by nabla(0) = 1 for a knot and,
+    for m components, by the z^(m-1) coefficient, which equals the
+    linking cofactor (Hoste).  Where that cofactor is 0 the skein
+    recursion runs instead.  ``alex`` is d's AlexanderData, computed
+    when not given.
+    """
+    _check_budget(d)
+    if alex is None:
+        alex = alexander_data(d)
+    m = d.ncomps
+    one = alex.delta.eval_diagonal()
+    if m >= 2:
+        one = one * (LaurentPoly.var(1, 0) - LaurentPoly.one(1))
+    if one.is_zero():
+        return {}  # delta = 0 (split, beta > 0) or delta(t,...,t) = 0
+    anchor = 1 if m == 1 else _linking_cofactor(d)
+    if anchor == 0:
+        return _conway_skein(d)
+    nabla = _peel_z(one)
+    lowest = nabla.get(m - 1, 0)
+    if abs(lowest) != abs(anchor):
+        raise PDError(f"Conway coefficient {lowest} of z^{m - 1} is not "
+                      f"±{anchor} (nabla(0) for a knot, the linking "
+                      f"cofactor for a link)")
+    sign = 1 if lowest == anchor else -1
+    return {k: sign * nabla[k] for k in sorted(nabla)}
 
 
 def _entering_map(d):
@@ -267,24 +357,21 @@ def _first_violation(d):
     return None
 
 
-def conway_polynomial(d, _memo=None):
-    """The Conway polynomial as a dict {z-degree: coefficient}.
+def _conway_skein(d, memo=None):
+    """The Conway polynomial by the skein relation on descending diagrams.
 
-    Skein recursion: at the first crossing violating descending order,
-    the diagram is rewritten as the crossing-switched diagram plus
-    sign * z times the oriented smoothing.  Descending diagrams are
-    unlinks.  Bigon reduction keeps the recursion small.
+    At the first crossing violating descending order, the diagram is
+    rewritten as the crossing-switched diagram plus sign * z times the
+    oriented smoothing.  Descending diagrams are unlinks.  Bigon
+    reduction keeps the recursion small.
     """
-    if d.ncrossings > CONWAY_CROSSING_BUDGET:
-        raise ConwayBudgetExceeded(
-            f"{d.ncrossings} crossings exceed the skein budget "
-            f"of {CONWAY_CROSSING_BUDGET}")
-    if _memo is None:
-        _memo = {}
+    _check_budget(d)
+    if memo is None:
+        memo = {}
     d = d.reduce_bigons()
     key = d.state_key()
-    if key in _memo:
-        return _memo[key]
+    if key in memo:
+        return memo[key]
     if len(d.split_partition()) > 1:
         result = {}
     elif d.ncrossings == 0:
@@ -295,8 +382,8 @@ def conway_polynomial(d, _memo=None):
             result = {0: 1} if d.ncomps == 1 else {}
         else:
             sign = d.signs[v]
-            switched = conway_polynomial(d.crossing_change(v), _memo)
-            smoothed = conway_polynomial(d.smooth_crossing(v), _memo)
+            switched = _conway_skein(d.crossing_change(v), memo)
+            smoothed = _conway_skein(d.smooth_crossing(v), memo)
             result = dict(switched)
             for k, c in smoothed.items():
                 new = result.get(k + 1, 0) + sign * c
@@ -304,30 +391,34 @@ def conway_polynomial(d, _memo=None):
                     result[k + 1] = new
                 else:
                     result.pop(k + 1, None)
-    _memo[key] = result
+    memo[key] = result
     return result
 
 
 def sato_levine(d):
     """Minus the z^3 coefficient of the Conway polynomial.
 
-    Defined for 2-component links with linking number zero.
+    Defined for 2-component links with linking number zero, where the
+    linking cofactor is 0, so the skein computes it.
     """
     if d.ncomps != 2:
         raise PDError("Sato-Levine invariant needs exactly 2 components")
     if d.linking_number(0, 1) != 0:
         raise PDError("Sato-Levine invariant needs linking number 0")
-    return -conway_polynomial(d).get(3, 0)
+    return -_conway_skein(d).get(3, 0)
 
 
 def one_variable_alexander(d):
-    """One-variable Alexander polynomial from the Conway polynomial.
+    """One-variable Alexander polynomial from the skein's Conway polynomial.
 
     Substitutes z = t^(1/2) - t^(-1/2); since all z-degrees share the
     parity of m-1, clearing by a half-integral monomial lands back in
     the Laurent ring.  Returned in unit normal form (zero stays zero).
+    It reads the skein, not conway_polynomial, so that it stays a route
+    independent of the Fox Jacobian, against which the Fox route's
+    polynomials are checked.
     """
-    nabla = conway_polynomial(d)
+    nabla = _conway_skein(d)
     if not nabla:
         return LaurentPoly.zero(1)
     top = max(nabla)

@@ -85,9 +85,6 @@ class LaurentPoly:
     def is_one(self):
         return self.terms == {(0,) * self.nvars: 1}
 
-    def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
     def is_monomial(self):
         """True when the polynomial is ±1 times a single monomial (a unit of
         the ring when the coefficient is ±1)."""
@@ -111,9 +108,6 @@ class LaurentPoly:
             return 0
         es = [exps[i] for exps in self.terms]
         return max(es) - min(es)
-
-    def max_coeff(self):
-        return max((abs(c) for c in self.terms.values()), default=0)
 
     # -- ring operations -------------------------------------------------
 

@@ -7,14 +7,17 @@ import pytest
 
 import alexlink as al
 from alexlink import factor
-from alexlink.invariants import (CONWAY_CROSSING_BUDGET, _determinant,
-                                 conway_polynomial, embed_univariate,
-                                 matrix_rank, minor_gcd,
+from alexlink import invariants
+from alexlink.diagram import PDError
+from alexlink.invariants import (CONWAY_CROSSING_BUDGET, AlexanderData,
+                                 _conway_skein, _determinant,
+                                 _linking_cofactor, conway_polynomial,
+                                 embed_univariate, matrix_rank, minor_gcd,
                                  one_variable_alexander, reduce_unit_pivots)
 from alexlink.laurent import LaurentPoly, unit_normal_form
 
-from conftest import (corpus_diagrams, load_fixture, random_braid_closures,
-                      seeded)
+from conftest import (braid_closure_pd, corpus_diagrams, load_fixture,
+                      random_braid_closures, seeded)
 
 
 def P(text, nvars):
@@ -414,3 +417,125 @@ class TestComponentPolynomials:
                 sub = d.delete_components({c})
                 assert al.unit_equal(p, one_variable_alexander(sub)), \
                     (d.name, c)
+
+
+@pytest.fixture
+def skein_calls(monkeypatch):
+    """Every _conway_skein call, recursive ones included."""
+    calls = []
+    real = invariants._conway_skein
+
+    def counting(d, memo=None):
+        calls.append(d)
+        return real(d, memo)
+
+    monkeypatch.setattr(invariants, "_conway_skein", counting)
+    return calls
+
+
+def fox_route_cases(corpus):
+    """The corpus within budget, 80 seeded closures and four named ones.
+
+    The named closures are T(3,3), T(4,4), its mirror and the chain
+    s1^2 s2^2 s3^2, whose linking cofactors are 3, 16, -16 and 1.
+    """
+    words = [([1, 2] * 3, 3), ([1, 2, 3] * 4, 4), ([-1, -2, -3] * 4, 4),
+             ([1, 1, 2, 2, 3, 3], 4)]
+    braids = [al.parse_pd(braid_closure_pd(w, n), name=f"braid{n}:{w}")
+              for w, n in words]
+    cases = corpus + random_braid_closures(seeded(63), 80) + braids
+    return [d for d in cases if d.ncrossings <= CONWAY_CROSSING_BUDGET]
+
+
+class TestConwayFoxRoute:
+    """The skein, _conway_skein, is the reference for the Fox route."""
+
+    def test_equals_skein(self, corpus, skein_calls):
+        cases = fox_route_cases(corpus)
+        assert {d.ncomps for d in cases} == {1, 2, 3, 4}
+        fox = {}
+        for d in cases:
+            del skein_calls[:]
+            nabla = conway_polynomial(d)
+            ran = bool(skein_calls)
+            assert nabla == _conway_skein(d), d.name
+            cofactor = 1 if d.ncomps == 1 else _linking_cofactor(d)
+            # the skein runs exactly where the cofactor is 0 and the
+            # Alexander polynomial is not
+            assert ran == (cofactor == 0 and bool(nabla)), d.name
+            if not ran:
+                fox.setdefault(d.ncomps, []).append(cofactor)
+        assert sorted(fox) == [1, 2, 3, 4]
+        assert {3, 16, -16, 1} <= set(fox[3] + fox[4])
+
+    def test_skein_only_where_cofactor_is_zero(self, skein_calls):
+        for name in ("trefoil", "hopf", "L9a10", "L9a15"):
+            conway_polynomial(load_fixture(name))
+            assert skein_calls == [], name
+        # all linking numbers 0: Whitehead, the Borromean rings, L9a54
+        for name in ("whitehead", "L6a4", "L9a54"):
+            del skein_calls[:]
+            conway_polynomial(load_fixture(name))
+            assert skein_calls, name
+
+    def test_three_components_cofactor_zero_with_nonzero_lk(self,
+                                                            skein_calls):
+        d = load_fixture("L9a46")
+        lks = [d.linking_number(i, j) for i in range(3) for j in range(i)]
+        assert any(lks) and _linking_cofactor(d) == 0
+        nabla = conway_polynomial(d)
+        assert skein_calls
+        assert nabla == _conway_skein(d) == {4: -1}
+
+    def test_cofactor_is_hoste_laplacian_minor(self):
+        d = al.parse_pd(braid_closure_pd([1, 2, 3] * 4, 4))
+        # every pair links once: K4 has 16 spanning trees
+        assert _linking_cofactor(d) == 16
+        assert _linking_cofactor(load_fixture("L9a15")) == \
+            load_fixture("L9a15").linking_number(0, 1) == 2
+
+    def test_record_reuses_alexander_data(self, monkeypatch):
+        from alexlink import cli
+        calls = []
+        real = invariants.alexander_data
+
+        def counting(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(invariants, "alexander_data", counting)
+        monkeypatch.setattr(cli, "alexander_data", counting)
+        d = load_fixture("trefoil")
+        rec = cli._invariants_record(d, "trefoil.lnk")
+        assert rec["conway"] == "z^2 + 1"
+        # one for the record, one per component polynomial
+        assert len(calls) == 1 + d.ncomps
+
+    def test_asymmetric_input_rejected(self):
+        d = load_fixture("trefoil")
+        bad = AlexanderData(m=1, beta=0, delta=P("t^2+t+2", 1),
+                            delta_tor=P("t^2+t+2", 1))
+        with pytest.raises(PDError, match="not symmetric"):
+            conway_polynomial(d, bad)
+
+    def test_sign_anchor_mismatch_rejected(self):
+        # symmetric, but nabla(0) = 3 for a knot, 2z against lk = 1
+        cases = [("trefoil", P("t^2+t+1", 1)), ("hopf", P("2", 2))]
+        for name, delta in cases:
+            d = load_fixture(name)
+            bad = AlexanderData(m=d.ncomps, beta=0, delta=delta,
+                                delta_tor=delta)
+            with pytest.raises(PDError, match="linking cofactor"):
+                conway_polynomial(d, bad)
+
+    def test_sign_fixed_by_anchor(self):
+        # -delta and t^5 * delta give the same Conway polynomial
+        for name in ("trefoil", "hopf", "L9a15"):
+            d = load_fixture(name)
+            a = al.alexander_data(d)
+            shift = LaurentPoly.var(a.m, 0, 5)
+            for delta in (-a.delta, shift * a.delta):
+                other = AlexanderData(m=a.m, beta=0, delta=delta,
+                                      delta_tor=delta)
+                assert conway_polynomial(d, other) == \
+                    conway_polynomial(d), name
