@@ -25,11 +25,12 @@ def fmt(p):
 def main():
     diagrams = [al.parse_fixture(f.read_text(), name_hint=f.stem)
                 for f in sorted(FIXDIR.glob("*.lnk"))]
+    data = {d.name: al.alexander_data(d) for d in diagrams}
 
     print("=== corpus overview ===")
     print(f"{'link':24s} {'m':>2s} {'cr':>3s} {'beta':>4s}  delta")
     for d in diagrams:
-        a = al.alexander_data(d)
+        a = data[d.name]
         delta = "0" if a.delta.is_zero() else fmt(a.delta)
         print(f"{d.name:24s} {d.ncomps:2d} {d.ncrossings:3d} {a.beta:4d}  "
               f"{delta}")
@@ -37,9 +38,8 @@ def main():
     print()
     print("=== the torsion order never vanishes ===")
     for name in ("Unlink3", "Trefoil-sqcup-Trefoil"):
-        d = next(x for x in diagrams if x.name == name)
-        a = al.alexander_data(d)
-        print(f"{d.name}: beta={a.beta}, delta=0, delta_tor={fmt(a.delta_tor)}")
+        a = data[name]
+        print(f"{name}: beta={a.beta}, delta=0, delta_tor={fmt(a.delta_tor)}")
     print("split links have positive rank, so delta is 0 while the")
     print("torsion order still remembers the knotting of each component.")
 
@@ -48,8 +48,7 @@ def main():
     for d in diagrams:
         if d.ncomps < 2 or d.ncrossings > CONWAY_CROSSING_BUDGET:
             continue
-        a = al.alexander_data(d)
-        diag = a.delta.eval_diagonal() * al.parse_poly("t-1", 1)
+        diag = data[d.name].delta.eval_diagonal() * al.parse_poly("t-1", 1)
         single = one_variable_alexander(d)
         tag = "ok" if al.unit_equal(diag, single) else "MISMATCH"
         print(f"{d.name:24s} delta(t,..,t)*(t-1) == single-variable: {tag}")
@@ -59,7 +58,7 @@ def main():
     for name in ("Hopf", "Whitehead", "Trefoil"):
         d = next(x for x in diagrams if x.name == name)
         print(f"{name}: nabla coefficients by z-degree = "
-              f"{conway_polynomial(d)}")
+              f"{conway_polynomial(d, data[name])}")
     wh = next(x for x in diagrams if x.name == "Whitehead")
     print(f"Sato-Levine invariant of the Whitehead link: {al.sato_levine(wh)}")
 

@@ -10,13 +10,15 @@ On top of the factorization we decide the "norm" questions that drive
 the link obstructions: whether p equals f * conj(f) times a unit of the
 localized ring (a negligible polynomial), with variants that ignore
 single-variable factors or compare two polynomials.
+
+sympy is imported by the first function that needs it, so that callers
+which never factor nor take a gcd beyond exact division do not pay for
+the import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import sympy
+from dataclasses import dataclass
 
 from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
                       _to_polynomial, divide_exact, divides, is_negligible,
@@ -27,6 +29,7 @@ _symbol_cache = {}
 
 
 def _symbols(nvars):
+    import sympy
     if nvars not in _symbol_cache:
         _symbol_cache[nvars] = sympy.symbols(f"t1:{nvars + 1}")
     return _symbol_cache[nvars]
@@ -34,12 +37,14 @@ def _symbols(nvars):
 
 def to_sympy(p):
     """Ordinary-polynomial part of p as a sympy Poly (unit part dropped)."""
+    import sympy
     _, terms = _to_polynomial(p)
     return sympy.Poly.from_dict(terms, *_symbols(p.nvars), domain=sympy.ZZ)
 
 
 def from_sympy(poly, nvars):
     """Inverse of to_sympy for ordinary polynomials."""
+    import sympy
     if not isinstance(poly, sympy.Poly):
         poly = sympy.Poly(poly, *_symbols(nvars), domain=sympy.ZZ)
     terms = {tuple(int(e) for e in exps): int(c)
@@ -80,6 +85,7 @@ def factor_irreducible(p):
     no round trip through a symbolic expression; the result is checked by
     exact division.
     """
+    import sympy
     if p.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
     n = p.nvars
@@ -107,6 +113,7 @@ def factor_irreducible(p):
 
 def gcd(a, b):
     """A greatest common divisor of a and b, in unit normal form."""
+    import sympy
     if a.is_zero() and b.is_zero():
         raise ZeroInputError("gcd(0, 0) is undefined")
     if a.is_zero():

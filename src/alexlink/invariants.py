@@ -21,12 +21,17 @@ least fill first.
 After k pivots the rank is k plus the rank of M', computed by exact
 fraction-free (Bareiss) elimination over the polynomial ring.  The
 torsion order is the gcd of the rank-sized minors, that is of the
-(rank - k)-minors of M', determinants computed lazily by sparse cofactor
-expansion with memoization; factor.gcd_many stops at 1 and asks sympy
-only when the running gcd does not divide the next minor exactly.
-When beta = 0 the rank is ngen - 1, and these corank-1 minors generate
-(Delta) for a knot and Delta times the augmentation ideal for m >= 2
-(Torres, Crowell-Fox); the t_i - 1 are coprime, so their gcd is Delta.
+(rank - k)-minors of M'.  When the crossing part has beta = 0, M' is
+square (a component that never passes under would lie above the rest)
+and of corank 1, and its corank-1 minors generate (Delta) for a knot and
+Delta times the augmentation ideal for m >= 2 (Torres, Crowell-Fox).
+The minor without row i and column j is, up to a unit, Delta times
+t_c(j) - 1, where c(j) is column j's component, or Delta itself when
+all columns of M' belong to one component; so one minor and at most one
+exact division give Delta.  Otherwise the minors are determinants
+computed lazily by sparse cofactor expansion with memoization;
+factor.gcd_many stops at 1 and asks sympy only when the running gcd
+does not divide the next minor exactly.
 
 Crossing-free components contribute through the split-union rules: each
 one raises beta by 1, kills the multivariable polynomial (for links with
@@ -52,8 +57,8 @@ from math import comb
 
 from .diagram import PDError, fox_jacobian
 from .factor import gcd_many
-from .laurent import (LaurentPoly, ZeroInputError, divide_exact,
-                      unit_normal_form)
+from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
+                      divide_exact, unit_normal_form)
 
 CONWAY_CROSSING_BUDGET = 16
 
@@ -62,7 +67,7 @@ CONWAY_CROSSING_BUDGET = 16
 # exact linear algebra over the Laurent ring
 
 def reduce_unit_pivots(rows):
-    """Eliminate unit pivots; return (M', k) after k pivots.
+    """Eliminate unit pivots; return (M', k, cols) after k pivots.
 
     A pivot is an entry ±t^e.  Its row, multiplied by ∓t^-e, clears the
     rest of its column by exact row operations; then the pivot's row
@@ -70,7 +75,8 @@ def reduce_unit_pivots(rows):
     Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), ties
     broken by row and then column index.  M' keeps every elementary
     ideal one size down per pivot, so rank(M) = k + rank(M') and the
-    j-minors of M have the gcd of the (j - k)-minors of M'.
+    j-minors of M have the gcd of the (j - k)-minors of M'.  ``cols``
+    lists the columns of M that M' keeps, in order.
     """
     m = [list(r) for r in rows]
     live_rows = list(range(len(m)))
@@ -101,7 +107,7 @@ def reduce_unit_pivots(rows):
         live_rows.remove(p)
         live_cols.remove(q)
         k += 1
-    return [[m[r][c] for c in live_cols] for r in live_rows], k
+    return [[m[r][c] for c in live_cols] for r in live_rows], k, live_cols
 
 
 def matrix_rank(rows):
@@ -205,8 +211,37 @@ class AlexanderData:
     delta_tor: LaurentPoly
 
 
+def _corank_one_order(rows, col_component, nvars):
+    """The gcd of the corank-1 minors of a square M' of corank 1, from one.
+
+    The fundamental formula makes w_j = t_c(j) - 1 a kernel vector of
+    M', and a connected diagram gives a left kernel vector of units, so
+    the adjugate is Delta times an outer product of units and w / gcd(w)
+    (Torres).  The minor without row 0 and column 0 is therefore Delta
+    times t_c(0) - 1 when the columns hold two or more components, and
+    Delta itself when they hold one.  A zero minor or a failed division
+    means the rank and the minors disagree.
+    """
+    rest = tuple(range(1, len(rows)))
+    minor = _determinant(rows, rest, rest, {})
+    if len(set(col_component)) > 1 and not minor.is_zero():
+        w = LaurentPoly.var(nvars, col_component[0]) - LaurentPoly.one(nvars)
+        try:
+            minor = divide_exact(minor, w)
+        except NotDivisible:
+            raise PDError("rank/minor inconsistency in torsion order") \
+                from None
+    return minor if minor.is_zero() else unit_normal_form(minor)
+
+
 def alexander_data(d):
-    """Compute AlexanderData for a link diagram (free loops included)."""
+    """Compute AlexanderData for a link diagram (free loops included).
+
+    The rank of the reduced Fox Jacobian M' picks the route to the
+    torsion order: when M' is square of corank 1 (the crossing part has
+    beta = 0) one minor and at most one exact division give it, and
+    otherwise it is the gcd of the rank-sized minors of M'.
+    """
     m = d.ncomps
     if d.ncrossings == 0:
         # a disjoint union of round circles
@@ -215,11 +250,15 @@ def alexander_data(d):
         return AlexanderData(m=m, beta=beta, delta=delta,
                              delta_tor=LaurentPoly.one(m))
     rows, arc_component = fox_jacobian(d)
-    reduced, k = reduce_unit_pivots(rows)
+    reduced, k, cols = reduce_unit_pivots(rows)
     rank = matrix_rank(reduced)
     beta = (len(arc_component) - k - rank - 1) + d.nfree
-    # beta == 0 forces k + rank == ngen - 1: these are the corank-1 minors
-    delta_tor = minor_gcd(reduced, rank, m)
+    if len(reduced) == len(cols) == rank + 1:
+        # the crossing part has beta = 0
+        delta_tor = _corank_one_order(
+            reduced, [arc_component[c] for c in cols], m)
+    else:
+        delta_tor = minor_gcd(reduced, rank, m)
     if delta_tor.is_zero():
         raise PDError("rank/minor inconsistency in torsion order")
     delta = delta_tor if beta == 0 else LaurentPoly.zero(m)

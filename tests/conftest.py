@@ -96,18 +96,27 @@ def braid_closure_pd(word, n):
         *(label[bottom.get(e, e)] for e in cr)) for cr in raw)
 
 
-def random_braid_closures(rng, count, strands=(3, 4), length=(8, 14)):
-    """``count`` seeded braid-closure diagrams using every generator."""
+def random_braid_words(rng, count, strands=(3, 4), length=(8, 14)):
+    """``count`` seeded (word, strands) pairs using every generator."""
     out = []
     while len(out) < count:
         n = rng.choice(strands)
         word = [rng.choice([1, -1]) * rng.randrange(1, n)
                 for _ in range(rng.randrange(length[0], length[1] + 1))]
-        if {abs(g) for g in word} != set(range(1, n)):
-            continue
-        out.append(al.parse_pd(braid_closure_pd(word, n),
-                               name=f"braid{n}:{word}"))
+        if {abs(g) for g in word} == set(range(1, n)):
+            out.append((word, n))
     return out
+
+
+def braid_closure(word, n):
+    """The closure of a braid word on n strands, named after it."""
+    return al.parse_pd(braid_closure_pd(word, n), name=f"braid{n}:{word}")
+
+
+def random_braid_closures(rng, count, strands=(3, 4), length=(8, 14)):
+    """``count`` seeded braid-closure diagrams using every generator."""
+    return [braid_closure(word, n)
+            for word, n in random_braid_words(rng, count, strands, length)]
 
 
 @pytest.fixture

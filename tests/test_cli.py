@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,18 @@ class TestInvariants:
     def test_schema_version_present(self):
         _, out, _ = run(["invariants", fx("trefoil")])
         assert records(out)[0]["schemaVersion"] == 1
+
+    def test_invariants_never_import_sympy(self):
+        """The fixtures' invariants need no factorization nor sympy gcd."""
+        code = ("import io, sys\n"
+                "from alexlink import cli\n"
+                f"status = cli.main(['invariants', {str(FIXTURE_DIR)!r}], "
+                "out=io.StringIO(), err=io.StringIO())\n"
+                "print(status, 'sympy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(al.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 class TestObstruct:

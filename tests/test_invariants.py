@@ -1,6 +1,7 @@
 """Alexander data, Conway polynomials and their consistency relations."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -16,8 +17,9 @@ from alexlink.invariants import (CONWAY_CROSSING_BUDGET, AlexanderData,
                                  one_variable_alexander, reduce_unit_pivots)
 from alexlink.laurent import LaurentPoly, unit_normal_form
 
-from conftest import (braid_closure_pd, corpus_diagrams, load_fixture,
-                      random_braid_closures, seeded)
+from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
+                      load_fixture, random_braid_closures, random_braid_words,
+                      seeded)
 
 
 def P(text, nvars):
@@ -82,7 +84,7 @@ def deleted_column_minor_gcd(d, col):
 
 
 def unreduced_alexander_data(d):
-    """(beta, delta, delta_tor) from the full Jacobian, with no pivots.
+    """AlexanderData from the full Jacobian, with no pivots.
 
     Rank and rank-r minor gcd of the whole matrix; for beta = 0, the
     minor gcd without column 0 divided by t_j - 1 of that column's
@@ -93,12 +95,29 @@ def unreduced_alexander_data(d):
     r = matrix_rank(rows)
     beta = (len(arc_component) - r - 1) + d.nfree
     if beta > 0:
-        return beta, LaurentPoly.zero(m), minor_gcd(rows, r, m)
+        return AlexanderData(m=m, beta=beta, delta=LaurentPoly.zero(m),
+                             delta_tor=minor_gcd(rows, r, m))
     delta = deleted_column_minor_gcd(d, 0)
     if m > 1:
         tj = LaurentPoly.var(m, arc_component[0]) - LaurentPoly.one(m)
-        delta = al.divide_exact(delta, tj)
-    return 0, delta, delta
+        delta = unit_normal_form(al.divide_exact(delta, tj))
+    return AlexanderData(m=m, beta=0, delta=delta, delta_tor=delta)
+
+
+def minor_gcd_alexander_data(d):
+    """AlexanderData by Bareiss and then the gcd of the rank-sized minors.
+
+    The same reduced Jacobian as alexander_data, with minor_gcd on every
+    diagram, beta = 0 included.
+    """
+    rows, arc_component = al.fox_jacobian(d)
+    m = d.ncomps
+    reduced, k, _ = reduce_unit_pivots(rows)
+    rank = matrix_rank(reduced)
+    beta = (len(arc_component) - k - rank - 1) + d.nfree
+    delta_tor = minor_gcd(reduced, rank, m)
+    delta = delta_tor if beta == 0 else LaurentPoly.zero(m)
+    return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor)
 
 
 def reference_minor_gcd(rows, size, nvars):
@@ -134,7 +153,7 @@ def split_trefoils(n):
 
 def reduced_jacobian(d):
     """The unit-pivot-reduced Fox Jacobian M' of d and its rank."""
-    reduced, _ = reduce_unit_pivots(al.fox_jacobian(d)[0])
+    reduced, _, _ = reduce_unit_pivots(al.fox_jacobian(d)[0])
     return reduced, matrix_rank(reduced)
 
 
@@ -163,26 +182,25 @@ class TestUnitPivotReduction:
         for d in corpus:
             if d.ncrossings == 0:
                 continue
-            a = al.alexander_data(d)
-            beta, delta, delta_tor = unreduced_alexander_data(d)
-            assert a.beta == beta, d.name
-            assert al.unit_equal(a.delta, delta), d.name
-            assert al.unit_equal(a.delta_tor, delta_tor), d.name
+            assert al.alexander_data(d) == unreduced_alexander_data(d), \
+                d.name
 
     def test_reduced_sizes_add_up_on_corpus(self, corpus):
         for d in corpus:
             if d.ncrossings == 0:
                 continue
             rows, _ = al.fox_jacobian(d)
-            reduced, k = reduce_unit_pivots(rows)
+            reduced, k, cols = reduce_unit_pivots(rows)
             assert len(reduced) == len(rows) - k, d.name
-            assert all(len(row) == len(rows[0]) - k for row in reduced)
+            assert len(cols) == len(rows[0]) - k, d.name
+            assert cols == sorted(set(cols)), d.name
+            assert all(len(row) == len(cols) for row in reduced)
             assert k + matrix_rank(reduced) == matrix_rank(rows), d.name
 
     def test_no_unit_entry_comes_back_unchanged(self):
         rows = [[P("1+t", 1), P("2", 1), P("0", 1)],
                 [P("t^2-1", 1), P("0", 1), P("3*t^-1", 1)]]
-        assert reduce_unit_pivots(rows) == (rows, 0)
+        assert reduce_unit_pivots(rows) == (rows, 0, [0, 1, 2])
 
     def test_markowitz_order(self):
         # The 1 at (0,0) costs (3-1)*(3-1) = 4 and the t at (1,1) costs
@@ -191,8 +209,8 @@ class TestUnitPivotReduction:
         rows = [[P("1", 1), P("2", 1), P("3", 1)],
                 [P("2", 1), P("t", 1), P("0", 1)],
                 [P("3", 1), P("5", 1), P("7", 1)]]
-        reduced, k = reduce_unit_pivots(rows)
-        assert k == 1
+        reduced, k, cols = reduce_unit_pivots(rows)
+        assert (k, cols) == (1, [0, 2])
         assert reduced == [[P("1-4*t^-1", 1), P("3", 1)],
                            [P("3-10*t^-1", 1), P("7", 1)]]
         assert al.unit_equal(minor_gcd(rows, 3, 1), minor_gcd(reduced, 2, 1))
@@ -200,14 +218,14 @@ class TestUnitPivotReduction:
     def test_markowitz_ties_go_to_lower_row_then_column(self):
         one, two, three, t = (P(x, 1) for x in ("1", "2", "3", "t"))
         assert reduce_unit_pivots([[one, two], [t, three]]) == \
-            ([[P("3-2*t", 1)]], 1)
+            ([[P("3-2*t", 1)]], 1, [1])
         assert reduce_unit_pivots([[one, t], [two, three]]) == \
-            ([[P("3-2*t", 1)]], 1)
+            ([[P("3-2*t", 1)]], 1, [1])
 
     def test_empty_reduced_matrix(self):
         one, t = P("1", 1), P("t", 1)
-        assert reduce_unit_pivots([[one, t]]) == ([], 1)
-        assert reduce_unit_pivots([[one], [-t]]) == ([[]], 1)
+        assert reduce_unit_pivots([[one, t]]) == ([], 1, [1])
+        assert reduce_unit_pivots([[one], [-t]]) == ([[]], 1, [])
         for empty in ([], [[]]):
             assert matrix_rank(empty) == 0
             assert minor_gcd(empty, 0, 2).is_one()
@@ -219,7 +237,7 @@ class TestUnitPivotReduction:
         t - 1: no entry is a unit and the 2 x 2 Jacobian stays whole."""
         d = load_fixture("hopf")
         rows, _ = al.fox_jacobian(d)
-        assert reduce_unit_pivots(rows) == (rows, 0)
+        assert reduce_unit_pivots(rows) == (rows, 0, [0, 1])
         assert al.alexander_data(d).delta.is_one()
 
 
@@ -246,6 +264,157 @@ class TestMinorGcdThroughGcdMany:
         # the reference asks sympy on every minor: 63 calls
         assert len(gcd_calls) - calls == 63
         assert calls < 63
+
+
+def split_union(*texts):
+    """The split union of PD texts, each after the one before."""
+    out, offset = [], 0
+    for text in texts:
+        pd = [tuple(map(int, c)) for c in
+              re.findall(r"X\[(\d+),(\d+),(\d+),(\d+)\]", text)]
+        out.extend(tuple(e + offset for e in c) for c in pd)
+        offset += max(e for c in pd for e in c)
+    return al.parse_pd(", ".join("X[%d,%d,%d,%d]" % c for c in out))
+
+
+SHORT_WORDS = {"strands": (2, 3, 4), "length": (5, 11)}
+
+
+def knot_words(rng, count):
+    """Seeded braid words on 2-4 strands whose closure is a knot."""
+    out = []
+    while len(out) < count:
+        (word, n), = random_braid_words(rng, 1, **SHORT_WORDS)
+        if braid_closure(word, n).ncomps == 1:
+            out.append((word, n))
+    return out
+
+
+def split_unions():
+    """Split unions of two and three closures, with links among them."""
+    rng = seeded(65)
+    out = [al.parse_pd(split_trefoils(n)) for n in (2, 3)]
+    for _ in range(22):
+        pieces = random_braid_words(rng, rng.choice((2, 2, 3)),
+                                    strands=(2, 3), length=(3, 7))
+        out.append(split_union(*(braid_closure_pd(w, n) for w, n in pieces)))
+    return out
+
+
+@pytest.fixture
+def minor_gcd_calls(monkeypatch):
+    """Every invariants.minor_gcd call, as (size, nvars)."""
+    calls = []
+    real = invariants.minor_gcd
+
+    def counting(rows, size, nvars):
+        calls.append((size, nvars))
+        return real(rows, size, nvars)
+
+    monkeypatch.setattr(invariants, "minor_gcd", counting)
+    return calls
+
+
+class TestCorankOneRoute:
+    """One corank-1 minor where the crossing part has beta = 0.
+
+    Bareiss and then minor_gcd on every diagram, and the unreduced full
+    Jacobian, are the references.
+    """
+
+    @staticmethod
+    def with_components(diagrams):
+        return [s for d in diagrams for s in
+                [d] + [d.delete_components({c}) for c in range(d.ncomps)]]
+
+    def test_equals_minor_gcd_route(self, corpus):
+        closures = random_braid_closures(seeded(66), 200,
+                                         strands=(2, 3, 4, 5))
+        cases = self.with_components(corpus + closures + split_unions())
+        assert {d.ncomps for d in cases} >= {1, 2, 3, 4, 5}
+        for d in cases:
+            if d.ncrossings == 0:
+                continue
+            assert al.alexander_data(d) == minor_gcd_alexander_data(d), \
+                d.name
+
+    def test_equals_unreduced_route(self, corpus):
+        # past 12 crossings the full Jacobian's minor gcds take minutes
+        closures = random_braid_closures(seeded(67), 200,
+                                         strands=(2, 3, 4, 5), length=(4, 9))
+        unions = [d for d in split_unions() if d.ncrossings <= 12]
+        assert {len(d.split_partition()) for d in unions} == {2, 3}
+        cases = self.with_components(corpus + closures + unions)
+        assert {d.ncomps for d in cases} >= {1, 2, 3, 4}
+        for d in cases:
+            if d.ncrossings == 0:
+                continue
+            assert al.alexander_data(d) == unreduced_alexander_data(d), \
+                d.name
+
+    def test_no_sympy_gcd_when_beta_is_zero(self, gcd_calls,
+                                            minor_gcd_calls):
+        links = [load_fixture(name)
+                 for name in ("hopf", "whitehead", "L6a4", "L9a54")]
+        data = [al.alexander_data(d) for d in links]
+        assert gcd_calls == []
+        assert minor_gcd_calls == []
+        for d, a in zip(links, data):
+            assert a.beta == 0 and d.ncomps >= 2, d.name
+            assert a == minor_gcd_alexander_data(d), d.name
+
+    def test_minor_gcd_runs_where_beta_is_positive(self, minor_gcd_calls):
+        for d in split_unions():
+            del minor_gcd_calls[:]
+            a = al.alexander_data(d)
+            assert a.beta > 0 and len(d.split_partition()) > 1
+            assert minor_gcd_calls, d.name
+        # a connected diagram of the 2- and 3-component unlinks
+        for word, n in (([1, -1], 2), ([1, -1, 1, -1], 2),
+                        ([1, -1, 2, -2], 3)):
+            d = braid_closure(word, n)
+            del minor_gcd_calls[:]
+            a = al.alexander_data(d)
+            assert len(d.split_partition()) == 1, word
+            assert a.beta > 0 and minor_gcd_calls, word
+            assert a == minor_gcd_alexander_data(d), word
+
+
+class TestMetamorphic:
+    """Braid moves, mirrors and split unions on seeded closures."""
+
+    def test_mirror_involutes_delta(self):
+        for word, n in random_braid_words(seeded(68), 60, **SHORT_WORDS):
+            a = al.alexander_data(braid_closure(word, n))
+            b = al.alexander_data(braid_closure([-g for g in word], n))
+            assert (a.m, a.beta) == (b.m, b.beta), word
+            assert al.unit_equal(b.delta, a.delta.involute()), word
+            assert al.unit_equal(b.delta_tor, a.delta_tor.involute()), word
+
+    def test_conjugation_and_stabilisation_keep_delta(self):
+        rng = seeded(69)
+        for word, n in knot_words(rng, 40):
+            base = al.alexander_data(braid_closure(word, n)).delta
+            g = rng.choice([1, -1]) * rng.randrange(1, n)
+            moved = [(word[1:] + word[:1], n),
+                     ([g] + word + [-g], n),
+                     (word + [rng.choice([1, -1]) * n], n + 1)]
+            for w, k in moved:
+                a = al.alexander_data(braid_closure(w, k))
+                assert a.beta == 0 and al.unit_equal(a.delta, base), (w, k)
+
+    def test_split_union_multiplies_delta_tor(self):
+        words = knot_words(seeded(70), 24)
+        for (u, n), (v, k) in zip(words[::2], words[1::2]):
+            d = split_union(braid_closure_pd(u, n), braid_closure_pd(v, k))
+            first = d.comp_of_edge[1]
+            pu, pv = (al.alexander_data(braid_closure(*w)).delta
+                      for w in ((u, n), (v, k)))
+            expected = embed_univariate(pu, first, 2) * \
+                embed_univariate(pv, 1 - first, 2)
+            a = al.alexander_data(d)
+            assert a.beta == 1 and a.delta.is_zero(), (u, v)
+            assert al.unit_equal(a.delta_tor, expected), (u, v)
 
 
 class TestKnownValues:
