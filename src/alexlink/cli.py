@@ -4,7 +4,9 @@ Subcommands:
 
   invariants <path...>          one machine-readable record per link
   obstruct <path...> [--table] [--search-depth k] [--mode inter|any]
-  factor <poly> --vars m        factorization and norm verdicts
+  factor <poly> --vars m        factorization and norm verdicts, for
+                                degree spans summing to at most
+                                FACTOR_DEGREE_BUDGET
   search <path...> --search-depth k [--mode inter|any]
 
 Paths are fixture files or directories of fixture files.  Structured
@@ -32,6 +34,10 @@ from .search import (MAX_SEARCH_DEPTH, SearchBudgetExceeded,
                      bounded_split_search, certify_gap)
 
 SCHEMA_VERSION = 1
+# largest sum over the variables of the degree span that `factor` accepts:
+# sympy's factorization time grows steeply with the degree (t^10000 - 1
+# took 35 s), and the check runs before sympy is called
+FACTOR_DEGREE_BUDGET = 256
 
 
 def _conway_str(nabla):
@@ -89,7 +95,8 @@ def _invariants_record(d, path):
         "beta": alex.beta,
         "delta": format_poly(alex.delta),
         "deltaTor": format_poly(alex.delta_tor),
-        "componentPolys": [format_poly(p) for p in component_polynomials(d)],
+        "componentPolys": [format_poly(p)
+                           for p in component_polynomials(d, alex)],
         "linkingNumbers": {
             f"{i + 1},{j + 1}": d.linking_number(i, j)
             for i in range(d.ncomps) for j in range(i)},
@@ -274,6 +281,11 @@ def main(argv=None, out=None, err=None):
             return 1
         if p.is_zero():
             err.write("error: cannot factor the zero polynomial\n")
+            return 1
+        span = sum(p.degree_span(i) for i in range(p.nvars))
+        if span > FACTOR_DEGREE_BUDGET:
+            err.write(f"error: degree span {span} exceeds the factor budget "
+                      f"of {FACTOR_DEGREE_BUDGET}\n")
             return 1
         fact = factor_irreducible(p)
         dec = negligible_decompose(p)

@@ -69,45 +69,66 @@ CONWAY_CROSSING_BUDGET = 16
 def reduce_unit_pivots(rows):
     """Eliminate unit pivots; return (M', k, cols) after k pivots.
 
-    A pivot is an entry ±t^e.  Its row, multiplied by ∓t^-e, clears the
-    rest of its column by exact row operations; then the pivot's row
-    and column are dropped.  Each step takes the unit entry of least
-    Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), ties
-    broken by row and then column index.  M' keeps every elementary
-    ideal one size down per pivot, so rank(M) = k + rank(M') and the
-    j-minors of M have the gcd of the (j - k)-minors of M'.  ``cols``
-    lists the columns of M that M' keeps, in order.
+    A pivot is an entry ±t^e.  Its row, multiplied by the inverse
+    ±t^-e, clears the rest of its column by exact row operations; then
+    the pivot's row and column are dropped.  Each step takes the unit
+    entry of least Markowitz cost (row nonzeros - 1) * (column nonzeros
+    - 1), ties broken by row and then column index.  The nonzero
+    entries of each row and column and the positions of the unit
+    entries are kept up to date as entries change, so no step rescans
+    the matrix.  M' keeps every elementary ideal one size down per
+    pivot, so rank(M) = k + rank(M') and the j-minors of M have the gcd
+    of the (j - k)-minors of M'.  ``cols`` lists the columns of M that M'
+    keeps, in order.
     """
-    m = [list(r) for r in rows]
-    live_rows = list(range(len(m)))
-    live_cols = list(range(len(m[0]))) if m else []
+    zero = LaurentPoly.zero(rows[0][0].nvars) if rows and rows[0] else None
+    # live[r] holds row r's nonzero entries by column, cols[c] the rows
+    # with a nonzero entry in column c, and units the positions of the
+    # unit entries, all over the live rows and columns
+    live = {r: {c: x for c, x in enumerate(row) if not x.is_zero()}
+            for r, row in enumerate(rows)}
+    cols = {c: set() for c in range(len(rows[0]) if rows else 0)}
+    units = set()
+    for r, row in live.items():
+        for c, x in row.items():
+            cols[c].add(r)
+            if x.is_unit():
+                units.add((r, c))
     k = 0
-    while True:
-        nonzero = [(r, c) for r in live_rows for c in live_cols
-                   if not m[r][c].is_zero()]
-        row_nz = dict.fromkeys(live_rows, 0)
-        col_nz = dict.fromkeys(live_cols, 0)
-        for r, c in nonzero:
-            row_nz[r] += 1
-            col_nz[c] += 1
-        pivots = [((row_nz[r] - 1) * (col_nz[c] - 1), r, c)
-                  for r, c in nonzero if m[r][c].is_unit()]
-        if not pivots:
-            break
-        _, p, q = min(pivots)
-        (exps, sign), = m[p][q].terms.items()
-        inverse = tuple(-e for e in exps)
-        pivot_row = {c: m[p][c].shift(inverse, sign) for c in live_cols
-                     if c != q and not m[p][c].is_zero()}
-        for r in live_rows:
-            f = m[r][q]
-            if r != p and not f.is_zero():
-                for c, x in pivot_row.items():
-                    m[r][c] = m[r][c] - f * x
-        live_rows.remove(p)
-        live_cols.remove(q)
+    while units:
+        _, p, q = min(((len(live[r]) - 1) * (len(cols[c]) - 1), r, c)
+                      for r, c in units)
+        pivot = live.pop(p)
+        # a unit ±t^e has inverse ±t^-e, its involute
+        inverse = pivot.pop(q).involute()
+        units.discard((p, q))
+        for c in pivot:
+            cols[c].discard(p)
+            units.discard((p, c))
+        pivot_row = {c: x * inverse for c, x in pivot.items()}
+        for r in cols.pop(q):
+            if r == p:
+                continue
+            row = live[r]
+            f = row.pop(q)
+            units.discard((r, q))
+            for c, x in pivot_row.items():
+                old = row.get(c)
+                new = -(f * x) if old is None else old - f * x
+                if new.is_zero():
+                    del row[c]
+                    cols[c].discard(r)
+                else:
+                    row[c] = new
+                    cols[c].add(r)
+                if new.is_unit():
+                    units.add((r, c))
+                else:
+                    units.discard((r, c))
         k += 1
-    return [[m[r][c] for c in live_cols] for r in live_rows], k, live_cols
+    live_cols = sorted(cols)
+    return ([[live[r].get(c, zero) for c in live_cols] for r in sorted(live)],
+            k, live_cols)
 
 
 def matrix_rank(rows):
@@ -174,7 +195,8 @@ def _determinant(rows, row_idx, col_idx, memo):
         sub = _determinant(rows, rest_rows,
                            tuple(x for x in col_idx if x != c), memo)
         term = entry * sub
-        result = result + (term if (k % 2 == 0) == (sign > 0) else -term)
+        result = result + term if (k % 2 == 0) == (sign > 0) \
+            else result - term
     memo[key] = result
     return result
 
@@ -473,13 +495,16 @@ def one_variable_alexander(d):
     return unit_normal_form(total)
 
 
-def component_polynomials(d):
+def component_polynomials(d, alex=None):
     """One-variable Alexander polynomial of each component on its own.
 
     Component i is isolated with delete_components and goes through
-    alexander_data.  Returns a list of one-variable polynomials in the
-    link's component order.
+    alexander_data.  A knot is its own component, so its polynomial is
+    the delta of ``alex``, d's AlexanderData, when given.  Returns a list
+    of one-variable polynomials in the link's component order.
     """
+    if d.ncomps == 1 and alex is not None:
+        return [alex.delta]
     return [alexander_data(d.delete_components({c})).delta
             for c in range(d.ncomps)]
 

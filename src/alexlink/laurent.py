@@ -1,14 +1,42 @@
 """Exact arithmetic in the multivariable integer Laurent polynomial ring.
 
 Polynomials live in Z[t1^±1, ..., tm^±1] and are stored sparsely as a
-mapping from exponent vectors to nonzero integer coefficients.  All
-operations are pure and values are treated as immutable.
+mapping from monomials to nonzero integer coefficients.  All operations
+are pure and values are treated as immutable.
+
+Each monomial t1^e1 ... tm^em is packed into one Python int,
+e1 * B^(m-1) + e2 * B^(m-2) + ... + em with B = 2^64: one signed 64-bit
+digit per exponent, variable 0 in the most significant digit, and for
+m = 1 the exponent itself.  The packing is additive, so multiplying
+monomials adds their keys, the bar involution negates them and a shift
+by a unit adds one key.  While every |exponent| is below 2^63 the keys
+are distinct and their integer order is the lexicographic order of the
+exponent tuples, so the leading term of a division and the least
+monomial of a unit normal form are the largest and smallest keys.
+
+Every polynomial carries a bound on its |exponents|, kept in O(1): a
+product adds its operands' bounds, a sum takes the larger one, and a
+division or normal form computes its result's box exactly.  A result
+whose bound would reach ``EXPONENT_LIMIT`` = 2^60 raises
+``ExponentLimitExceeded`` instead, which leaves room for the sums and
+differences of two or four exponents that division forms, so packed
+digits never carry into each other.
+
+The public ``terms`` mapping, from exponent tuples to coefficients, is
+decoded on first use and cached; the public constructor checks and packs
+its input, while arithmetic builds its already clean results directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd as int_gcd
+
+EXPONENT_LIMIT = 1 << 60
+
+_WIDTH = 64
+_HALF = 1 << (_WIDTH - 1)
+_MASK = (1 << _WIDTH) - 1
 
 
 class VariableCountMismatch(ValueError):
@@ -23,6 +51,75 @@ class NotDivisible(Exception):
     """Raised by divide_exact when the quotient does not exist in the ring."""
 
 
+class ExponentLimitExceeded(ValueError):
+    """Raised when an exponent could reach EXPONENT_LIMIT in absolute value."""
+
+
+def _bounded(e):
+    """e, checked as a bound on |exponents| against EXPONENT_LIMIT."""
+    if e >= EXPONENT_LIMIT:
+        raise ExponentLimitExceeded(
+            f"an exponent could reach {e}, beyond the limit of "
+            f"±{EXPONENT_LIMIT - 1}")
+    return e
+
+
+def _pack(exps):
+    """The key of an exponent tuple (entries below the limit)."""
+    key = 0
+    for e in exps:
+        key = (key << _WIDTH) + e
+    return key
+
+
+def _unpack(key, n):
+    """The exponent tuple of a key in n variables."""
+    out = [0] * n
+    for i in range(n - 1, 0, -1):
+        e = ((key + _HALF) & _MASK) - _HALF
+        out[i] = e
+        key = (key - e) >> _WIDTH
+    out[0] = key
+    return tuple(out)
+
+
+def _ones(n):
+    """_pack((2^63,) * n): adding it makes every digit of a key unsigned."""
+    return _pack((_HALF,) * n)
+
+
+def _box(d, n):
+    """Packed least and greatest exponent of each variable over keys d."""
+    if n == 1:
+        return min(d), max(d)
+    ones = _ones(n)
+    unsigned = [k + ones for k in d]
+    lo = hi = 0
+    for s in range(_WIDTH * (n - 1), -1, -_WIDTH):
+        digits = [(u >> s) & _MASK for u in unsigned]
+        lo = (lo << _WIDTH) + min(digits) - _HALF
+        hi = (hi << _WIDTH) + max(digits) - _HALF
+    return lo, hi
+
+
+def _ring(nvars):
+    """nvars, checked to be a number of variables a ring can have."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    return nvars
+
+
+def _new(nvars, d, bound):
+    """A polynomial from clean keys d (no zero coefficient), unchecked."""
+    p = object.__new__(LaurentPoly)
+    p.nvars = nvars
+    p._d = d
+    p._bound = bound
+    p._terms = None
+    p._hash = None
+    return p
+
+
 class LaurentPoly:
     """A sparse Laurent polynomial with arbitrary-precision integer coefficients.
 
@@ -31,12 +128,10 @@ class LaurentPoly:
     term mapping.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "_d", "_bound", "_terms", "_hash")
 
     def __init__(self, nvars, terms=None):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        self.nvars = nvars
+        _ring(nvars)
         clean = {}
         if terms:
             for exps, coeff in terms.items():
@@ -49,18 +144,30 @@ class LaurentPoly:
                 clean[exps] = clean.get(exps, 0) + coeff
                 if clean[exps] == 0:
                     del clean[exps]
-        self.terms = clean
+        bound = _bounded(max((abs(e) for exps in clean for e in exps),
+                             default=0))
+        self.nvars = nvars
+        self._d = {_pack(exps): c for exps, c in clean.items()}
+        self._bound = bound
+        self._terms = None
         self._hash = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            n = self.nvars
+            self._terms = {_unpack(k, n): c for k, c in self._d.items()}
+        return self._terms
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(nvars):
-        return LaurentPoly(nvars)
+        return _new(_ring(nvars), {}, 0)
 
     @staticmethod
     def const(nvars, c):
-        return LaurentPoly(nvars, {(0,) * nvars: c})
+        return _new(_ring(nvars), {0: c} if c else {}, 0)
 
     @staticmethod
     def one(nvars):
@@ -69,9 +176,9 @@ class LaurentPoly:
     @staticmethod
     def var(nvars, i, power=1):
         """The monomial t_i^power (i is zero-based)."""
-        exps = [0] * nvars
+        exps = [0] * _ring(nvars)
         exps[i] = power
-        return LaurentPoly(nvars, {tuple(exps): 1})
+        return _new(nvars, {_pack(exps): 1}, _bounded(abs(power)))
 
     @staticmethod
     def monomial(nvars, exps, coeff=1):
@@ -80,18 +187,19 @@ class LaurentPoly:
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._d
 
     def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
+        return self._d == {0: 1}
 
     def is_monomial(self):
         """True when the polynomial is ±1 times a single monomial (a unit of
         the ring when the coefficient is ±1)."""
-        return len(self.terms) == 1
+        return len(self._d) == 1
 
     def is_unit(self):
-        return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
+        d = self._d
+        return len(d) == 1 and abs(next(iter(d.values()))) == 1
 
     def variables_used(self):
         """Indices of variables occurring with nonzero exponent."""
@@ -104,7 +212,7 @@ class LaurentPoly:
 
     def degree_span(self, i):
         """Spread of the exponents of variable i across the support."""
-        if not self.terms:
+        if not self._d:
             return 0
         es = [exps[i] for exps in self.terms]
         return max(es) - min(es)
@@ -116,28 +224,32 @@ class LaurentPoly:
             raise VariableCountMismatch(
                 f"cannot combine polynomials in {self.nvars} and {other.nvars} variables")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other."""
         if isinstance(other, int):
             other = LaurentPoly.const(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            new = terms.get(exps, 0) + c
+        d = dict(self._d)
+        get = d.get
+        for k, c in other._d.items():
+            new = get(k, 0) + sign * c
             if new:
-                terms[exps] = new
+                d[k] = new
             else:
-                terms.pop(exps, None)
-        return LaurentPoly(self.nvars, terms)
+                del d[k]
+        return _new(self.nvars, d, max(self._bound, other._bound))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _new(self.nvars, {k: -c for k, c in self._d.items()},
+                    self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(self.nvars, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -146,24 +258,24 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly(self.nvars)
-            return LaurentPoly(self.nvars,
-                               {e: c * other for e, c in self.terms.items()})
+            return _new(self.nvars, {k: c * other for k, c in self._d.items()},
+                        self._bound)
         self._check(other)
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
+        bound = _bounded(self._bound + other._bound)
+        a, b = self._d, other._d
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            (ka, ca), = a.items()
+            return _new(self.nvars, {ka + kb: ca * cb for kb, cb in b.items()},
+                        bound)
         out = {}
-        n = self.nvars
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                key = tuple(ea[i] + eb[i] for i in range(n))
-                new = out.get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return LaurentPoly(self.nvars, out)
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return _new(self.nvars, {k: c for k, c in out.items() if c}, bound)
 
     __rmul__ = __mul__
 
@@ -184,11 +296,11 @@ class LaurentPoly:
             other = LaurentPoly.const(self.nvars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._d == other._d
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, frozenset(self._d.items())))
         return self._hash
 
     def __repr__(self):
@@ -201,15 +313,17 @@ class LaurentPoly:
 
     def involute(self):
         """Replace every t_i by t_i^-1 (the bar involution of the ring)."""
-        return LaurentPoly(self.nvars,
-                           {tuple(-e for e in exps): c
-                            for exps, c in self.terms.items()})
+        return _new(self.nvars, {-k: c for k, c in self._d.items()},
+                    self._bound)
 
     def shift(self, exps, sign=1):
         """Multiply by sign * t^exps (a unit)."""
-        n = self.nvars
-        return LaurentPoly(n, {tuple(e[i] + exps[i] for i in range(n)): sign * c
-                               for e, c in self.terms.items()})
+        if len(exps) != self.nvars:
+            raise VariableCountMismatch("shift must cover every variable")
+        bound = _bounded(self._bound + max(map(abs, exps)))
+        s = _pack(exps)
+        return _new(self.nvars, {k + s: sign * c for k, c in self._d.items()},
+                    bound)
 
     def evaluate(self, images, new_nvars):
         """Apply the ring homomorphism t_i -> t^images[i] into a new ring.
@@ -273,11 +387,11 @@ def unit_normal_form(p):
     """
     if p.is_zero():
         raise ZeroInputError("the zero polynomial has no unit normal form")
-    _, shifted = _to_polynomial(p)
-    lead = min(shifted)
-    if shifted[lead] < 0:
-        shifted = {e: -c for e, c in shifted.items()}
-    return LaurentPoly(p.nvars, shifted)
+    n, d = p.nvars, p._d
+    lo, hi = _box(d, n)
+    sign = -1 if d[min(d)] < 0 else 1
+    return _new(n, {k - lo: sign * c for k, c in d.items()},
+                max(_unpack(hi - lo, n)))
 
 
 def unit_equal(a, b):
@@ -351,6 +465,11 @@ def divide_exact(a, b):
     """Return q with a = b*q, or raise NotDivisible.
 
     The quotient is unique when it exists because the ring is a domain.
+    Long division takes leading terms in lex order, the largest keys.
+    Each variable's exponents in q must lie between the differences of
+    a's and b's least and greatest exponents; a quotient term outside
+    that box means b does not divide a, and keeping inside it ends the
+    loop.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -358,30 +477,34 @@ def divide_exact(a, b):
         return LaurentPoly(a.nvars)
     a._check(b)
     n = a.nvars
-    shift_a, rest = _to_polynomial(a)
-    shift_b, pb = _to_polynomial(b)
-    # Ordinary-polynomial division in lex order; if b | a in the Laurent
-    # ring, the quotient of the shifted parts is an ordinary polynomial.
+    lo_a, hi_a = _box(a._d, n)
+    lo_b, hi_b = _box(b._d, n)
+    lo, hi = lo_a - lo_b, hi_a - hi_b
+    ones = _ones(n)
+    pb = b._d
     lead_b = max(pb)
     cb = pb[lead_b]
+    rest = dict(a._d)
+    get = rest.get
     quot = {}
     while rest:
         lead_r = max(rest)
         cr = rest[lead_r]
-        qe = tuple(lead_r[i] - lead_b[i] for i in range(n))
-        if any(e < 0 for e in qe) or cr % cb != 0:
+        qe = lead_r - lead_b
+        # every digit of qe - lo and of hi - qe must be nonnegative
+        if (qe - lo + ones) & (hi - qe + ones) & ones != ones or cr % cb:
             raise NotDivisible(f"{a} is not divisible by {b}")
         qc = cr // cb
         quot[qe] = qc
         for eb, coeff in pb.items():
-            key = tuple(qe[i] + eb[i] for i in range(n))
-            new = rest.get(key, 0) - qc * coeff
+            key = qe + eb
+            new = get(key, 0) - qc * coeff
             if new:
                 rest[key] = new
             else:
-                rest.pop(key, None)
-    q = LaurentPoly(n, quot)
-    return q.shift(tuple(shift_a[i] - shift_b[i] for i in range(n)))
+                del rest[key]
+    bound = max(map(abs, _unpack(lo, n) + _unpack(hi, n)))
+    return _new(n, quot, _bounded(bound))
 
 
 def divides(b, a):
@@ -396,7 +519,7 @@ def divides(b, a):
 def content(p):
     """The (nonnegative) integer content of p."""
     g = 0
-    for c in p.terms.values():
+    for c in p._d.values():
         g = int_gcd(g, abs(c))
     return g
 
@@ -438,7 +561,10 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else "\0"
 
     def parse(self):
-        p = self.expr()
+        try:
+            p = self.expr()
+        except ExponentLimitExceeded as exc:
+            self.error(str(exc))
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")

@@ -270,7 +270,7 @@ def build_report(d, alex=None, component_polys=None):
     if alex is None:
         alex = alexander_data(d)
     if component_polys is None:
-        component_polys = component_polynomials(d)
+        component_polys = component_polynomials(d, alex)
     m = d.ncomps
     lk_sum = d.total_linking_number()
     fact = _factor_delta(alex)

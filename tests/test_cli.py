@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import alexlink as al
+from alexlink import cli
 from alexlink.cli import main
 
 from conftest import FIXTURE_DIR, braid_closure_pd, load_fixture
@@ -149,6 +150,55 @@ class TestFactor:
             assert rec[key]["isNorm"] == v.is_norm
             assert rec[key]["blockingFactors"] == \
                 [al.format_poly(b) for b in v.blocking_factors]
+
+
+class TestFactorBudget:
+    """Oversized input is refused before sympy is asked to factor it."""
+
+    def test_budget_is_inclusive(self, factor_calls):
+        budget = cli.FACTOR_DEGREE_BUDGET
+        status, out, err = run(["factor", f"t^{budget}-1"])
+        assert status == 0 and err == "" and len(factor_calls) == 1
+        status, out, err = run(["factor", f"t^{budget + 1}-1"])
+        assert status == 1 and out == "" and len(factor_calls) == 1
+        assert err == (f"error: degree span {budget + 1} exceeds the factor "
+                       f"budget of {budget}\n")
+
+    @pytest.mark.parametrize("text, nvars, span", [
+        ("t^1000-1", 1, 1000),
+        ("t^10000-1", 1, 10000),
+        ("t1^1099511627776*t2-1", 2, 1099511627777),
+        # the spans of the variables add up
+        ("t1^200*t2^-100+1", 2, 300),
+        ("(t1^100*t2^100*t3^100-1)*(t1^-30-t2)", 3, 331),
+    ])
+    def test_over_budget_rejected(self, factor_calls, text, nvars, span):
+        status, out, err = run(["factor", text, "--vars", str(nvars)])
+        assert status == 1 and out == "" and factor_calls == []
+        assert f"degree span {span} exceeds the factor budget" in err
+
+    @pytest.mark.parametrize("text, nvars", [
+        ("t^1152921504606846976", 1),
+        ("t^-1152921504606846976", 1),
+        ("t1^1152921504606846975*t1 + t2", 2),
+        ("(t^1073741824)^1073741824", 1),
+        ("t^99999999999999999999999999 - 1", 1),
+        ("t2^-1152921504606846975*t2^-1", 2),
+    ])
+    def test_exponent_limit_is_a_parse_error(self, factor_calls, text, nvars):
+        status, out, err = run(["factor", text, "--vars", str(nvars)])
+        assert status == 1 and out == "" and factor_calls == []
+        assert err.startswith("error: ") and "limit" in err
+        assert "at position" in err and "Traceback" not in err
+
+    def test_exponent_limit_in_a_subprocess(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "alexlink.cli", "factor",
+             "t1^1152921504606846975*t1^2", "--vars", "2"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(al.__file__).parents[1])})
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "limit" in proc.stderr
 
 
 class TestSearchCommand:

@@ -151,6 +151,44 @@ def split_trefoils(n):
                      for k in range(n) for c in tref)
 
 
+def reference_reduce_unit_pivots(rows):
+    """reduce_unit_pivots with a dense loop of its own.
+
+    Rescans the whole live matrix for every pivot, with the same
+    Markowitz cost and tie-break; the sparse loop must agree exactly.
+    """
+    m = [list(r) for r in rows]
+    live_rows = list(range(len(m)))
+    live_cols = list(range(len(m[0]))) if m else []
+    k = 0
+    while True:
+        nonzero = [(r, c) for r in live_rows for c in live_cols
+                   if not m[r][c].is_zero()]
+        row_nz = dict.fromkeys(live_rows, 0)
+        col_nz = dict.fromkeys(live_cols, 0)
+        for r, c in nonzero:
+            row_nz[r] += 1
+            col_nz[c] += 1
+        pivots = [((row_nz[r] - 1) * (col_nz[c] - 1), r, c)
+                  for r, c in nonzero if m[r][c].is_unit()]
+        if not pivots:
+            break
+        _, p, q = min(pivots)
+        (exps, sign), = m[p][q].terms.items()
+        inverse = tuple(-e for e in exps)
+        pivot_row = {c: m[p][c].shift(inverse, sign) for c in live_cols
+                     if c != q and not m[p][c].is_zero()}
+        for r in live_rows:
+            f = m[r][q]
+            if r != p and not f.is_zero():
+                for c, x in pivot_row.items():
+                    m[r][c] = m[r][c] - f * x
+        live_rows.remove(p)
+        live_cols.remove(q)
+        k += 1
+    return [[m[r][c] for c in live_cols] for r in live_rows], k, live_cols
+
+
 def reduced_jacobian(d):
     """The unit-pivot-reduced Fox Jacobian M' of d and its rank."""
     reduced, _, _ = reduce_unit_pivots(al.fox_jacobian(d)[0])
@@ -230,6 +268,29 @@ class TestUnitPivotReduction:
             assert matrix_rank(empty) == 0
             assert minor_gcd(empty, 0, 2).is_one()
             assert minor_gcd(empty, 1, 2).is_zero()
+
+    def test_sparse_loop_matches_dense_reference(self, corpus):
+        closures = random_braid_closures(seeded(68), 150,
+                                         strands=(2, 3, 4, 5))
+        cases = TestCorankOneRoute.with_components(
+            corpus + closures + split_unions())
+        for d in cases:
+            if d.ncrossings == 0:
+                continue
+            rows, _ = al.fox_jacobian(d)
+            assert reduce_unit_pivots(rows) == \
+                reference_reduce_unit_pivots(rows), d.name
+
+    def test_sparse_loop_matches_dense_reference_on_random_matrices(self):
+        rng = seeded(69)
+        for _ in range(300):
+            nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
+            rows = [[rng.choice([P("0", 2), P("0", 2), P("1", 2),
+                                 P("-t1", 2), P("t2^-1", 2), P("t1-1", 2),
+                                 P("2", 2), P("t1*t2+1", 2)])
+                     for _ in range(nc)] for _ in range(nr)]
+            assert reduce_unit_pivots(rows) == \
+                reference_reduce_unit_pivots(rows), rows
 
     def test_hopf_has_no_unit_pivot(self):
         """Each Hopf component passes under once, so at each crossing the
@@ -577,6 +638,27 @@ class TestComponentPolynomials:
             for p in al.component_polynomials(load_fixture(name)):
                 assert p.is_one() or al.unit_equal(p, P("1", 1)), name
 
+    def test_knot_reuses_delta(self, corpus, monkeypatch):
+        """A knot is its own component: its delta, no second Fox route."""
+        knots = [d for d in corpus + random_braid_closures(seeded(64), 150)
+                 if d.ncomps == 1]
+        assert len(knots) >= 20
+        calls = []
+        real = invariants.alexander_data
+
+        def counting(d):
+            calls.append(d)
+            return real(d)
+
+        for d in knots:
+            alex = al.alexander_data(d)
+            assert al.component_polynomials(d) == \
+                al.component_polynomials(d, alex) == [alex.delta], d.name
+        monkeypatch.setattr(invariants, "alexander_data", counting)
+        for d in knots:
+            al.component_polynomials(d, real(d))
+        assert calls == []
+
     def test_fox_route_agrees_with_skein(self, corpus):
         """The skein on each component's sub-diagram is the reference."""
         closures = random_braid_closures(seeded(62), 50)
@@ -677,8 +759,13 @@ class TestConwayFoxRoute:
         d = load_fixture("trefoil")
         rec = cli._invariants_record(d, "trefoil.lnk")
         assert rec["conway"] == "z^2 + 1"
+        # a knot's component polynomial is the record's own delta
+        assert len(calls) == 1
+        calls.clear()
+        d = load_fixture("hopf")
+        cli._invariants_record(d, "hopf.lnk")
         # one for the record, one per component polynomial
-        assert len(calls) == 1 + d.ncomps
+        assert len(calls) == 1 + d.ncomps == 3
 
     def test_asymmetric_input_rejected(self):
         d = load_fixture("trefoil")

@@ -1,15 +1,260 @@
 """Ring arithmetic, normal forms, division and the text syntax."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alexlink as al
-from alexlink.laurent import (LaurentPoly, VariableCountMismatch,
-                              ZeroInputError, content, negligible_decompose,
-                              unit_normal_form)
+from alexlink.laurent import (EXPONENT_LIMIT, ExponentLimitExceeded,
+                              LaurentPoly, NotDivisible,
+                              VariableCountMismatch, ZeroInputError, content,
+                              negligible_decompose, unit_normal_form)
 
 from conftest import random_negligible, random_poly, random_unit, seeded
 
 N_RANDOM = 1000
+
+
+class RefPoly:
+    """The tuple-keyed arithmetic: exponent tuples as keys, no packing.
+
+    The reference for LaurentPoly's packed monomials: every operation
+    works on ``terms`` directly, the way the ring was first written.
+    """
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = {tuple(e): c for e, c in terms.items() if c}
+
+    def __eq__(self, other):
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return RefPoly(self.nvars, terms)
+
+    def __neg__(self):
+        return RefPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
+        return RefPoly(self.nvars, out)
+
+    def involute(self):
+        return RefPoly(self.nvars, {tuple(-x for x in e): c
+                                    for e, c in self.terms.items()})
+
+    def shift(self, exps, sign=1):
+        return RefPoly(self.nvars, {tuple(x + y for x, y in zip(e, exps)):
+                                    sign * c for e, c in self.terms.items()})
+
+    def to_polynomial(self):
+        mins = tuple(map(min, zip(*self.terms)))
+        return mins, {tuple(x - m for x, m in zip(e, mins)): c
+                      for e, c in self.terms.items()}
+
+    def unit_normal_form(self):
+        _, shifted = self.to_polynomial()
+        if shifted[min(shifted)] < 0:
+            shifted = {e: -c for e, c in shifted.items()}
+        return RefPoly(self.nvars, shifted)
+
+    def divide_exact(self, b):
+        """Long division of the shifted ordinary polynomials, lex order."""
+        if not self.terms:
+            return RefPoly(self.nvars, {})
+        n = self.nvars
+        shift_a, rest = self.to_polynomial()
+        shift_b, pb = b.to_polynomial()
+        lead_b = max(pb)
+        quot = {}
+        while rest:
+            lead_r = max(rest)
+            qe = tuple(x - y for x, y in zip(lead_r, lead_b))
+            if any(e < 0 for e in qe) or rest[lead_r] % pb[lead_b]:
+                raise NotDivisible
+            qc = rest[lead_r] // pb[lead_b]
+            quot[qe] = qc
+            for eb, c in pb.items():
+                key = tuple(x + y for x, y in zip(qe, eb))
+                rest[key] = rest.get(key, 0) - qc * c
+                if not rest[key]:
+                    del rest[key]
+        return RefPoly(n, quot).shift(
+            tuple(x - y for x, y in zip(shift_a, shift_b)))
+
+
+def ref(p):
+    return RefPoly(p.nvars, p.terms)
+
+
+def same(p, r):
+    """p (a LaurentPoly) has exactly the terms of r (a RefPoly)."""
+    return p.nvars == r.nvars and p.terms == r.terms
+
+
+checked = settings(max_examples=150, deadline=None, derandomize=True,
+                   database=None)
+
+
+@st.composite
+def polys(draw, nvars=None, nonzero=False, exps=st.integers(-4, 4)):
+    """(p, q, r): three polynomials in one ring of 1 to 3 variables."""
+    n = nvars or draw(st.integers(1, 3))
+    out = []
+    for _ in range(3):
+        terms = draw(st.dictionaries(
+            st.tuples(*[exps] * n), st.integers(-6, 6),
+            min_size=1 if nonzero else 0, max_size=5))
+        if nonzero and not any(terms.values()):
+            terms[(0,) * n] = 1
+        out.append(LaurentPoly(n, terms))
+    return out
+
+
+class TestAgainstTupleReference:
+    @checked
+    @given(polys())
+    def test_ring_operations_match(self, pqr):
+        p, q, _ = pqr
+        assert same(p + q, ref(p) + ref(q))
+        assert same(p - q, ref(p) - ref(q))
+        assert same(-p, -ref(p))
+        assert same(p * q, ref(p) * ref(q))
+        assert same(p.involute(), ref(p).involute())
+
+    @checked
+    @given(polys())
+    def test_ring_axioms(self, pqr):
+        p, q, r = pqr
+        n = p.nvars
+        zero, one = LaurentPoly.zero(n), LaurentPoly.one(n)
+        assert p + q == q + p and p * q == q * p
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert p + zero == p and p * one == p and (p * zero).is_zero()
+        assert (p - p).is_zero() and p + (-p) == zero
+        assert hash(p * q) == hash(q * p)
+
+    @checked
+    @given(polys(nonzero=True), st.data())
+    def test_unit_normal_form_and_involute_match(self, pqr, data):
+        p, _, _ = pqr
+        assert same(unit_normal_form(p), ref(p).unit_normal_form())
+        assert same(p.involute(), ref(p).involute())
+        assert p.involute().involute() == p
+        exps = data.draw(st.tuples(*[st.integers(-50, 50)] * p.nvars))
+        sign = data.draw(st.sampled_from([1, -1]))
+        assert same(p.shift(exps, sign), ref(p).shift(exps, sign))
+        assert unit_normal_form(p.shift(exps, sign)) == unit_normal_form(p)
+
+    @checked
+    @given(polys(nonzero=True))
+    def test_divide_exact_matches(self, pqr):
+        a, b, c = pqr
+        assert same(al.divide_exact(a * b, b), ref(a))
+        # a + c is usually not a multiple of b: both must agree either way
+        try:
+            expected = ref(a + c).divide_exact(ref(b))
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                al.divide_exact(a + c, b)
+        else:
+            assert same(al.divide_exact(a + c, b), expected)
+
+    @checked
+    @given(polys(exps=st.integers(1 - EXPONENT_LIMIT, EXPONENT_LIMIT - 1)))
+    def test_terms_round_trip(self, pqr):
+        for p in pqr:
+            assert LaurentPoly(p.nvars, p.terms) == p
+            assert LaurentPoly(p.nvars, p.terms).terms == p.terms
+
+    @checked
+    @given(st.integers(1, 3), st.data())
+    def test_terms_are_the_input_cleaned(self, n, data):
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(-EXPONENT_LIMIT + 1,
+                                    EXPONENT_LIMIT - 1)] * n),
+            st.integers(-3, 3), max_size=6))
+        p = LaurentPoly(n, terms)
+        assert p.terms == {e: c for e, c in terms.items() if c}
+        assert same(p, RefPoly(n, terms))
+        assert sorted(p.terms) == sorted(RefPoly(n, terms).terms)
+
+
+class TestExponentLimit:
+    def test_constructor_checks_the_limit(self):
+        LaurentPoly(2, {(EXPONENT_LIMIT - 1, 1 - EXPONENT_LIMIT): 1})
+        for exps in [(EXPONENT_LIMIT, 0), (0, -EXPONENT_LIMIT)]:
+            with pytest.raises(ExponentLimitExceeded):
+                LaurentPoly(2, {exps: 1})
+        with pytest.raises(ExponentLimitExceeded):
+            LaurentPoly.var(3, 1, EXPONENT_LIMIT)
+        assert issubclass(ExponentLimitExceeded, ValueError)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_repeated_squaring_raises_and_never_aliases(self, nvars):
+        for i in range(nvars):
+            x = LaurentPoly.var(nvars, i)
+            p = x * x.involute() - x + 3    # exponents -1, 0 and 1
+            power = 1
+            while True:
+                try:
+                    p = p * p
+                except ExponentLimitExceeded:
+                    break
+                power *= 2
+                # the product is a polynomial in t_i alone: no exponent
+                # has carried into another variable's digit
+                assert p.variables_used() == {i}
+                assert {exps[i] for exps in p.terms} <= \
+                    set(range(-power, power + 1))
+                assert len(p.terms) <= 2 * power + 1
+                if power >= 16:
+                    break
+            mono = x
+            e = 1
+            while True:
+                try:
+                    mono = mono * mono
+                except ExponentLimitExceeded:
+                    break
+                e *= 2
+                assert e < EXPONENT_LIMIT
+                assert mono.terms == {tuple(e if j == i else 0
+                                            for j in range(nvars)): 1}
+            assert e == EXPONENT_LIMIT // 2
+            assert (mono * x).terms == {
+                tuple(e + 1 if j == i else 0 for j in range(nvars)): 1}
+            with pytest.raises(ExponentLimitExceeded):
+                mono ** 2
+            with pytest.raises(ExponentLimitExceeded):
+                mono.involute() * mono.involute()
+            with pytest.raises(ExponentLimitExceeded):
+                mono.shift((e,) * nvars)
+
+    def test_division_and_normal_form_stay_exact_near_the_limit(self):
+        big = EXPONENT_LIMIT - 2
+        a = LaurentPoly(2, {(big, -big): 3, (0, 0): -1})
+        b = LaurentPoly(2, {(0, 1): 1, (1, 0): 2})
+        assert al.divide_exact(a * b, b) == a
+        # the least monomial in lex order, t2^big, gets coefficient +1
+        assert unit_normal_form(a).terms == {(big, 0): -3, (0, big): 1}
+        with pytest.raises(NotDivisible):
+            al.divide_exact(a, b)
+        c = LaurentPoly(2, {(big, 0): 1})
+        with pytest.raises(ExponentLimitExceeded):
+            al.divide_exact(c, c.involute())
 
 
 def P(text, nvars):
