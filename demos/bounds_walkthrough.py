@@ -12,7 +12,7 @@ factorization and the forced-knot-complexity argument.
 from pathlib import Path
 
 import alexlink as al
-from alexlink.invariants import embed_univariate
+from alexlink.laurent import embed_univariate
 from alexlink.laurent import unit_normal_form
 from alexlink.obstructions import (band_clasping_check, build_report,
                                    forced_knot_complexity, parity_refine)

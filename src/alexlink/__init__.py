@@ -13,19 +13,17 @@ from .laurent import (LaurentPoly, NotDivisible, PolyParseError, divide_exact,
                       negligible_decompose, parse_poly, unit_equal,
                       unit_normal_form)
 from .diagram import (LinkDiagram, PDError, fox_jacobian, parse_fixture,
-                      parse_pd, serialize_fixture, serialize_pd)
+                      parse_pd, serialize_pd)
 from .invariants import (AlexanderData, alexander_data, component_polynomials,
                          conway_polynomial, one_variable_alexander,
                          sato_levine)
 from .factor import (Factorization, NormVerdict, factor_irreducible, gcd,
-                     is_norm_modulo_univariate, is_norm_up_to_negligible,
-                     norm_equivalent, odd_multiplicity_divisor)
+                     is_norm_up_to_negligible, norm_equivalent,
+                     odd_multiplicity_divisor)
 from .obstructions import (ObstructionReport, band_clasping_check,
-                           build_report, forced_knot_complexity,
+                           build_report, delta_bounds, forced_knot_complexity,
                            gordian_extremal_divisibility, gordian_rank_bound,
-                           parity_refine, splitting_bound,
-                           splitting_sequence_knot_constraint,
-                           unlinking_bound, weak_splitting_bound)
+                           parity_refine, splitting_sequence_knot_constraint)
 from .search import SearchResult, bounded_split_search, certify_gap
 
 __all__ = [
@@ -33,16 +31,15 @@ __all__ = [
     "divides", "format_poly", "is_negligible", "negligible_decompose",
     "parse_poly", "unit_equal", "unit_normal_form",
     "LinkDiagram", "PDError", "fox_jacobian", "parse_fixture", "parse_pd",
-    "serialize_fixture", "serialize_pd",
+    "serialize_pd",
     "AlexanderData", "alexander_data", "component_polynomials",
     "conway_polynomial", "one_variable_alexander", "sato_levine",
     "Factorization", "NormVerdict", "factor_irreducible", "gcd",
-    "is_norm_modulo_univariate", "is_norm_up_to_negligible",
-    "norm_equivalent", "odd_multiplicity_divisor",
+    "is_norm_up_to_negligible", "norm_equivalent",
+    "odd_multiplicity_divisor",
     "ObstructionReport", "band_clasping_check", "build_report",
-    "forced_knot_complexity", "gordian_extremal_divisibility",
-    "gordian_rank_bound", "parity_refine", "splitting_bound",
-    "splitting_sequence_knot_constraint", "unlinking_bound",
-    "weak_splitting_bound",
+    "delta_bounds", "forced_knot_complexity",
+    "gordian_extremal_divisibility", "gordian_rank_bound", "parity_refine",
+    "splitting_sequence_knot_constraint",
     "SearchResult", "bounded_split_search", "certify_gap",
 ]

@@ -27,8 +27,8 @@ from .diagram import PDError, parse_fixture
 from .factor import factor_irreducible, norm_verdict
 from .invariants import (CONWAY_CROSSING_BUDGET, alexander_data,
                          component_polynomials, conway_polynomial)
-from .laurent import (PolyParseError, format_poly, negligible_decompose,
-                      parse_poly)
+from .laurent import (PolyParseError, format_poly, format_terms,
+                      negligible_decompose, parse_poly)
 from .obstructions import build_report
 from .search import (MAX_SEARCH_DEPTH, SearchBudgetExceeded,
                      bounded_split_search, certify_gap)
@@ -41,22 +41,9 @@ FACTOR_DEGREE_BUDGET = 256
 
 
 def _conway_str(nabla):
-    if not nabla:
-        return "0"
-    parts = []
-    for k in sorted(nabla, reverse=True):
-        c = nabla[k]
-        body = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-        if k > 0 and abs(c) != 1:
-            body = f"{abs(c)}*{body}"
-        elif k == 0:
-            body = str(abs(c))
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return format_terms(
+        [(nabla[k], "" if k == 0 else "z" if k == 1 else f"z^{k}")
+         for k in sorted(nabla, reverse=True)])
 
 
 def _norm_verdict_record(v):

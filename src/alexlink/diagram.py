@@ -79,15 +79,19 @@ class LinkDiagram:
       ncomps: total component count, including free loops
       nfree: number of crossing-free components (the last nfree indices)
       name: optional fixture name
+      notes: the fixture's ``note*`` lines, key -> value; a diagram made
+        by a move has none
     """
 
-    def __init__(self, crossings, signs, comp_of_edge, ncomps, nfree=0, name=""):
+    def __init__(self, crossings, signs, comp_of_edge, ncomps, nfree=0,
+                 name="", notes=None):
         self.crossings = tuple(tuple(c) for c in crossings)
         self.signs = tuple(signs)
         self.comp_of_edge = dict(comp_of_edge)
         self.ncomps = ncomps
         self.nfree = nfree
         self.name = name
+        self.notes = dict(notes or {})
         if len(self.signs) != len(self.crossings):
             raise PDError("need one sign per crossing")
 
@@ -347,11 +351,12 @@ def _orient(crossings):
     return [signs[i] for i in range(len(crossings))], comp_of_edge, ncomps
 
 
-def parse_pd(text, nfree=0, name=""):
+def parse_pd(text, nfree=0, name="", notes=None):
     """Parse a comma-separated list of X[a,b,c,d] crossings.
 
     ``nfree`` extra crossing-free components are appended after the
-    PD components.  A PD code that is not planar is rejected.
+    PD components.  A PD code that is not planar is rejected.  ``name``
+    and ``notes`` are carried into the diagram.
     """
     if nfree < 0:
         raise PDError(f"negative free loop count {nfree}")
@@ -359,10 +364,10 @@ def parse_pd(text, nfree=0, name=""):
     if not crossings:
         if nfree == 0:
             raise PDError("empty diagram: need crossings or free loops")
-        return LinkDiagram([], [], {}, nfree, nfree, name)
+        return LinkDiagram([], [], {}, nfree, nfree, name, notes)
     signs, comp_of_edge, ncomps = _orient(crossings)
     d = LinkDiagram(crossings, signs, comp_of_edge,
-                    ncomps + nfree, nfree, name)
+                    ncomps + nfree, nfree, name, notes)
     if not is_planar(d):
         raise PDError("diagram is not planar: its PD code does not embed "
                       "in the sphere")
@@ -416,25 +421,11 @@ def parse_fixture(text, name_hint=""):
             raise PDError(f"unknown fixture key {key!r}")
     if pd_text is None:
         raise PDError("fixture needs a pd: line (may be empty)")
-    d = parse_pd(pd_text, nfree=nfree, name=name)
+    d = parse_pd(pd_text, nfree=nfree, name=name, notes=notes)
     if m is not None and d.ncomps != m:
         raise PDError(
             f"fixture declares {m} components but diagram has {d.ncomps}")
-    d.notes = notes
     return d
-
-
-def serialize_fixture(d):
-    lines = []
-    if d.name:
-        lines.append(f"name: {d.name}")
-    lines.append(f"components: {d.ncomps}")
-    if d.nfree:
-        lines.append(f"freeloops: {d.nfree}")
-    lines.append(f"pd: {serialize_pd(d)}")
-    for k, v in sorted(getattr(d, "notes", {}).items()):
-        lines.append(f"{k}: {v}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

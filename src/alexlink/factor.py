@@ -63,20 +63,6 @@ class Factorization:
     unit: LaurentPoly
     factors: tuple  # of (LaurentPoly, int) pairs, deterministic order
 
-    def recombine(self):
-        out = self.unit
-        for f, mult in self.factors:
-            for _ in range(mult):
-                out = out * f
-        return out
-
-    def multiplicity(self, q):
-        qn = unit_normal_form(q)
-        for f, mult in self.factors:
-            if f == qn:
-                return mult
-        return 0
-
 
 def factor_irreducible(p):
     """Complete factorization of p into irreducibles over the Laurent ring.
@@ -200,8 +186,9 @@ def _pair_off(classes, nvars):
 def norm_classes(fact, skip_univariate=False):
     """{class: multiplicity} of the non-negligible factors of fact.
 
-    With ``skip_univariate``, factors in at most one variable (integer
-    constants included) are left out as well.
+    With ``skip_univariate``, factors in at most one variable are left
+    out as well; integer constants count among them, since they can be
+    absorbed into a one-variable polynomial.
     """
     return {q: mult for q, mult in fact.factors
             if not is_negligible(q)
@@ -218,17 +205,6 @@ def is_norm_up_to_negligible(p):
     if p.is_zero():
         raise ZeroInputError("norm test needs a nonzero polynomial")
     return norm_verdict(factor_irreducible(p))
-
-
-def is_norm_modulo_univariate(p):
-    """As is_norm_up_to_negligible, with single-variable factors unconstrained.
-
-    Integer constants count as single-variable factors here, since they
-    can be absorbed into a one-variable polynomial.
-    """
-    if p.is_zero():
-        raise ZeroInputError("norm test needs a nonzero polynomial")
-    return norm_verdict(factor_irreducible(p), skip_univariate=True)
 
 
 def norm_equivalent(a, b):

@@ -507,10 +507,3 @@ def component_polynomials(d, alex=None):
         return [alex.delta]
     return [alexander_data(d.delete_components({c})).delta
             for c in range(d.ncomps)]
-
-
-def embed_univariate(p, var_index, m):
-    """Place a one-variable polynomial into variable var_index of m."""
-    img = [0] * m
-    img[var_index] = 1
-    return p.evaluate([tuple(img)], m)

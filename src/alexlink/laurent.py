@@ -12,11 +12,15 @@ monomials adds their keys, the bar involution negates them and a shift
 by a unit adds one key.  While every |exponent| is below 2^63 the keys
 are distinct and their integer order is the lexicographic order of the
 exponent tuples, so the leading term of a division and the least
-monomial of a unit normal form are the largest and smallest keys.
+monomial of a unit normal form are the largest and smallest keys.  The
+three ring maps in use work on keys as well: ``eval_diagonal`` (every
+t_i to t) sums a key's digits, ``eval_at_one`` (t_i = 1) zeroes digit
+i, and ``embed_univariate`` shifts a one-variable key into digit i.
 
 Every polynomial carries a bound on its |exponents|, kept in O(1): a
 product adds its operands' bounds, a sum takes the larger one, and a
-division or normal form computes its result's box exactly.  A result
+division, normal form or diagonal map computes its result's box
+exactly, and the other two maps keep their operand's bound.  A result
 whose bound would reach ``EXPONENT_LIMIT`` = 2^60 raises
 ``ExponentLimitExceeded`` instead, which leaves room for the sums and
 differences of two or four exponents that division forms, so packed
@@ -30,7 +34,6 @@ its input, while arithmetic builds its already clean results directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as int_gcd
 
 EXPONENT_LIMIT = 1 << 60
 
@@ -107,6 +110,14 @@ def _ring(nvars):
     if nvars < 1:
         raise ValueError("need at least one variable")
     return nvars
+
+
+def _collect(pairs):
+    """The clean keys {key: summed coefficient} of (key, coefficient) pairs."""
+    out = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def _new(nvars, d, bound):
@@ -325,44 +336,42 @@ class LaurentPoly:
         return _new(self.nvars, {k + s: sign * c for k, c in self._d.items()},
                     bound)
 
-    def evaluate(self, images, new_nvars):
-        """Apply the ring homomorphism t_i -> t^images[i] into a new ring.
-
-        ``images[i]`` is the exponent vector (length ``new_nvars``) of the
-        monomial that t_i is sent to.  Covers the diagonal map t_i -> t,
-        Kronecker maps t_i -> t^(d^i) and setting variables to 1 (image
-        exponent vector zero).
-        """
-        if len(images) != self.nvars:
-            raise VariableCountMismatch("substitution must cover every variable")
-        out = {}
-        for exps, c in self.terms.items():
-            key = [0] * new_nvars
-            for i, e in enumerate(exps):
-                img = images[i]
-                for j in range(new_nvars):
-                    key[j] += e * img[j]
-            key = tuple(key)
-            new = out.get(key, 0) + c
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return LaurentPoly(new_nvars, out)
-
     def eval_diagonal(self):
-        """Send every variable to the single variable t."""
-        return self.evaluate([(1,)] * self.nvars, 1)
+        """Send every variable to the single variable t.
+
+        Each key becomes the sum of its digits.
+        """
+        n = self.nvars
+        d = _collect((sum(_unpack(k, n)), c) for k, c in self._d.items())
+        return _new(1, d, _bounded(max(map(abs, d), default=0)))
 
     def eval_at_one(self, i):
-        """Set t_i = 1, staying in the same ring for convenience."""
-        images = []
-        for j in range(self.nvars):
-            img = [0] * self.nvars
-            if j != i:
-                img[j] = 1
-            images.append(tuple(img))
-        return self.evaluate(images, self.nvars)
+        """Set t_i = 1, staying in the same ring for convenience.
+
+        Each key has its digit i zeroed.
+        """
+        n = self.nvars
+        if not 0 <= i < n:
+            raise ValueError(f"variable {i} outside a ring with {n}")
+        s = _WIDTH * (n - 1 - i)
+        ones = _ones(n)
+        # adding ones makes every digit unsigned, so no borrow reaches i
+        d = _collect((k - ((((k + ones) >> s & _MASK) - _HALF) << s), c)
+                     for k, c in self._d.items())
+        return _new(n, d, self._bound)
+
+
+def embed_univariate(p, var_index, m):
+    """Place a one-variable polynomial into variable var_index of m.
+
+    Each exponent is shifted into digit var_index of an m-digit key.
+    """
+    if p.nvars != 1:
+        raise VariableCountMismatch("only a one-variable polynomial embeds")
+    if not 0 <= var_index < _ring(m):
+        raise ValueError(f"variable {var_index} outside a ring with {m}")
+    s = _WIDTH * (m - 1 - var_index)
+    return _new(m, {e << s: c for e, c in p._d.items()}, p._bound)
 
 
 # -- unit normal form -----------------------------------------------------
@@ -414,15 +423,6 @@ class NegligibleDecomposition:
     monomial: tuple
     one_minus_t_exponents: tuple
     core: LaurentPoly
-
-    def recombine(self):
-        n = self.core.nvars
-        out = self.core.shift(self.monomial, self.sign)
-        for i, s in enumerate(self.one_minus_t_exponents):
-            factor = LaurentPoly.one(n) - LaurentPoly.var(n, i)
-            for _ in range(s):
-                out = out * factor
-        return out
 
     @property
     def is_negligible(self):
@@ -514,14 +514,6 @@ def divides(b, a):
         return True
     except NotDivisible:
         return False
-
-
-def content(p):
-    """The (nonnegative) integer content of p."""
-    g = 0
-    for c in p._d.values():
-        g = int_gcd(g, abs(c))
-    return g
 
 
 # -- text syntax ----------------------------------------------------------
@@ -669,28 +661,32 @@ def parse_poly(text, nvars):
     return _Parser(text, nvars).parse()
 
 
+def format_terms(terms):
+    """Render (coefficient, monomial) pairs, in order, as 'a - 2*b + 3'.
+
+    A monomial is a string, empty for the constant term; the result of
+    no pairs is '0'.
+    """
+    out = ""
+    for c, mono in terms:
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += (str(abs(c)) if not mono
+                else mono if abs(c) == 1 else f"{abs(c)}*{mono}")
+    return out or "0"
+
+
 def format_poly(p):
     """Deterministic plain-text rendering accepted back by parse_poly."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for exps in sorted(p.terms, reverse=True):
-        c = p.terms[exps]
+    terms = p.terms
+    pairs = []
+    for exps in sorted(terms, reverse=True):
         factors = []
         for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = f"t{i + 1}" if p.nvars > 1 else "t"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        if not factors:
-            body = str(abs(c))
-        else:
-            mono = "*".join(factors)
-            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            if e:
+                name = f"t{i + 1}" if p.nvars > 1 else "t"
+                factors.append(name if e == 1 else f"{name}^{e}")
+        pairs.append((terms[exps], "*".join(factors)))
+    return format_terms(pairs)

@@ -20,6 +20,10 @@ Quantities covered:
     norm times a negligible;
   * splitting-sequence comparisons and the forced-complexity and
     band-clasping verdicts derived from odd-multiplicity arguments.
+
+The first three have one route: ``delta_bounds`` factors delta once and
+runs all three norm tests on that factorization, and ``build_report``
+adds the parity step and the fixture annotations.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from dataclasses import dataclass, field
 from .factor import (NormVerdict, _pair_off, factor_irreducible,
                      is_norm_up_to_negligible, norm_classes, norm_equivalent,
                      norm_verdict, odd_multiplicity_divisor)
-from .invariants import AlexanderData, embed_univariate
-from .laurent import (LaurentPoly, NotDivisible, divide_exact, unit_equal,
-                      unit_normal_form)
+from .invariants import AlexanderData
+from .laurent import (LaurentPoly, NotDivisible, divide_exact,
+                      embed_univariate, unit_equal, unit_normal_form)
 
 RULE_RANK = "rank bound m-1-beta"
 RULE_UNLINK_NORM = "delta nonzero and not a norm times negligible; m-1 excluded"
@@ -42,27 +46,36 @@ RULE_WSP_NORM = ("delta is not a norm times negligible modulo one-variable "
 RULE_PARITY = "splitting parity equals total linking number parity"
 
 
-def _factor_delta(a: AlexanderData):
-    """The factorization of delta, or None when delta = 0."""
-    return None if a.delta.is_zero() else factor_irreducible(a.delta)
+def delta_bounds(alex: AlexanderData, component_polys):
+    """The unlinking, splitting and weak splitting bounds from delta.
 
-
-def _delta_bound(a: AlexanderData, m: int, fact, rule, test):
-    """The rank bound, raised to m when delta fails a norm test.
-
-    ``fact`` is the factorization of delta (None when delta = 0, and
-    then no test runs); ``test`` maps it to a NormVerdict.  Returns
-    (bound, reasons, verdict).
+    Each is the rank bound m - 1 - beta, raised to m when delta is
+    nonzero and fails the quantity's norm test; delta is factored once
+    for all three.  ``component_polys`` lists the one-variable Alexander
+    polynomial of each component as a knot, in component order.  Returns
+    {quantity: (bound, reasons, verdict)}, the verdict None when
+    delta = 0 and no test runs; the splitting bound is before the
+    parity step.
     """
-    bound = m - 1 - a.beta
-    reasons = [RULE_RANK]
-    verdict = None
-    if fact is not None:
-        verdict = test(fact)
-        if not verdict.is_norm and bound <= m - 1:
-            bound = m
-            reasons.append(rule)
-    return bound, reasons, verdict
+    m = alex.m
+    fact = None if alex.delta.is_zero() else factor_irreducible(alex.delta)
+    tests = {
+        "unlinking": (RULE_UNLINK_NORM, norm_verdict),
+        "splitting": (RULE_SPLIT_NORM, lambda f: _splitting_verdict(
+            f, alex.delta, component_polys, m)),
+        "weakSplitting": (RULE_WSP_NORM,
+                          lambda f: norm_verdict(f, skip_univariate=True)),
+    }
+    out = {}
+    for quantity, (rule, test) in tests.items():
+        bound, reasons, verdict = m - 1 - alex.beta, [RULE_RANK], None
+        if fact is not None:
+            verdict = test(fact)
+            if not verdict.is_norm:
+                bound = m
+                reasons.append(rule)
+        out[quantity] = (bound, reasons, verdict)
+    return out
 
 
 def _splitting_verdict(fact, delta, component_polys, m):
@@ -94,29 +107,6 @@ def _splitting_verdict(fact, delta, component_polys, m):
     classes = {q: mult - divisor.get(q, 0)
                for q, mult in norm_classes(fact).items()}
     return _pair_off({q: c for q, c in classes.items() if c}, m)
-
-
-def unlinking_bound(a: AlexanderData, m: int):
-    """Lower bound for the unlinking number, with the rules that fired."""
-    return _delta_bound(a, m, _factor_delta(a), RULE_UNLINK_NORM,
-                        norm_verdict)
-
-
-def splitting_bound(a: AlexanderData, component_polys, m: int):
-    """Lower bound for the splitting number (inter-component changes).
-
-    ``component_polys`` lists the one-variable Alexander polynomial of
-    each component as a knot, in component order.
-    """
-    return _delta_bound(
-        a, m, _factor_delta(a), RULE_SPLIT_NORM,
-        lambda fact: _splitting_verdict(fact, a.delta, component_polys, m))
-
-
-def weak_splitting_bound(a: AlexanderData, m: int):
-    """Lower bound for the weak splitting number (any crossing changes)."""
-    return _delta_bound(a, m, _factor_delta(a), RULE_WSP_NORM,
-                        lambda fact: norm_verdict(fact, skip_univariate=True))
 
 
 def parity_refine(bound: int, total_linking: int):
@@ -271,42 +261,26 @@ def build_report(d, alex=None, component_polys=None):
         alex = alexander_data(d)
     if component_polys is None:
         component_polys = component_polynomials(d, alex)
-    m = d.ncomps
     lk_sum = d.total_linking_number()
-    fact = _factor_delta(alex)
-    u_bound, u_reasons, u_verdict = _delta_bound(
-        alex, m, fact, RULE_UNLINK_NORM, norm_verdict)
-    sp_bound, sp_reasons, sp_verdict = _delta_bound(
-        alex, m, fact, RULE_SPLIT_NORM,
-        lambda f: _splitting_verdict(f, alex.delta, component_polys, m))
-    sp_refined = parity_refine(sp_bound, lk_sum)
-    if sp_refined != sp_bound:
-        sp_reasons = sp_reasons + [RULE_PARITY]
-    wsp_bound, wsp_reasons, wsp_verdict = _delta_bound(
-        alex, m, fact, RULE_WSP_NORM,
-        lambda f: norm_verdict(f, skip_univariate=True))
-    notes = dict(getattr(d, "notes", {}))
+    bounds = delta_bounds(alex, component_polys)
+    bound, reasons, verdict = bounds["splitting"]
+    refined = parity_refine(bound, lk_sum)
+    if refined != bound:
+        bounds["splitting"] = (refined, reasons + [RULE_PARITY], verdict)
+    notes = dict(d.notes)
     inconclusive = []
     if "note_open" in notes:
         inconclusive = [q.strip() for q in notes["note_open"].split(",")]
     return ObstructionReport(
         link_name=d.name,
-        m=m,
+        m=d.ncomps,
         beta=alex.beta,
         delta=alex.delta,
         delta_tor=alex.delta_tor,
         component_polys=component_polys,
-        bounds={
-            "unlinking": (u_bound, u_reasons),
-            "splitting": (sp_refined, sp_reasons),
-            "weakSplitting": (wsp_bound, wsp_reasons),
-        },
+        bounds={q: (b, rs) for q, (b, rs, _) in bounds.items()},
         parity_constraint=lk_sum % 2,
-        norm_verdicts={
-            "unlinking": u_verdict,
-            "splitting": sp_verdict,
-            "weakSplitting": wsp_verdict,
-        },
+        norm_verdicts={q: v for q, (_, _, v) in bounds.items()},
         inconclusive=inconclusive,
         annotations=notes,
     )

@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -55,6 +56,11 @@ def random_negligible(rng, nvars, max_exp=2, max_s=2):
         for _ in range(rng.randrange(0, max_s + 1)):
             p = p * one_minus
     return p
+
+
+def content(p):
+    """The (nonnegative) integer content of p."""
+    return math.gcd(*p.terms.values())
 
 
 def seeded(seed):

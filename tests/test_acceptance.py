@@ -13,13 +13,12 @@ its splitting bound to 3.
 import pytest
 
 import alexlink as al
-from alexlink.invariants import (AlexanderData, embed_univariate,
-                                 one_variable_alexander)
+from alexlink.invariants import AlexanderData, one_variable_alexander
+from alexlink.laurent import LaurentPoly, embed_univariate
 from alexlink.obstructions import (RULE_PARITY, RULE_SPLIT_NORM,
                                    RULE_UNLINK_NORM, RULE_WSP_NORM,
                                    band_clasping_check, build_report,
-                                   parity_refine, unlinking_bound,
-                                   weak_splitting_bound)
+                                   delta_bounds, parity_refine)
 from alexlink.search import bounded_split_search, certify_gap
 
 from conftest import FIXTURE_DIR, load_fixture
@@ -63,8 +62,11 @@ class TestCriterion1PaperValues:
     def test_l8a16_delta_and_bounds(self):
         target = P(L8A16_TARGET, 3)
         a = AlexanderData(m=3, beta=0, delta=target, delta_tor=target)
-        u, u_reasons, _ = unlinking_bound(a, 3)
-        wsp, wsp_reasons, _ = weak_splitting_bound(a, 3)
+        # unknotted components; only the splitting bound, not checked
+        # here, depends on them
+        bounds = delta_bounds(a, [LaurentPoly.one(1)] * 3)
+        u, u_reasons, _ = bounds["unlinking"]
+        wsp, wsp_reasons, _ = bounds["weakSplitting"]
         # the factor t2*t3 - 1 uses two variables and occurs once, so
         # neither norm test can pair it off
         ok = (u == 3 and RULE_UNLINK_NORM in u_reasons
@@ -264,7 +266,7 @@ class TestCriterion5Honesty:
                   "note_wsp": "weakSplitting"}
         ok, n = True, 0
         for d in corpus:
-            notes = getattr(d, "notes", {})
+            notes = d.notes
             for key, q in key_of.items():
                 if key in notes:
                     r = build_report(d)

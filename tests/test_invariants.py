@@ -13,9 +13,9 @@ from alexlink.diagram import PDError
 from alexlink.invariants import (CONWAY_CROSSING_BUDGET, AlexanderData,
                                  _conway_skein, _determinant,
                                  _linking_cofactor, conway_polynomial,
-                                 embed_univariate, matrix_rank, minor_gcd,
+                                 matrix_rank, minor_gcd,
                                  one_variable_alexander, reduce_unit_pivots)
-from alexlink.laurent import LaurentPoly, unit_normal_form
+from alexlink.laurent import LaurentPoly, embed_univariate, unit_normal_form
 
 from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
                       load_fixture, random_braid_closures, random_braid_words,
@@ -476,6 +476,41 @@ class TestMetamorphic:
             a = al.alexander_data(d)
             assert a.beta == 1 and a.delta.is_zero(), (u, v)
             assert al.unit_equal(a.delta_tor, expected), (u, v)
+
+    def test_split_union_of_links_adds_beta(self):
+        """beta(L1 u L2) = beta1 + beta2 + 1, delta is 0, and delta_tor is
+        the product of the pieces' orders, each in its own variables."""
+        rng = seeded(71)
+        components = []
+        while len(components) < 12:
+            pieces = random_braid_words(rng, 2, strands=(2, 3), length=(4, 8))
+            texts = [braid_closure_pd(w, n) for w, n in pieces]
+            diagrams = [braid_closure(w, n) for w, n in pieces]
+            if all(piece.ncomps == 1 for piece in diagrams):
+                continue
+            d = split_union(*texts)
+            m = d.ncomps
+            beta, expected, offset = 1, LaurentPoly.one(m), 0
+            for piece in diagrams:
+                pa = al.alexander_data(piece)
+                beta += pa.beta
+                # the piece's component c is the union's var[c]
+                var = {c: d.comp_of_edge[e + offset]
+                       for e, c in piece.comp_of_edge.items()}
+                terms = {}
+                for exps, coeff in pa.delta_tor.terms.items():
+                    key = [0] * m
+                    for c, x in enumerate(exps):
+                        key[var[c]] = x
+                    terms[tuple(key)] = coeff
+                expected = expected * LaurentPoly(m, terms)
+                offset += max(piece.comp_of_edge)
+            a = al.alexander_data(d)
+            assert m == sum(piece.ncomps for piece in diagrams), pieces
+            assert a.beta == beta and a.delta.is_zero(), pieces
+            assert al.unit_equal(a.delta_tor, expected), pieces
+            components.append(m)
+        assert max(components) >= 4
 
 
 class TestKnownValues:

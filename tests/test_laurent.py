@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 import alexlink as al
 from alexlink.laurent import (EXPONENT_LIMIT, ExponentLimitExceeded,
                               LaurentPoly, NotDivisible,
-                              VariableCountMismatch, ZeroInputError, content,
-                              negligible_decompose, unit_normal_form)
+                              VariableCountMismatch, ZeroInputError,
+                              embed_univariate, negligible_decompose,
+                              unit_normal_form)
 
-from conftest import random_negligible, random_poly, random_unit, seeded
+from conftest import (content, random_negligible, random_poly, random_unit,
+                      seeded)
 
 N_RANDOM = 1000
 
@@ -95,6 +97,38 @@ class RefPoly:
 
 def ref(p):
     return RefPoly(p.nvars, p.terms)
+
+
+def evaluate(p, images, new_nvars):
+    """The ring map t_i -> t^images[i] into a ring of new_nvars variables.
+
+    ``images[i]`` is the exponent vector of t_i's image, so this covers
+    any monomial substitution; the reference for the three packed maps.
+    """
+    if len(images) != p.nvars:
+        raise VariableCountMismatch("substitution must cover every variable")
+    out = {}
+    for exps, c in p.terms.items():
+        key = [0] * new_nvars
+        for i, e in enumerate(exps):
+            for j in range(new_nvars):
+                key[j] += e * images[i][j]
+        key = tuple(key)
+        out[key] = out.get(key, 0) + c
+    return LaurentPoly(new_nvars, out)
+
+
+def unit_vector(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
+def recombine(dec):
+    """sign * t^monomial * prod (1-t_i)^exponents[i] * core."""
+    n = dec.core.nvars
+    out = dec.core.shift(dec.monomial, dec.sign)
+    for i, s in enumerate(dec.one_minus_t_exponents):
+        out = out * (LaurentPoly.one(n) - LaurentPoly.var(n, i)) ** s
+    return out
 
 
 def same(p, r):
@@ -190,6 +224,62 @@ class TestAgainstTupleReference:
         assert p.terms == {e: c for e, c in terms.items() if c}
         assert same(p, RefPoly(n, terms))
         assert sorted(p.terms) == sorted(RefPoly(n, terms).terms)
+
+
+def check_ring_maps(p):
+    """p's diagonal and t_i = 1 maps agree with ``evaluate``."""
+    n = p.nvars
+    assert p.eval_diagonal() == evaluate(p, [(1,)] * n, 1)
+    for i in range(n):
+        images = [unit_vector(n, j) if j != i else (0,) * n
+                  for j in range(n)]
+        assert p.eval_at_one(i) == evaluate(p, images, n)
+
+
+class TestRingMapsAgainstEvaluate:
+    """The packed maps against the general substitution ``evaluate``."""
+
+    @checked
+    @given(st.integers(1, 4), st.data())
+    def test_maps_match(self, n, data):
+        exps = data.draw(st.sampled_from([
+            st.integers(-6, 6),
+            st.integers(1 - EXPONENT_LIMIT // 4, EXPONENT_LIMIT // 4 - 1)]))
+        p = LaurentPoly(n, data.draw(st.dictionaries(
+            st.tuples(*[exps] * n), st.integers(-6, 6), max_size=6)))
+        check_ring_maps(p)
+        u = LaurentPoly(1, {(e,): c for (e, *_), c in p.terms.items()})
+        for m in range(1, 5):
+            for i in range(m):
+                assert embed_univariate(u, i, m) == \
+                    evaluate(u, [unit_vector(m, i)], m)
+
+    def test_seeded_cancellation(self):
+        rng = seeded(16)
+        for _ in range(300):
+            # eight terms in at most four variables: many merge or cancel
+            check_ring_maps(random_poly(rng, rng.randrange(1, 5), max_terms=8,
+                                        max_exp=2, allow_zero=True))
+
+    def test_diagonal_checks_the_limit(self):
+        half = EXPONENT_LIMIT // 2
+        p = LaurentPoly(2, {(half, half): 1, (half, -half): 1})
+        with pytest.raises(ExponentLimitExceeded):
+            evaluate(p, [(1,), (1,)], 1)
+        with pytest.raises(ExponentLimitExceeded):
+            p.eval_diagonal()
+        q = LaurentPoly(2, {(half, -half): 2, (1 - half, half - 1): 1})
+        assert q.eval_diagonal() == evaluate(q, [(1,), (1,)], 1) == P("3", 1)
+
+    def test_bad_arguments(self):
+        p = P("t1*t2 - 1", 2)
+        for i in (-1, 2):
+            with pytest.raises(ValueError):
+                p.eval_at_one(i)
+            with pytest.raises(ValueError):
+                embed_univariate(P("t-1", 1), i, 2)
+        with pytest.raises(VariableCountMismatch):
+            embed_univariate(p, 0, 2)
 
 
 class TestExponentLimit:
@@ -433,7 +523,7 @@ class TestNegligible:
         dec = negligible_decompose(p)
         assert dec.one_minus_t_exponents == (1, 2)
         assert al.unit_equal(dec.core, P("t1*t2+1", 2))
-        assert dec.recombine() == p
+        assert recombine(dec) == p
 
     def test_decompose_recombine_random(self):
         rng = seeded(15)
@@ -441,7 +531,7 @@ class TestNegligible:
             nvars = rng.choice([1, 2])
             p = random_poly(rng, nvars) * random_negligible(rng, nvars)
             dec = negligible_decompose(p)
-            assert dec.recombine() == p
+            assert recombine(dec) == p
             assert not dec.core.eval_at_one(0).is_zero() or dec.core.is_one()
 
 

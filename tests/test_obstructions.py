@@ -3,21 +3,18 @@
 import pytest
 
 import alexlink as al
-from alexlink.factor import (NormVerdict, is_norm_modulo_univariate,
-                             is_norm_up_to_negligible)
-from alexlink.invariants import (AlexanderData, component_polynomials,
-                                 embed_univariate)
+from alexlink.factor import (NormVerdict, factor_irreducible,
+                             is_norm_up_to_negligible, norm_verdict)
+from alexlink.invariants import AlexanderData, component_polynomials
 from alexlink.laurent import (LaurentPoly, NotDivisible, divide_exact,
-                              unit_normal_form)
+                              embed_univariate, unit_normal_form)
 from alexlink.obstructions import (RULE_PARITY, RULE_RANK, RULE_SPLIT_NORM,
                                    RULE_UNLINK_NORM, RULE_WSP_NORM,
                                    band_clasping_check, build_report,
-                                   forced_knot_complexity,
+                                   delta_bounds, forced_knot_complexity,
                                    gordian_extremal_divisibility,
                                    gordian_rank_bound, parity_refine,
-                                   splitting_bound,
-                                   splitting_sequence_knot_constraint,
-                                   unlinking_bound, weak_splitting_bound)
+                                   splitting_sequence_knot_constraint)
 
 from conftest import load_fixture, random_braid_closures, seeded
 
@@ -32,15 +29,25 @@ def alex(name):
     return al.alexander_data(load_fixture(name))
 
 
+def fixture_bounds(name):
+    d = load_fixture(name)
+    return delta_bounds(al.alexander_data(d), component_polynomials(d))
+
+
+def unknotted(m):
+    """Component polynomials of m unknotted components."""
+    return [LaurentPoly.one(1)] * m
+
+
 class TestUnlinkingBound:
     def test_hopf_stays_at_rank_bound(self):
-        bound, reasons, verdict = unlinking_bound(alex("hopf"), 2)
+        bound, reasons, verdict = fixture_bounds("hopf")["unlinking"]
         assert bound == 1
         assert reasons == [RULE_RANK]
         assert verdict.is_norm  # delta = 1 is negligible
 
     def test_trefoil_norm_rule_fires(self):
-        bound, reasons, verdict = unlinking_bound(alex("trefoil"), 1)
+        bound, reasons, verdict = fixture_bounds("trefoil")["unlinking"]
         assert bound == 1
         assert RULE_UNLINK_NORM in reasons
         assert not verdict.is_norm
@@ -48,31 +55,29 @@ class TestUnlinkingBound:
     def test_borromean_negligible_delta(self):
         # delta = (t1-1)(t2-1)(t3-1) is negligible, so the norm rule
         # cannot exclude the extremal value m - 1
-        bound, reasons, verdict = unlinking_bound(alex("L6a4"), 3)
+        bound, reasons, verdict = fixture_bounds("L6a4")["unlinking"]
         assert bound == 2
         assert reasons == [RULE_RANK]
         assert verdict.is_norm
 
     def test_raised_to_m_on_blocking_factor(self):
         # L9a54 carries t3^2 - t3 + 1 with multiplicity one
-        bound, reasons, verdict = unlinking_bound(alex("L9a54"), 3)
+        bound, reasons, verdict = fixture_bounds("L9a54")["unlinking"]
         assert bound == 3
         assert RULE_UNLINK_NORM in reasons
         assert verdict.blocking_factors
 
     def test_split_links_bound_zero(self):
         for name in ("unlink2", "unlink3", "trefoil_trefoil"):
-            a = alex(name)
-            bound, reasons, verdict = unlinking_bound(a, a.m)
+            bound, reasons, verdict = fixture_bounds(name)["unlinking"]
             assert bound == 0
             assert verdict is None  # delta vanishes, no norm test to run
 
 
 class TestSplittingBound:
     def test_hopf(self):
-        a = alex("hopf")
-        bound, reasons, verdict = splitting_bound(
-            a, [LaurentPoly.one(1), LaurentPoly.one(1)], 2)
+        bound, reasons, verdict = delta_bounds(
+            alex("hopf"), unknotted(2))["splitting"]
         assert bound == 1 and verdict.is_norm
 
     def test_component_polynomial_divides_off(self):
@@ -81,16 +86,16 @@ class TestSplittingBound:
                           delta=P(f"({TREF.replace('t', 't1')})"
                                   "*(t1-1)*(t2-1)", 2),
                           delta_tor=None)
-        bound, reasons, verdict = splitting_bound(
-            a, [P(TREF, 1), LaurentPoly.one(1)], 2)
+        bound, reasons, verdict = delta_bounds(
+            a, [P(TREF, 1), LaurentPoly.one(1)])["splitting"]
         assert bound == 1
         assert verdict.is_norm
 
     def test_knotted_component_not_dividing_raises_bound(self):
         a = AlexanderData(m=2, beta=0, delta=P("(t1-1)*(t2-1)", 2),
                           delta_tor=None)
-        bound, reasons, verdict = splitting_bound(
-            a, [P(TREF, 1), LaurentPoly.one(1)], 2)
+        bound, reasons, verdict = delta_bounds(
+            a, [P(TREF, 1), LaurentPoly.one(1)])["splitting"]
         assert bound == 2
         assert RULE_SPLIT_NORM in reasons
         assert not verdict.is_norm and verdict.blocking_factors
@@ -111,16 +116,17 @@ class TestWeakSplittingBound:
     def test_univariate_factors_excused(self):
         # L9a1: delta = (t1-1)(t2-1)(2t2^2-3t2+2); the one-variable
         # factor blocks the plain norm test but not the weak one
-        a = alex("L9a1")
-        u_bound, _, u_verdict = unlinking_bound(a, 2)
-        w_bound, w_reasons, w_verdict = weak_splitting_bound(a, 2)
+        bounds = fixture_bounds("L9a1")
+        u_bound, _, u_verdict = bounds["unlinking"]
+        w_bound, w_reasons, w_verdict = bounds["weakSplitting"]
         assert u_bound == 2 and not u_verdict.is_norm
         assert w_bound == 1 and w_verdict.is_norm
         assert w_reasons == [RULE_RANK]
 
     def test_multivariable_blocking_factor_still_fires(self):
         a = AlexanderData(m=3, beta=0, delta=P("t2*t3-1", 3), delta_tor=None)
-        bound, reasons, verdict = weak_splitting_bound(a, 3)
+        bound, reasons, verdict = delta_bounds(
+            a, unknotted(3))["weakSplitting"]
         assert bound == 3
         assert RULE_WSP_NORM in reasons
 
@@ -269,7 +275,7 @@ class TestBuildReport:
                   "note_wsp": "weakSplitting"}
         checked = 0
         for d in corpus:
-            notes = getattr(d, "notes", {})
+            notes = d.notes
             # L12n1320's note_sp 3 is the table link's published value;
             # the fixture's polynomial forces linking number 0, so its
             # bound is the even 2, and 3 still serves as an upper bound
@@ -289,7 +295,7 @@ class TestBuildReport:
 
 
 # ---------------------------------------------------------------------------
-# the three-call route, kept as the reference for one factorization per report
+# the three-call route, kept as the reference for delta_bounds
 
 def _three_call_bound(a, m, rule, test):
     bound = m - 1 - a.beta
@@ -325,8 +331,10 @@ def three_call_bounds(a, component_polys, m):
         "splitting": _three_call_bound(
             a, m, RULE_SPLIT_NORM,
             lambda p: _three_call_splitting_verdict(p, component_polys, m)),
-        "weakSplitting": _three_call_bound(a, m, RULE_WSP_NORM,
-                                           is_norm_modulo_univariate),
+        "weakSplitting": _three_call_bound(
+            a, m, RULE_WSP_NORM,
+            lambda p: norm_verdict(factor_irreducible(p),
+                                   skip_univariate=True)),
     }
 
 
@@ -338,7 +346,7 @@ def _beta_zero_braid_closures():
 class TestOneFactorizationMatchesThreeCalls:
     @staticmethod
     def _check(d):
-        """Compare build_report with the three-call route on d.
+        """Compare delta_bounds and build_report with the three-call route.
 
         Returns (a component is knotted, so the quotient differs from
         delta; the product of the component polynomials does not divide
@@ -348,6 +356,7 @@ class TestOneFactorizationMatchesThreeCalls:
         comps = component_polynomials(d)
         r = build_report(d, alex=alex, component_polys=comps)
         ref = three_call_bounds(alex, comps, d.ncomps)
+        assert delta_bounds(alex, comps) == ref, d.name
         sp_bound, sp_reasons, _ = ref["splitting"]
         sp_refined = parity_refine(sp_bound, d.total_linking_number())
         if sp_refined != sp_bound:
@@ -406,11 +415,8 @@ class TestOneFactorizationMatchesThreeCalls:
         for delta, comps in cases:
             m = delta.nvars
             a = AlexanderData(m=m, beta=0, delta=delta, delta_tor=delta)
-            ref = three_call_bounds(a, comps, m)
-            assert splitting_bound(a, comps, m) == ref["splitting"], \
+            assert delta_bounds(a, comps) == three_call_bounds(a, comps, m), \
                 al.format_poly(delta)
-            assert unlinking_bound(a, m) == ref["unlinking"]
-            assert weak_splitting_bound(a, m) == ref["weakSplitting"]
 
     def test_one_factor_call_per_distinct_polynomial(self, corpus,
                                                      factor_calls):
