@@ -6,7 +6,7 @@ Subcommands:
   obstruct <path...> [--table] [--search-depth k] [--mode inter|any]
   factor <poly> --vars m        factorization and norm verdicts, for
                                 degree spans summing to at most
-                                FACTOR_DEGREE_BUDGET
+                                laurent.FACTOR_DEGREE_BUDGET
   search <path...> --search-depth k [--mode inter|any]
 
 Paths are fixture files or directories of fixture files.  Structured
@@ -27,17 +27,13 @@ from .diagram import PDError, parse_fixture
 from .factor import factor_irreducible, norm_verdict
 from .invariants import (CONWAY_CROSSING_BUDGET, alexander_data,
                          component_polynomials, conway_polynomial)
-from .laurent import (PolyParseError, format_poly, format_terms,
-                      negligible_decompose, parse_poly)
+from .laurent import (DegreeSpanExceeded, PolyParseError, format_poly,
+                      format_terms, negligible_decompose, parse_poly)
 from .obstructions import build_report
 from .search import (MAX_SEARCH_DEPTH, SearchBudgetExceeded,
                      bounded_split_search, certify_gap)
 
 SCHEMA_VERSION = 1
-# largest sum over the variables of the degree span that `factor` accepts:
-# sympy's factorization time grows steeply with the degree (t^10000 - 1
-# took 35 s), and the check runs before sympy is called
-FACTOR_DEGREE_BUDGET = 256
 
 
 def _conway_str(nabla):
@@ -263,16 +259,11 @@ def main(argv=None, out=None, err=None):
     if args.command == "factor":
         try:
             p = parse_poly(args.poly, args.vars)
-        except PolyParseError as exc:
+        except (DegreeSpanExceeded, PolyParseError) as exc:
             err.write(f"error: {exc}\n")
             return 1
         if p.is_zero():
             err.write("error: cannot factor the zero polynomial\n")
-            return 1
-        span = sum(p.degree_span(i) for i in range(p.nvars))
-        if span > FACTOR_DEGREE_BUDGET:
-            err.write(f"error: degree span {span} exceeds the factor budget "
-                      f"of {FACTOR_DEGREE_BUDGET}\n")
             return 1
         fact = factor_irreducible(p)
         dec = negligible_decompose(p)

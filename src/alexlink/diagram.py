@@ -19,8 +19,12 @@ The module also derives the Wirtinger presentation and its Fox Jacobian,
 and implements the diagram moves the obstruction machinery quantifies
 over: crossing changes, deletion of sublinks, oriented smoothing, and a
 small bigon-reduction pass used by the split search.  Every move that
-drops crossings goes through one ``_rebuild``, and components, arcs,
-pieces and strands are all numbered by one routine, ``_classes``.
+drops crossings splices and relabels its strands through one routine,
+``_splice``, and builds its diagram through one ``_traced``, which
+traces the components again.  Deletion and smoothing make one move per
+diagram; bigon reduction runs all its moves on a flat crossing list
+and builds one diagram at the end.  Components, arcs and pieces are
+numbered by one routine, ``_classes``.
 """
 
 from __future__ import annotations
@@ -67,6 +71,73 @@ def _strand_pairs(crossings):
     return [p for a, b, c, d in crossings for p in ((a, c), (b, d))]
 
 
+def _splice(crossings, drop, splices):
+    """Drop the crossings at the indices in ``drop``, splicing ``splices``.
+
+    The edge pairs in ``splices`` join edges into strands, each named by
+    its smallest edge; the strands left at kept crossings are relabelled
+    1..N in that order.  Returns the kept crossings, relabelled, and the
+    number of spliced strands left with no crossing: each closes up into
+    a free loop.
+    """
+    strand = {}   # spliced edge -> the smallest edge of its strand
+    for x, y in splices:
+        x, y = strand.setdefault(x, x), strand.setdefault(y, y)
+        if x != y:
+            x, y = min(x, y), max(x, y)
+            for e, s in strand.items():
+                if s == y:
+                    strand[e] = x
+    kept = [cr for k, cr in enumerate(crossings) if k not in drop]
+    edges = set().union(*kept)
+    used = edges.difference(strand)
+    used.update([s for e, s in strand.items() if e in edges])
+    new = {e: k for k, e in enumerate(sorted(used), 1)}
+    new.update([(e, new[s]) for e, s in strand.items() if e in edges])
+    closed = len(set(strand.values()) - used)
+    return [(new[a], new[b], new[c], new[d]) for a, b, c, d in kept], closed
+
+
+def _next_move(crossings, signs):
+    """The crossings of the first curl, (i,), or else of the first
+    cancelling bigon, (i, j) with i < j: two crossings of opposite signs
+    where one edge runs over at both and some edge runs under at both.
+
+    One pass over the crossings.  Bigons are taken in the order a scan of
+    the edges meets them: by their first crossing i, and where both
+    over-edges at i start one, by the edges' order in
+    ``set(crossings[i])``.
+    """
+    over = {}   # over-edge -> the crossing where it was first met
+    move = None
+    for k, (a, b, c, d) in enumerate(crossings):
+        if a == b or b == c or c == d or d == a:
+            return (k,)
+        for e in (b, d):
+            i = over.setdefault(e, k)
+            if signs[i] == signs[k]:
+                continue
+            ai, _, ci, _ = crossings[i]
+            if not (ai == a or ai == c or ci == a or ci == c):
+                continue
+            if move is None or i < move[0] or (
+                    i == move[0] and e == next(
+                        x for x in set(crossings[i]) if x in (e, move[2]))):
+                move = (i, k, e)
+    return move[:2] if move else None
+
+
+def _traced(crossings, signs, nfree, name):
+    """The diagram on relabelled ``crossings`` with ``nfree`` free loops,
+    its components traced again: a smoothing can merge or split them.
+    Where no splice joined two components, one keeping a crossing keeps
+    the strand of its smallest edge, so the components keep their order.
+    """
+    comp_of_edge = _classes(set().union(*crossings), _strand_pairs(crossings))
+    ncomps = len(set(comp_of_edge.values())) + nfree
+    return LinkDiagram(crossings, signs, comp_of_edge, ncomps, nfree, name)
+
+
 # ---------------------------------------------------------------------------
 
 class LinkDiagram:
@@ -85,7 +156,7 @@ class LinkDiagram:
 
     def __init__(self, crossings, signs, comp_of_edge, ncomps, nfree=0,
                  name="", notes=None):
-        self.crossings = tuple(tuple(c) for c in crossings)
+        self.crossings = tuple(map(tuple, crossings))
         self.signs = tuple(signs)
         self.comp_of_edge = dict(comp_of_edge)
         self.ncomps = ncomps
@@ -170,27 +241,16 @@ class LinkDiagram:
         """Drop the crossings in ``drop``, splicing the edge pairs ``splices``.
 
         Only the components in ``comps`` (old indices; by default all)
-        survive.  The strands left at kept crossings are relabelled 1..N
-        in order, and a strand left with none closes up into a free loop.
-        Components are traced again; where no splice joins two of them,
-        one keeping a crossing keeps the strand of its smallest edge, so
-        the components keep their order.
+        survive.  The strands are relabelled by ``_splice`` and the
+        components traced again by ``_traced``.
         """
         if comps is None:
             comps = range(self.ncomps)
-        strand = _classes([e for e, c in self.comp_of_edge.items()
-                           if c in comps], splices)
-        kept = [i for i in range(self.ncrossings) if i not in drop]
-        used = sorted({strand[e] for i in kept for e in self.crossings[i]})
-        relabel = {s: k for k, s in enumerate(used, 1)}
-        crossings = [tuple([relabel[strand[e]] for e in self.crossings[i]])
-                     for i in kept]
-        comp_of_edge = _classes(relabel.values(), _strand_pairs(crossings))
-        nfree = (sum(c >= self.ncomps - self.nfree for c in comps)
-                 + len(set(strand.values())) - len(used))
-        ncomps = len(set(comp_of_edge.values())) + nfree
-        return LinkDiagram(crossings, [self.signs[i] for i in kept],
-                           comp_of_edge, ncomps, nfree, self.name)
+        crossings, closed = _splice(self.crossings, drop, splices)
+        nfree = sum(c >= self.ncomps - self.nfree for c in comps) + closed
+        return _traced(crossings,
+                       [s for k, s in enumerate(self.signs) if k not in drop],
+                       nfree, self.name)
 
     def delete_components(self, keep):
         """Sub-diagram of the components in ``keep`` (0-based indices).
@@ -242,37 +302,26 @@ class LinkDiagram:
             pieces.setdefault(piece[c], []).append(c)
         return [tuple(p) for p in pieces.values()]
 
-    def _find_bigon_moves(self):
-        """The crossings of a curl, (i,), or a cancelling bigon, (i, j)."""
-        for i, (a, b, c, d) in enumerate(self.crossings):
-            if a == b or b == c or c == d or d == a:
-                return (i,)
-        by_edge = {}
-        for i, cr in enumerate(self.crossings):
-            for e in set(cr):
-                by_edge.setdefault(e, []).append(i)
-        for e, locs in by_edge.items():
-            if len(locs) != 2:
-                continue
-            i, j = locs
-            (ai, bi, ci, di), (aj, bj, cj, dj) = (self.crossings[i],
-                                                  self.crossings[j])
-            # opposite signs, e over at both and some edge under at both
-            if (self.signs[i] == -self.signs[j] and e in (bi, di)
-                    and e in (bj, dj) and {ai, ci} & {aj, cj}):
-                return (i, j)
-        return None
-
     def reduce_bigons(self):
         """Greedy removal of curls and cancelling bigons.
 
         Used only to make diagrammatic splitness visible after crossing
-        changes; invariant computations never rely on it.
+        changes; invariant computations never rely on it.  The moves run
+        on plain lists, relabelled by ``_splice`` after each one as
+        ``_rebuild`` would, and one diagram is built at the end.
         """
-        d = self
-        while (drop := d._find_bigon_moves()) is not None:
-            d = d._rebuild(drop, _strand_pairs(d.crossings[k] for k in drop))
-        return d
+        move = _next_move(self.crossings, self.signs)
+        if move is None:
+            return self
+        crossings, signs, nfree = self.crossings, list(self.signs), self.nfree
+        while move is not None:
+            crossings, closed = _splice(
+                crossings, move, _strand_pairs(crossings[k] for k in move))
+            nfree += closed
+            for k in move[::-1]:
+                del signs[k]
+            move = _next_move(crossings, signs)
+        return _traced(crossings, signs, nfree, self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -528,11 +528,30 @@ class PolyParseError(ValueError):
         super().__init__(f"{message} at position {pos}\n  {text}\n  {caret}")
 
 
+# largest sum over the variables of the degree span that ``parse_poly``
+# accepts: sympy's factorization time grows steeply with the degree
+# (t^10000 - 1 took 35 s), and ``alexlink factor`` reads its input here
+FACTOR_DEGREE_BUDGET = 256
+
+
+class DegreeSpanExceeded(ValueError):
+    """A polynomial's summed degree span is over FACTOR_DEGREE_BUDGET."""
+
+
+def _summed_span(p):
+    """The degree spans of p's variables, added up."""
+    return sum(p.degree_span(i) for i in range(p.nvars))
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial text syntax.
 
     Grammar: integer coefficients, variables t1..tm, ^ with possibly
     negative integer exponents, *, +, -, parentheses.
+
+    The summed degree span of the result, and of every product and
+    power before it is expanded, must stay within FACTOR_DEGREE_BUDGET.
+    Spans add under multiplication, so the check costs no expansion.
     """
 
     def __init__(self, text, nvars):
@@ -560,7 +579,23 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")
+        self.within_budget(p)
         return p
+
+    def within_budget(self, *factors, power=1):
+        """Refuse the product of ``factors``, raised to ``power``, when its
+        summed degree span would exceed FACTOR_DEGREE_BUDGET."""
+        if any(f.is_zero() for f in factors):
+            return
+        span = power * sum(map(_summed_span, factors))
+        if span > FACTOR_DEGREE_BUDGET:
+            raise DegreeSpanExceeded(
+                f"degree span {span} exceeds the factor budget of "
+                f"{FACTOR_DEGREE_BUDGET}")
+
+    def product(self, p, q):
+        self.within_budget(p, q)
+        return p * q
 
     def expr(self):
         sign = 1
@@ -584,10 +619,10 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                p = p * self.power()
+                p = self.product(p, self.power())
             elif ch == "(" or ch == "t" or ch.isdigit():
                 # implicit multiplication, e.g. 2t1 or (t1-1)(t2-1)
-                p = p * self.power()
+                p = self.product(p, self.power())
             else:
                 return p
 
@@ -605,6 +640,7 @@ class _Parser:
                 return LaurentPoly.monomial(self.nvars,
                                             tuple(x * e for x in exps),
                                             c if e % 2 else abs(c))
+            self.within_budget(p, power=e)
             return p ** e
         return p
 
@@ -657,7 +693,12 @@ class _Parser:
 
 
 def parse_poly(text, nvars):
-    """Parse the fixture/CLI polynomial syntax, e.g. '(t1-1)*(t2*t3-1)'."""
+    """Parse the fixture/CLI polynomial syntax, e.g. '(t1-1)*(t2*t3-1)'.
+
+    Raises DegreeSpanExceeded, before expanding it, for a product or
+    power whose summed degree span would exceed FACTOR_DEGREE_BUDGET,
+    and for a result that does.
+    """
     return _Parser(text, nvars).parse()
 
 

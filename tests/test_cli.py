@@ -14,6 +14,7 @@ import alexlink as al
 from alexlink import cli
 from alexlink.cli import main
 from alexlink.factor import norm_verdict
+from alexlink.laurent import FACTOR_DEGREE_BUDGET
 
 from conftest import (FIXTURE_DIR, braid_closure_pd, fixture_paths,
                       load_fixture, seeded)
@@ -159,7 +160,7 @@ class TestFactorBudget:
     """Oversized input is refused before sympy is asked to factor it."""
 
     def test_budget_is_inclusive(self, factor_calls):
-        budget = cli.FACTOR_DEGREE_BUDGET
+        budget = FACTOR_DEGREE_BUDGET
         status, out, err = run(["factor", f"t^{budget}-1"])
         assert status == 0 and err == "" and len(factor_calls) == 1
         status, out, err = run(["factor", f"t^{budget + 1}-1"])
@@ -179,6 +180,19 @@ class TestFactorBudget:
         status, out, err = run(["factor", text, "--vars", str(nvars)])
         assert status == 1 and out == "" and factor_calls == []
         assert f"degree span {span} exceeds the factor budget" in err
+
+    @pytest.mark.parametrize("text, nvars, span", [
+        # refused before the power or product is expanded
+        ("(t+1)^30000", 1, 30000),
+        ("(t^200+1)*(t^100-1)", 1, 300),
+        ("(t1+t2)^200*(t1-1)^100", 2, 400),
+    ])
+    def test_expansion_over_budget_refused_while_parsing(
+            self, factor_calls, text, nvars, span):
+        status, out, err = run(["factor", text, "--vars", str(nvars)])
+        assert status == 1 and out == "" and factor_calls == []
+        assert err == (f"error: degree span {span} exceeds the factor "
+                       f"budget of {FACTOR_DEGREE_BUDGET}\n")
 
     @pytest.mark.parametrize("text, nvars", [
         ("t^1152921504606846976", 1),

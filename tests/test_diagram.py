@@ -1,5 +1,7 @@
 """PD parsing, orientation inference, diagram moves and the Fox Jacobian."""
 
+from itertools import combinations
+
 import pytest
 
 import alexlink as al
@@ -8,8 +10,8 @@ from alexlink.diagram import (LinkDiagram, PDError, _classes, _orient,
                               serialize_pd, wirtinger_arcs)
 from alexlink.laurent import LaurentPoly
 
-from conftest import (corpus_diagrams, load_fixture, random_braid_closures,
-                      seeded)
+from conftest import (braid_closure_pd, corpus_diagrams, load_fixture,
+                      random_braid_closures, seeded)
 
 HOPF = "X[4,2,1,3], X[2,4,3,1]"
 TREFOIL = "X[4,2,5,1], X[2,6,3,5], X[6,4,1,3]"
@@ -496,6 +498,60 @@ class TestMovesMatchReference:
                 assert is_planar(e) and reference_is_planar(e)
                 if e.ncrossings:
                     assert wirtinger_arcs(e) == reference_wirtinger_arcs(e)
+
+
+class TestBigonReductionMatchesReference:
+    """The flat-list reduction against the rebuild-per-move reference."""
+
+    def test_change_sets_then_reduce(self):
+        rng = seeded(72)
+        for d in random_braid_closures(rng, 24, strands=(2, 3, 4, 5)):
+            n = d.ncrossings
+            sets = [s for r in range(3) for s in combinations(range(n), r)]
+            sets += [tuple(sorted(rng.sample(range(n), r)))
+                     for r in (3, 4) for _ in range(12)]
+            for changes in sets:
+                c = d
+                for i in changes:
+                    c = c.crossing_change(i)
+                assert shape(c.reduce_bigons()) == \
+                    shape(reference_reduce_bigons(c)), (d.name, changes)
+
+    @pytest.mark.parametrize("pd, over_edges, first", [
+        # sigma1 sigma1^-1 sigma1^-1 sigma1^-1 closed: crossing 0 has
+        # over-edges b = 2 (a bigon with crossing 1) and d = 1 (a bigon
+        # with crossing 3), and set((5, 2, 6, 1)) meets 1 first
+        ("X[5,2,6,1], X[6,2,7,3], X[3,7,4,8], X[8,4,5,1]", {2: 1, 1: 3}, 1),
+        # its mirror-image word: b = 5 (crossing 3) is met first
+        ("X[1,5,2,6], X[2,7,3,6], X[7,4,8,3], X[4,5,1,8]", {5: 3, 6: 1}, 5),
+    ])
+    def test_two_bigons_at_the_first_crossing(self, pd, over_edges, first):
+        d = al.parse_pd(pd)
+        assert next(e for e in set(d.crossings[0]) if e in over_edges) \
+            == first
+        reduced = {}
+        for e, j in over_edges.items():
+            keep = [k for k in range(d.ncrossings) if k not in (0, j)]
+            splices = _strand_pairs([d.crossings[0], d.crossings[j]])
+            reduced[e] = shape(reference_reduce_bigons(
+                reference_rebuild(d, keep, splices)))
+        one, other = reduced.values()
+        assert one != other   # the tie decides the diagram
+        assert shape(d.reduce_bigons()) == reduced[first] == \
+            shape(reference_reduce_bigons(d))
+
+    def test_bigon_leaving_a_free_loop(self):
+        # sigma1 sigma1^-1 sigma2^2 closed: component 0 runs over
+        # component 1 in a cancelling bigon and nowhere else, so it
+        # becomes a free loop and the Hopf pair is renumbered 0 and 1
+        d = al.parse_pd(braid_closure_pd([1, -1, 2, 2], 3))
+        assert (d.ncrossings, d.ncomps, d.nfree) == (4, 3, 0)
+        assert d.crossing_components(0) == (1, 0)
+        r = d.reduce_bigons()
+        assert (r.ncrossings, r.ncomps, r.nfree) == (2, 3, 1)
+        assert sorted(set(r.comp_of_edge.values())) == [0, 1]
+        assert r.split_partition() == [(0, 1), (2,)]
+        assert shape(r) == shape(reference_reduce_bigons(d))
 
 
 class TestSplitPlanarity:
