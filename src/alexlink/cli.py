@@ -6,7 +6,9 @@ Subcommands:
   obstruct <path...> [--table] [--search-depth k] [--mode inter|any]
   factor <poly> --vars m        factorization and norm verdicts, for
                                 degree spans summing to at most
-                                laurent.FACTOR_DEGREE_BUDGET
+                                laurent.FACTOR_DEGREE_BUDGET and
+                                powers within
+                                laurent.COEFFICIENT_BIT_BUDGET bits
   search <path...> --search-depth k [--mode inter|any]
 
 Paths are fixture files or directories of fixture files.  Structured

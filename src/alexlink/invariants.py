@@ -18,20 +18,30 @@ component with a single under-crossing), so a diagram's n x n Jacobian
 usually shrinks to a few rows.  Pivots are taken in Markowitz order,
 least fill first.
 
-After k pivots the rank is k plus the rank of M', computed by exact
-fraction-free (Bareiss) elimination over the polynomial ring.  The
-torsion order is the gcd of the rank-sized minors, that is of the
-(rank - k)-minors of M'.  When the crossing part has beta = 0, M' is
-square (a component that never passes under would lie above the rest)
-and of corank 1, and its corank-1 minors generate (Delta) for a knot and
-Delta times the augmentation ideal for m >= 2 (Torres, Crowell-Fox).
-The minor without row i and column j is, up to a unit, Delta times
-t_c(j) - 1, where c(j) is column j's component, or Delta itself when
-all columns of M' belong to one component; so one minor and at most one
-exact division give Delta.  Otherwise the minors are determinants
-computed lazily by sparse cofactor expansion with memoization;
-factor.gcd_many stops at 1 and asks sympy only when the running gcd
-does not divide the next minor exactly.
+After k pivots the rank is k plus the rank of M', and the torsion order
+is the gcd of the rank-sized minors, that is of the (rank - k)-minors of
+M'.  Both are taken block by block: rows and columns of M' joined by
+nonzero entries form a block (one per split piece of the diagram, or
+finer), all-zero rows and columns belong to none, and the rank of M' is
+the sum of the blocks' ranks r_i while the gcd of its minors is the
+product of the gcds of each block's r_i-minors.  Each rank comes from
+exact fraction-free (Bareiss) elimination over the polynomial ring.
+
+A square block of corank 1 needs one minor.  The fundamental formula
+makes w_j = t_c(j) - 1, c(j) column j's component, a kernel vector of
+M', and the Wirtinger relations give a left kernel vector of units,
+which the pivots leave on the kept rows; both restrict to each block.  So the adjugate of such a block is its
+minor gcd times units times w / gcd(w) (Torres, Crowell-Fox): the minor
+without row i and column j is the gcd times t_c(j) - 1, or the gcd
+itself when the block's columns belong to one component, and one minor
+and at most one exact division give it.  Each piece of the diagram
+with beta = 0 gives one such block, or none when its M' is zero.  Any
+other block (a
+connected diagram of a split link, a component that never passes
+under) takes the gcd of its r_i-minors, determinants computed lazily by
+sparse cofactor expansion with memoization; factor.gcd_many stops at 1
+and asks sympy only when the running gcd does not divide the next minor
+exactly.
 
 Crossing-free components contribute through the split-union rules: each
 one raises beta by 1, kills the multivariable polynomial (for links with
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .diagram import PDError, fox_jacobian
+from .diagram import PDError, _classes, fox_jacobian
 from .factor import gcd_many
 from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
                       divide_exact, unit_normal_form)
@@ -233,16 +243,42 @@ class AlexanderData:
     delta_tor: LaurentPoly
 
 
-def _corank_one_order(rows, col_component, nvars):
-    """The gcd of the corank-1 minors of a square M' of corank 1, from one.
+def _blocks(rows, cols):
+    """The blocks of M' = ``rows``: its rows and columns joined by nonzeros.
 
-    The fundamental formula makes w_j = t_c(j) - 1 a kernel vector of
-    M', and a connected diagram gives a left kernel vector of units, so
-    the adjugate is Delta times an outer product of units and w / gcd(w)
-    (Torres).  The minor without row 0 and column 0 is therefore Delta
-    times t_c(0) - 1 when the columns hold two or more components, and
-    Delta itself when they hold one.  A zero minor or a failed division
-    means the rank and the minors disagree.
+    Returns (block, the columns of M it keeps) for each block; all-zero
+    rows and columns belong to no block, so a zero M' has none.  A
+    block that takes every row and column is M' as it is, with ``cols``.
+    """
+    nrows = len(rows)
+    pairs = [(r, nrows + c) for r, row in enumerate(rows)
+             for c, x in enumerate(row) if not x.is_zero()]
+    label = _classes({x for pair in pairs for x in pair}, pairs)
+    nblocks = len(set(label.values()))
+    if nblocks == 1 and len(label) == nrows + len(cols):
+        return [(rows, cols)]
+    members = [[] for _ in range(nblocks)]
+    for x in sorted(label):
+        members[label[x]].append(x)
+    out = []
+    for block in members:
+        rs = [x for x in block if x < nrows]
+        cs = [x - nrows for x in block if x >= nrows]
+        out.append(([[rows[r][c] for c in cs] for r in rs],
+                    [cols[c] for c in cs]))
+    return out
+
+
+def _corank_one_order(rows, col_component, nvars):
+    """The gcd of the corank-1 minors of a square block of corank 1.
+
+    w_j = t_c(j) - 1 is a kernel vector of the block, and it has a left
+    kernel vector of units, so its adjugate is the gcd times an outer
+    product of units and w / gcd(w) (Torres).  The minor without row 0
+    and column 0 is therefore the gcd times t_c(0) - 1 when the columns
+    hold two or more components, and the gcd itself when they hold one.
+    Returned up to a unit.  A zero minor or a failed division means the
+    rank and the minors disagree.
     """
     rest = tuple(range(1, len(rows)))
     minor = _determinant(rows, rest, rest, {})
@@ -253,16 +289,17 @@ def _corank_one_order(rows, col_component, nvars):
         except NotDivisible:
             raise PDError("rank/minor inconsistency in torsion order") \
                 from None
-    return minor if minor.is_zero() else unit_normal_form(minor)
+    return minor
 
 
 def alexander_data(d):
     """Compute AlexanderData for a link diagram (free loops included).
 
-    The rank of the reduced Fox Jacobian M' picks the route to the
-    torsion order: when M' is square of corank 1 (the crossing part has
-    beta = 0) one minor and at most one exact division give it, and
-    otherwise it is the gcd of the rank-sized minors of M'.
+    The reduced Fox Jacobian M' is taken block by block: the rank is the
+    sum of the blocks' ranks and the torsion order the product of their
+    orders.  A square block of corank 1 gives its order from one minor
+    and at most one exact division; any other block gives the gcd of its
+    rank-sized minors.
     """
     m = d.ncomps
     if d.ncrossings == 0:
@@ -273,16 +310,20 @@ def alexander_data(d):
                              delta_tor=LaurentPoly.one(m))
     rows, arc_component = fox_jacobian(d)
     reduced, k, cols = reduce_unit_pivots(rows)
-    rank = matrix_rank(reduced)
+    rank, delta_tor = 0, LaurentPoly.one(m)
+    for block, block_cols in _blocks(reduced, cols):
+        r = matrix_rank(block)
+        rank += r
+        if len(block) == len(block_cols) == r + 1:
+            order = _corank_one_order(
+                block, [arc_component[c] for c in block_cols], m)
+        else:
+            order = minor_gcd(block, r, m)
+        delta_tor = delta_tor * order
     beta = (len(arc_component) - k - rank - 1) + d.nfree
-    if len(reduced) == len(cols) == rank + 1:
-        # the crossing part has beta = 0
-        delta_tor = _corank_one_order(
-            reduced, [arc_component[c] for c in cols], m)
-    else:
-        delta_tor = minor_gcd(reduced, rank, m)
     if delta_tor.is_zero():
         raise PDError("rank/minor inconsistency in torsion order")
+    delta_tor = unit_normal_form(delta_tor)
     delta = delta_tor if beta == 0 else LaurentPoly.zero(m)
     return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor)
 

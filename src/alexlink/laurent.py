@@ -33,6 +33,7 @@ its input, while arithmetic builds its already clean results directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 EXPONENT_LIMIT = 1 << 60
@@ -533,6 +534,12 @@ class PolyParseError(ValueError):
 # (t^10000 - 1 took 35 s), and ``alexlink factor`` reads its input here
 FACTOR_DEGREE_BUDGET = 256
 
+# largest e * log2(sum |c|) over the coefficients c of p that ``parse_poly``
+# allows for a power p^e, a bound on the bits of its coefficients: the
+# degree span cannot see a constant's power, and 7^999999999 has 845
+# million digits
+COEFFICIENT_BIT_BUDGET = 4096
+
 
 class DegreeSpanExceeded(ValueError):
     """A polynomial's summed degree span is over FACTOR_DEGREE_BUDGET."""
@@ -551,7 +558,9 @@ class _Parser:
 
     The summed degree span of the result, and of every product and
     power before it is expanded, must stay within FACTOR_DEGREE_BUDGET.
-    Spans add under multiplication, so the check costs no expansion.
+    Spans add under multiplication, so the check costs no expansion.  A
+    power p^e must also keep e * log2(sum |c|), c over p's coefficients,
+    within COEFFICIENT_BIT_BUDGET.
     """
 
     def __init__(self, text, nvars):
@@ -641,6 +650,11 @@ class _Parser:
                                             tuple(x * e for x in exps),
                                             c if e % 2 else abs(c))
             self.within_budget(p, power=e)
+            bits = e * math.log2(max(1, sum(map(abs, p._d.values()))))
+            if bits > COEFFICIENT_BIT_BUDGET:
+                self.error(f"power with coefficients of up to {bits:.0f} "
+                           f"bits exceeds the bound of "
+                           f"{COEFFICIENT_BIT_BUDGET} bits")
             return p ** e
         return p
 
@@ -697,7 +711,8 @@ def parse_poly(text, nvars):
 
     Raises DegreeSpanExceeded, before expanding it, for a product or
     power whose summed degree span would exceed FACTOR_DEGREE_BUDGET,
-    and for a result that does.
+    and for a result that does; PolyParseError for a power whose
+    coefficients would pass COEFFICIENT_BIT_BUDGET bits.
     """
     return _Parser(text, nvars).parse()
 

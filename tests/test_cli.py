@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ import alexlink as al
 from alexlink import cli
 from alexlink.cli import main
 from alexlink.factor import norm_verdict
-from alexlink.laurent import FACTOR_DEGREE_BUDGET
+from alexlink.laurent import (COEFFICIENT_BIT_BUDGET, FACTOR_DEGREE_BUDGET,
+                              LaurentPoly, PolyParseError)
 
 from conftest import (FIXTURE_DIR, braid_closure_pd, fixture_paths,
                       load_fixture, seeded)
@@ -216,6 +218,25 @@ class TestFactorBudget:
             env={**os.environ, "PYTHONPATH": str(Path(al.__file__).parents[1])})
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and "limit" in proc.stderr
+
+    def test_constant_power_refused_at_once(self, factor_calls):
+        # span 0, so only the coefficient bound can refuse it
+        start = time.perf_counter()
+        status, out, err = run(["factor", "7^999999999"])
+        assert time.perf_counter() - start < 1
+        assert status == 1 and out == "" and factor_calls == []
+        assert err.startswith("error: power with coefficients of up to ")
+        assert f"the bound of {COEFFICIENT_BIT_BUDGET} bits" in err
+        assert "at position 11" in err
+
+    def test_coefficient_bound_in_the_parser(self):
+        with pytest.raises(PolyParseError,
+                           match=f"bound of {COEFFICIENT_BIT_BUDGET} bits"):
+            al.parse_poly("7^3000000", 1)
+        t = LaurentPoly.var(1, 0)
+        assert al.parse_poly("(2*t+3)^40", 1) == (2 * t + 3) ** 40
+        # sum |c| = 1: no power of a unit grows its coefficients
+        assert al.parse_poly("-1^999999999", 1) == LaurentPoly.const(1, -1)
 
 
 class TestSearchCommand:

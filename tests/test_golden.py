@@ -14,6 +14,16 @@ components among ``random_braid_words(seeded(71), 400, strands=(2, 3,
 4, 5))`` and on their mirrors (every generator inverted), each line
 with the PD code it searched.
 
+``generated_invariants.jsonl`` and ``generated_obstruct_depth2_any.jsonl``
+were written before the torsion order was computed block by block.  They
+hold the same two CLI runs over a directory of the 100 diagrams in
+``generated_diagrams.jsonl``, one ``<name>.lnk`` fixture each: 60
+closures of ``random_braid_words(seeded(80), 60, strands=(2, 3, 4, 5),
+length=(4, 12))``, then 20 split unions of two or three closures of
+``random_braid_words(rng, k, strands=(2, 3), length=(3, 7))`` with ``rng
+= seeded(81)``, each followed by its mirror; every fifth union and its
+mirror carry one free loop.
+
 A change made only for speed must reproduce them exactly.
 """
 
@@ -42,6 +52,28 @@ def test_cli_reproduces_golden_output(monkeypatch, argv, golden):
     assert main(argv, out=out, err=err) == 0
     assert err.getvalue() == ""
     assert out.getvalue() == (GOLDEN / golden).read_text()
+
+
+def test_cli_reproduces_golden_output_on_generated_diagrams(monkeypatch,
+                                                           tmp_path):
+    gen = tmp_path / "generated"
+    gen.mkdir()
+    lines = (GOLDEN / "generated_diagrams.jsonl").read_text().splitlines()
+    assert len(lines) == 100
+    for line in lines:
+        case = json.loads(line)
+        (gen / f"{case['name']}.lnk").write_text(
+            f"name: {case['name']}\nfreeloops: {case['freeloops']}\n"
+            f"pd: {case['pd']}\n")
+    monkeypatch.chdir(tmp_path)
+    for argv, golden in (
+            (["invariants", "generated"], "generated_invariants.jsonl"),
+            (["obstruct", "generated", "--search-depth", "2", "--mode",
+              "any"], "generated_obstruct_depth2_any.jsonl")):
+        out, err = io.StringIO(), io.StringIO()
+        assert main(argv, out=out, err=err) == 0
+        assert err.getvalue() == ""
+        assert out.getvalue() == (GOLDEN / golden).read_text(), argv[0]
 
 
 def test_search_reproduces_golden_results():

@@ -327,15 +327,17 @@ class TestMinorGcdThroughGcdMany:
         assert calls < 63
 
 
-def split_union(*texts):
-    """The split union of PD texts, each after the one before."""
+def split_union(*texts, nfree=0):
+    """The split union of PD texts, each after the one before, and
+    ``nfree`` free loops."""
     out, offset = [], 0
     for text in texts:
         pd = [tuple(map(int, c)) for c in
               re.findall(r"X\[(\d+),(\d+),(\d+),(\d+)\]", text)]
         out.extend(tuple(e + offset for e in c) for c in pd)
         offset += max(e for c in pd for e in c)
-    return al.parse_pd(", ".join("X[%d,%d,%d,%d]" % c for c in out))
+    return al.parse_pd(", ".join("X[%d,%d,%d,%d]" % c for c in out),
+                       nfree=nfree)
 
 
 SHORT_WORDS = {"strands": (2, 3, 4), "length": (5, 11)}
@@ -424,21 +426,139 @@ class TestCorankOneRoute:
             assert a.beta == 0 and d.ncomps >= 2, d.name
             assert a == minor_gcd_alexander_data(d), d.name
 
-    def test_minor_gcd_runs_where_beta_is_positive(self, minor_gcd_calls):
+    def test_minor_gcd_only_on_blocks_of_higher_corank(self, gcd_calls,
+                                                       minor_gcd_calls):
+        # pieces with beta = 0 give one corank-1 block each
+        unions = 0
         for d in split_unions():
+            pieces = [d.delete_components(p) for p in d.split_partition()]
+            if any(al.alexander_data(p).beta for p in pieces):
+                continue
+            del gcd_calls[:]
             del minor_gcd_calls[:]
             a = al.alexander_data(d)
-            assert a.beta > 0 and len(d.split_partition()) > 1
-            assert minor_gcd_calls, d.name
-        # a connected diagram of the 2- and 3-component unlinks
+            assert a.beta == len(pieces) - 1 > 0, d.name
+            assert gcd_calls == [] and minor_gcd_calls == [], d.name
+            assert a == minor_gcd_alexander_data(d), d.name
+            unions += 1
+        assert unions >= 10
+        # connected diagrams with beta = 1 whose one block is 2 x 3 of
+        # rank 1, 2 x 3 of rank 1 and 3 x 4 of rank 2
+        for word, n, size in (([1, 2, -1, -2, -1, -2], 3, 1),
+                              ([-1, 2, 2, 1, 2, 1, -2], 3, 1),
+                              ([-3, 2, -1, -1, 4, -2, -3], 5, 2)):
+            d = braid_closure(word, n)
+            del minor_gcd_calls[:]
+            a = al.alexander_data(d)
+            assert len(d.split_partition()) == 1 and a.beta == 1, word
+            assert minor_gcd_calls == [(size, d.ncomps)], word
+            assert a == minor_gcd_alexander_data(d), word
+        # connected diagrams of the 2- and 3-component unlinks: M'
+        # reduces to zero, so there is no block and no minor
         for word, n in (([1, -1], 2), ([1, -1, 1, -1], 2),
                         ([1, -1, 2, -2], 3)):
             d = braid_closure(word, n)
             del minor_gcd_calls[:]
             a = al.alexander_data(d)
             assert len(d.split_partition()) == 1, word
-            assert a.beta > 0 and minor_gcd_calls, word
+            assert a.beta == n - 1 and a.delta_tor.is_one(), word
+            assert minor_gcd_calls == [], word
             assert a == minor_gcd_alexander_data(d), word
+
+
+class TestBlockRoute:
+    """Rank and torsion order of M' block by block.
+
+    Bareiss and minor_gcd on the whole matrix are the references.
+    """
+
+    def test_block_diagonal_matrix_with_zero_row_and_column(self):
+        zero = LaurentPoly.zero(2)
+        blocks = [
+            # rank 2, order its determinant
+            [[P("t1-1", 2), P("t2", 2)], [P("t1+1", 2), P("2", 2)]],
+            # 2 x 3 of rank 2, order (t1+2)^2
+            [[P("t1+2", 2), zero, P("2*t1+4", 2)],
+             [zero, P("t1+2", 2), P("t2*(t1+2)", 2)]],
+            [[P("t2^2+1", 2)]],
+        ]
+        dense = [[zero] * 7 for _ in range(6)]
+        r0 = c0 = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                dense[r0 + i][c0:c0 + len(row)] = row
+            r0, c0 = r0 + len(block), c0 + len(block[0])
+        # row 5 and column 6 stay zero; rows and columns are then permuted
+        row_order, col_order = [3, 5, 0, 4, 1, 2], [4, 6, 1, 3, 0, 5, 2]
+        rows = [[dense[r][c] for c in col_order] for r in row_order]
+        found = invariants._blocks(rows, col_order)
+        assert sorted(sorted(cols) for _, cols in found) == \
+            [[0, 1], [2, 3, 4], [5]]
+        assert sorted(len(b) for b, _ in found) == [1, 2, 2]
+        ranks = [matrix_rank(b) for b, _ in found]
+        order = LaurentPoly.one(2)
+        for (b, _), r in zip(found, ranks):
+            order = order * minor_gcd(b, r, 2)
+        rank = matrix_rank(rows)
+        assert sum(ranks) == rank == 5
+        assert unit_normal_form(order) == minor_gcd(rows, rank, 2) == \
+            unit_normal_form(P("(2*t1-2-t1*t2-t2)*(t1+2)^2*(t2^2+1)", 2))
+
+    def test_one_block_is_the_matrix_itself(self):
+        reduced, _ = reduced_jacobian(load_fixture("whitehead"))
+        (block, cols), = invariants._blocks(reduced, [7, 8])
+        assert block is reduced and cols == [7, 8]
+
+    def test_seeded_split_unions(self):
+        rng = seeded(73)
+        unlink = braid_closure_pd([1, -1], 2)
+        knots = knot_words(rng, 20)
+        links = [(w, n) for w, n in random_braid_words(
+            rng, 40, strands=(2, 3), length=(2, 5))
+            if braid_closure(w, n).ncomps > 1]
+        cases = []
+        for i in range(20):
+            pieces = []
+            for _ in range(rng.choice((2, 3, 4))):
+                kind = rng.choice(("knot", "link", "mirror", "unlink"))
+                if kind == "unlink":
+                    pieces.append(unlink)
+                    continue
+                word, n = rng.choice(links if kind == "link" else knots)
+                if kind == "mirror":
+                    word = [-g for g in word]
+                pieces.append(braid_closure_pd(word, n))
+            cases.append(split_union(*pieces, nfree=int(i % 4 == 3)))
+        small = 0
+        for d in cases:
+            a = al.alexander_data(d)
+            assert a == minor_gcd_alexander_data(d), d.name
+            # the full Jacobian's minor gcds take seconds past 12
+            # crossings or 4 components
+            if d.ncrossings <= 12 and d.ncomps <= 4:
+                assert a == unreduced_alexander_data(d), d.name
+                small += 1
+        assert small >= 5
+        assert {len(d.split_partition()) - d.nfree for d in cases} == \
+            {2, 3, 4}
+
+    def test_one_block_per_route(self, monkeypatch, minor_gcd_calls):
+        corank_one = []
+        real = invariants._corank_one_order
+
+        def counting(rows, col_component, nvars):
+            corank_one.append(len(rows))
+            return real(rows, col_component, nvars)
+
+        monkeypatch.setattr(invariants, "_corank_one_order", counting)
+        # the trefoil's 2 x 2 block has corank 1; the other piece, a
+        # connected diagram with beta = 1, gives a 2 x 3 block of rank 1
+        d = split_union(split_trefoils(1),
+                        braid_closure_pd([1, 2, -1, -2, -1, -2], 3))
+        a = al.alexander_data(d)
+        assert corank_one == [2] and minor_gcd_calls == [(1, 4)]
+        assert a == minor_gcd_alexander_data(d) == unreduced_alexander_data(d)
+        assert a.beta == 2
 
 
 class TestMetamorphic:
