@@ -4,18 +4,20 @@ Subcommands:
 
   invariants <path...>          one machine-readable record per link
   obstruct <path...> [--table] [--search-depth k] [--mode inter|any]
-  factor <poly> --vars m        factorization and norm verdicts, for
+  factor <poly> --vars m        factorization and norm verdicts, for at
+                                most factor.MAX_FACTOR_VARS variables,
                                 degree spans summing to at most
-                                laurent.FACTOR_DEGREE_BUDGET and
-                                powers within
-                                laurent.COEFFICIENT_BIT_BUDGET bits
+                                laurent.FACTOR_DEGREE_BUDGET and powers
+                                within laurent.COEFFICIENT_BIT_BUDGET bits
   search <path...> --search-depth k [--mode inter|any]
 
-Paths are fixture files or directories of fixture files.  Structured
-output is line-delimited JSON, one self-describing record per link, with
-a fixed schemaVersion; keys are sorted so output is deterministic
-byte-for-byte.  Exit status is 0 when every input was processed, 2 when
-an input file is missing, 1 on any other error.
+Paths are fixture files or directories of fixture files.  The per-link
+subcommands share one loop: each file gives a record or one error line,
+and the records are written after the loop, as line-delimited JSON with
+sorted keys and a fixed schemaVersion, or as obstruct's table.  Exit
+status is 0 when every input was processed, 2 when an input file is
+missing (the loop stops there; the records made before it are still
+written), 1 on any other error.  The parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .diagram import PDError, parse_fixture
-from .factor import factor_irreducible, norm_verdict
+from .factor import MAX_FACTOR_VARS, factor_irreducible, norm_verdict
 from .invariants import (CONWAY_CROSSING_BUDGET, alexander_data,
                          component_polynomials, conway_polynomial)
 from .laurent import (DegreeSpanExceeded, PolyParseError, format_poly,
@@ -64,24 +66,46 @@ def _iter_fixture_files(paths):
             yield p
 
 
-def _load(path):
-    return parse_fixture(path.read_text(), name_hint=path.stem)
+def _header(kind, d, path):
+    return {"schemaVersion": SCHEMA_VERSION, "kind": kind, "name": d.name,
+            "file": str(path), "m": d.ncomps}
 
 
-def _invariants_record(d, path):
+def _orders(data, component_polys):
+    """The order fields of alexander data or of an obstruction report."""
+    return {"beta": data.beta, "delta": format_poly(data.delta),
+            "deltaTor": format_poly(data.delta_tor),
+            "componentPolys": [format_poly(p) for p in component_polys]}
+
+
+def _search_fields(report, result):
+    """The search and intervals fields; ``result`` None (over the search's
+    crossing budget) makes the search and every upper bound null."""
+    if result is None:
+        return {"search": None,
+                "intervals": {q: {"lower": lo, "upper": None, "exact": False}
+                              for q, (lo, _) in report.bounds.items()}}
+    gap = certify_gap(report, result)
+    return {
+        "search": {
+            "found": result.found,
+            "sequence": list(result.sequence),
+            "partition": [list(p) for p in result.partition]
+            if result.partition else None,
+            "depth": result.depth,
+            "mode": result.mode,
+        },
+        "intervals": {q: {"lower": lo, "upper": up, "exact": gap.exact[q]}
+                      for q, (lo, up) in gap.intervals.items()},
+    }
+
+
+def _invariants_record(d, path, args):
     alex = alexander_data(d)
     rec = {
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "invariants",
-        "name": d.name,
-        "file": str(path),
-        "m": d.ncomps,
+        **_header("invariants", d, path),
+        **_orders(alex, component_polynomials(d, alex)),
         "crossings": d.ncrossings,
-        "beta": alex.beta,
-        "delta": format_poly(alex.delta),
-        "deltaTor": format_poly(alex.delta_tor),
-        "componentPolys": [format_poly(p)
-                           for p in component_polynomials(d, alex)],
         "linkingNumbers": {
             f"{i + 1},{j + 1}": d.linking_number(i, j)
             for i in range(d.ncomps) for j in range(i)},
@@ -91,18 +115,11 @@ def _invariants_record(d, path):
     return rec
 
 
-def _obstruct_record(d, path, search_depth=None, mode="inter"):
+def _obstruct_record(d, path, args):
     report = build_report(d)
     rec = {
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "obstruct",
-        "name": d.name,
-        "file": str(path),
-        "m": report.m,
-        "beta": report.beta,
-        "delta": format_poly(report.delta),
-        "deltaTor": format_poly(report.delta_tor),
-        "componentPolys": [format_poly(p) for p in report.component_polys],
+        **_header("obstruct", d, path),
+        **_orders(report, report.component_polys),
         "bounds": {q: {"lower": b, "reasons": rs}
                    for q, (b, rs) in report.bounds.items()},
         "parityConstraint": report.parity_constraint,
@@ -111,40 +128,22 @@ def _obstruct_record(d, path, search_depth=None, mode="inter"):
         "inconclusive": report.inconclusive,
         "annotations": report.annotations,
     }
-    if search_depth is not None:
+    if args.search_depth is not None:
         try:
-            result = bounded_split_search(d, search_depth, mode=mode)
+            result = bounded_split_search(d, args.search_depth,
+                                          mode=args.mode)
         except SearchBudgetExceeded:
             # main has checked the depth, so the diagram is over the
             # search's crossing budget: only the upper bounds are lost
             result = None
-        rec["search"] = None if result is None else _search_fields(result)
-        rec["intervals"] = _intervals(report, result)
+        rec.update(_search_fields(report, result))
     return rec
 
 
-def _intervals(report, result):
-    """{quantity: {lower, upper, exact}} from a report and a search.
-
-    Without a search (``result`` None) every upper bound is null.
-    """
-    if result is None:
-        return {q: {"lower": lo, "upper": None, "exact": False}
-                for q, (lo, _) in report.bounds.items()}
-    gap = certify_gap(report, result)
-    return {q: {"lower": lo, "upper": up, "exact": gap.exact[q]}
-            for q, (lo, up) in gap.intervals.items()}
-
-
-def _search_fields(result):
-    return {
-        "found": result.found,
-        "sequence": list(result.sequence),
-        "partition": [list(p) for p in result.partition]
-        if result.partition else None,
-        "depth": result.depth,
-        "mode": result.mode,
-    }
+def _search_record(d, path, args):
+    report = build_report(d)
+    result = bounded_split_search(d, args.search_depth, mode=args.mode)
+    return {**_header("search", d, path), **_search_fields(report, result)}
 
 
 def _emit(record, out):
@@ -152,47 +151,22 @@ def _emit(record, out):
 
 
 def _table(records, out):
-    cols = ["name", "m", "beta", "u>=", "sp>=", "wsp>=", "flags"]
-    rows = []
+    rows = [["name", "m", "beta", "u>=", "sp>=", "wsp>=", "flags"]]
     for r in records:
-        flags = []
-        if r["inconclusive"]:
-            flags.append("inconclusive:" + ",".join(r["inconclusive"]))
         rows.append([
             r["name"], str(r["m"]), str(r["beta"]),
-            str(r["bounds"]["unlinking"]["lower"]),
-            str(r["bounds"]["splitting"]["lower"]),
-            str(r["bounds"]["weakSplitting"]["lower"]),
-            " ".join(flags),
+            *(str(r["bounds"][q]["lower"])
+              for q in ("unlinking", "splitting", "weakSplitting")),
+            "inconclusive:" + ",".join(r["inconclusive"])
+            if r["inconclusive"] else "",
         ])
-    widths = [max(len(c), *(len(row[i]) for row in rows)) if rows else len(c)
-              for i, c in enumerate(cols)]
-    out.write("  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip()
-              + "\n")
+    widths = [max(map(len, column)) for column in zip(*rows)]
     for row in rows:
         out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip()
                   + "\n")
 
 
-def _run_over_fixtures(args, make_record, out, err):
-    status = 0
-    records = []
-    for path in _iter_fixture_files(args.paths):
-        if not path.exists():
-            err.write(f"error: no such file: {path}\n")
-            return 2, records
-        try:
-            d = _load(path)
-            records.append(make_record(d, path))
-        except (PDError, ValueError) as exc:
-            err.write(f"error: {path}: {exc}\n")
-            status = 1
-    return status, records
-
-
-def main(argv=None, out=None, err=None):
-    out = out or sys.stdout
-    err = err or sys.stderr
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="alexlink",
         description="Alexander-module invariants and splitting obstructions "
@@ -203,6 +177,7 @@ def main(argv=None, out=None, err=None):
                            help="compute beta, Alexander polynomials and "
                                 "component data per fixture")
     p_inv.add_argument("paths", nargs="+")
+    p_inv.set_defaults(record=_invariants_record)
 
     p_obs = sub.add_parser("obstruct",
                            help="evaluate lower-bound obstructions per fixture")
@@ -211,6 +186,7 @@ def main(argv=None, out=None, err=None):
                        help="aligned text table instead of JSON records")
     p_obs.add_argument("--search-depth", type=int, default=None)
     p_obs.add_argument("--mode", choices=["inter", "any"], default="inter")
+    p_obs.set_defaults(record=_obstruct_record)
 
     p_fac = sub.add_parser("factor",
                            help="factor a Laurent polynomial and run the "
@@ -224,93 +200,86 @@ def main(argv=None, out=None, err=None):
     p_sea.add_argument("paths", nargs="+")
     p_sea.add_argument("--search-depth", type=int, required=True)
     p_sea.add_argument("--mode", choices=["inter", "any"], default="inter")
+    p_sea.set_defaults(record=_search_record)
+    return parser
 
-    args = parser.parse_args(argv)
 
-    # checked once, before any file is read
+_PARSER = _build_parser()
+
+
+def _factor(text, nvars, out, err):
+    try:
+        p = parse_poly(text, nvars)
+    except (DegreeSpanExceeded, PolyParseError) as exc:
+        err.write(f"error: {exc}\n")
+        return 1
+    if p.is_zero():
+        err.write("error: cannot factor the zero polynomial\n")
+        return 1
+    fact = factor_irreducible(p)
+    dec = negligible_decompose(p)
+    _emit({
+        "schemaVersion": SCHEMA_VERSION,
+        "kind": "factor",
+        "input": text,
+        "vars": nvars,
+        "unit": format_poly(fact.unit),
+        "factors": [{"factor": format_poly(f), "multiplicity": mult}
+                    for f, mult in fact.factors],
+        "negligible": {
+            "sign": dec.sign,
+            "monomial": list(dec.monomial),
+            "oneMinusTExponents": list(dec.one_minus_t_exponents),
+            "core": format_poly(dec.core),
+            "isNegligible": dec.is_negligible,
+        },
+        "isNormUpToNegligible": _norm_verdict_record(norm_verdict(fact)),
+        "isNormModuloUnivariate": _norm_verdict_record(
+            norm_verdict(fact, skip_univariate=True)),
+    }, out)
+    return 0
+
+
+def main(argv=None, out=None, err=None):
+    out = out or sys.stdout
+    err = err or sys.stderr
+    args = _PARSER.parse_args(argv)
+
+    # checked once, before any file is read or sympy is imported
     depth = getattr(args, "search_depth", None)
     if depth is not None and not 0 <= depth <= MAX_SEARCH_DEPTH:
         reason = ("is negative" if depth < 0
                   else f"exceeds the budget of {MAX_SEARCH_DEPTH}")
         err.write(f"error: --search-depth {depth} {reason}\n")
         return 1
-    if getattr(args, "vars", 1) < 1:
-        err.write(f"error: --vars {args.vars}: need at least one variable\n")
+    nvars = getattr(args, "vars", 1)
+    if not 1 <= nvars <= MAX_FACTOR_VARS:
+        reason = ("need at least one variable" if nvars < 1
+                  else f"exceeds the budget of {MAX_FACTOR_VARS} variables")
+        err.write(f"error: --vars {nvars}: {reason}\n")
         return 1
-
-    if args.command == "invariants":
-        status, records = _run_over_fixtures(args, _invariants_record,
-                                             out, err)
-        for r in records:
-            _emit(r, out)
-        return status
-
-    if args.command == "obstruct":
-        def make(d, path):
-            return _obstruct_record(d, path,
-                                    search_depth=args.search_depth,
-                                    mode=args.mode)
-        status, records = _run_over_fixtures(args, make, out, err)
-        if args.table:
-            _table(records, out)
-        else:
-            for r in records:
-                _emit(r, out)
-        return status
-
     if args.command == "factor":
-        try:
-            p = parse_poly(args.poly, args.vars)
-        except (DegreeSpanExceeded, PolyParseError) as exc:
-            err.write(f"error: {exc}\n")
-            return 1
-        if p.is_zero():
-            err.write("error: cannot factor the zero polynomial\n")
-            return 1
-        fact = factor_irreducible(p)
-        dec = negligible_decompose(p)
-        rec = {
-            "schemaVersion": SCHEMA_VERSION,
-            "kind": "factor",
-            "input": args.poly,
-            "vars": args.vars,
-            "unit": format_poly(fact.unit),
-            "factors": [{"factor": format_poly(f), "multiplicity": mult}
-                        for f, mult in fact.factors],
-            "negligible": {
-                "sign": dec.sign,
-                "monomial": list(dec.monomial),
-                "oneMinusTExponents": list(dec.one_minus_t_exponents),
-                "core": format_poly(dec.core),
-                "isNegligible": dec.is_negligible,
-            },
-            "isNormUpToNegligible": _norm_verdict_record(norm_verdict(fact)),
-            "isNormModuloUnivariate": _norm_verdict_record(
-                norm_verdict(fact, skip_univariate=True)),
-        }
-        _emit(rec, out)
-        return 0
+        return _factor(args.poly, nvars, out, err)
 
-    if args.command == "search":
-        def make(d, path):
-            report = build_report(d)
-            result = bounded_split_search(d, args.search_depth,
-                                          mode=args.mode)
-            return {
-                "schemaVersion": SCHEMA_VERSION,
-                "kind": "search",
-                "name": d.name,
-                "file": str(path),
-                "m": d.ncomps,
-                "search": _search_fields(result),
-                "intervals": _intervals(report, result),
-            }
-        status, records = _run_over_fixtures(args, make, out, err)
+    # one record per fixture file; a missing file ends the loop
+    status, records = 0, []
+    for path in _iter_fixture_files(args.paths):
+        if not path.exists():
+            err.write(f"error: no such file: {path}\n")
+            status = 2
+            break
+        try:
+            d = parse_fixture(path.read_text(), name_hint=path.stem)
+            records.append(args.record(d, path, args))
+        except (PDError, ValueError) as exc:
+            err.write(f"error: {path}: {exc}\n")
+            status = 1
+    if getattr(args, "table", False):
+        _table(records, out)
+    else:
         for r in records:
             _emit(r, out)
-        return status
-
-    return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -25,6 +25,13 @@ from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
                       unit_equal, unit_normal_form)
 
 
+# sympy's dense polynomials nest one list per variable and its routines
+# recurse through them, about two frames per variable.  The smallest
+# recursion limit under which ``alexlink factor "t1-1" --vars n`` runs is
+# 119 for n up to 32, 140 for n = 64 and 268 for n = 128; n = 500 fails
+# at the default limit of 1000.
+MAX_FACTOR_VARS = 64
+
 _symbol_cache = {}
 
 

@@ -328,15 +328,6 @@ class LaurentPoly:
         return _new(self.nvars, {-k: c for k, c in self._d.items()},
                     self._bound)
 
-    def shift(self, exps, sign=1):
-        """Multiply by sign * t^exps (a unit)."""
-        if len(exps) != self.nvars:
-            raise VariableCountMismatch("shift must cover every variable")
-        bound = _bounded(self._bound + max(map(abs, exps)))
-        s = _pack(exps)
-        return _new(self.nvars, {k + s: sign * c for k, c in self._d.items()},
-                    bound)
-
     def eval_diagonal(self):
         """Send every variable to the single variable t.
 

@@ -49,6 +49,11 @@ def random_unit(rng, nvars, max_exp=3):
     return al.LaurentPoly.monomial(nvars, exps, rng.choice([1, -1]))
 
 
+def shift(p, exps, sign=1):
+    """p times the unit sign * t^exps."""
+    return p * al.LaurentPoly.monomial(p.nvars, exps, sign)
+
+
 def random_negligible(rng, nvars, max_exp=2, max_s=2):
     p = random_unit(rng, nvars, max_exp)
     for i in range(nvars):

@@ -1,5 +1,6 @@
 """Command-line interface: records, tables, determinism and exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import alexlink as al
 from alexlink import cli
 from alexlink.cli import main
-from alexlink.factor import norm_verdict
+from alexlink.factor import MAX_FACTOR_VARS, norm_verdict
 from alexlink.laurent import (COEFFICIENT_BIT_BUDGET, FACTOR_DEGREE_BUDGET,
                               LaurentPoly, PolyParseError)
 
@@ -142,6 +143,20 @@ class TestFactor:
         status, out, err = run(["factor", "1", "--vars", nvars])
         assert status == 1 and out == ""
         assert err == f"error: --vars {nvars}: need at least one variable\n"
+
+    @pytest.mark.parametrize("nvars", [MAX_FACTOR_VARS + 1, 500])
+    def test_vars_over_budget_rejected(self, nvars):
+        # sympy recursed past the interpreter's limit near 500 variables
+        status, out, err = run(["factor", "t1-1", "--vars", str(nvars)])
+        assert status == 1 and out == ""
+        assert err == (f"error: --vars {nvars}: exceeds the budget of "
+                       f"{MAX_FACTOR_VARS} variables\n")
+
+    def test_vars_budget_is_inclusive(self):
+        status, out, _ = run(["factor", "t1-1", "--vars",
+                              str(MAX_FACTOR_VARS)])
+        assert status == 0
+        assert records(out)[0]["vars"] == MAX_FACTOR_VARS
 
     def test_one_factorization_feeds_both_verdicts(self, factor_calls):
         text = "(t1^2-t1+1)*(2*t2^2-3*t2+2)*(t1*t2-1)^2"
@@ -356,6 +371,23 @@ class TestExitCodes:
         assert status == 2
         assert "no such file" in err
 
+    @pytest.mark.parametrize("argv", [["invariants"], ["obstruct", "--table"]])
+    def test_missing_file_stops_the_loop(self, monkeypatch, argv):
+        read = []
+        parse = cli.parse_fixture
+        monkeypatch.setattr(cli, "parse_fixture", lambda text, name_hint:
+                            read.append(name_hint) or parse(text, name_hint))
+        missing = "/nonexistent/file.lnk"
+        status, out, err = run(argv + [fx("hopf"), missing, fx("trefoil")])
+        assert status == 2 and err == f"error: no such file: {missing}\n"
+        assert read == ["hopf"]
+        if "--table" in argv:
+            header, row = out.splitlines()
+            assert header.split()[0] == "name" and row.split()[0] == "Hopf"
+        else:
+            (rec,) = records(out)
+            assert rec["name"] == "Hopf"
+
     def test_bad_fixture_content(self, tmp_path):
         p = tmp_path / "bad.lnk"
         p.write_text("name: bad\ncomponents: 2\npd: X[1,2,3]\n")
@@ -409,3 +441,17 @@ class TestExitCodes:
         status, out, err = run(["invariants", str(p), fx("hopf")])
         assert status == 1
         assert len(records(out)) == 1
+
+
+def test_parser_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["invariants", fx("hopf")])[0] == 0
+    assert run(["factor", "t-1"])[0] == 0
+    assert built == []

@@ -5,6 +5,8 @@ import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alexlink as al
 from alexlink import factor
@@ -19,7 +21,7 @@ from alexlink.laurent import LaurentPoly, embed_univariate, unit_normal_form
 
 from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
                       load_fixture, random_braid_closures, random_braid_words,
-                      seeded)
+                      seeded, shift)
 
 
 def P(text, nvars):
@@ -176,7 +178,7 @@ def reference_reduce_unit_pivots(rows):
         _, p, q = min(pivots)
         (exps, sign), = m[p][q].terms.items()
         inverse = tuple(-e for e in exps)
-        pivot_row = {c: m[p][c].shift(inverse, sign) for c in live_cols
+        pivot_row = {c: shift(m[p][c], inverse, sign) for c in live_cols
                      if c != q and not m[p][c].is_zero()}
         for r in live_rows:
             f = m[r][q]
@@ -561,16 +563,39 @@ class TestBlockRoute:
         assert a.beta == 2
 
 
+@st.composite
+def braid_words(draw):
+    """(word, strands): a braid word on 2-5 strands using every generator,
+    of length up to 12."""
+    n = draw(st.integers(2, 5))
+    letter = st.builds(lambda g, s: g * s, st.integers(1, n - 1),
+                       st.sampled_from([1, -1]))
+    every = [draw(st.sampled_from([g, -g])) for g in range(1, n)]
+    more = draw(st.lists(letter, max_size=13 - n))
+    return draw(st.permutations(every + more)), n
+
+
 class TestMetamorphic:
-    """Braid moves, mirrors and split unions on seeded closures."""
+    """Braid moves, mirrors and split unions on seeded closures; the
+    mirror also on closures that hypothesis generates."""
+
+    @staticmethod
+    def check_mirror(word, n):
+        a = al.alexander_data(braid_closure(word, n))
+        b = al.alexander_data(braid_closure([-g for g in word], n))
+        assert (a.m, a.beta) == (b.m, b.beta), word
+        assert al.unit_equal(b.delta, a.delta.involute()), word
+        assert al.unit_equal(b.delta_tor, a.delta_tor.involute()), word
 
     def test_mirror_involutes_delta(self):
         for word, n in random_braid_words(seeded(68), 60, **SHORT_WORDS):
-            a = al.alexander_data(braid_closure(word, n))
-            b = al.alexander_data(braid_closure([-g for g in word], n))
-            assert (a.m, a.beta) == (b.m, b.beta), word
-            assert al.unit_equal(b.delta, a.delta.involute()), word
-            assert al.unit_equal(b.delta_tor, a.delta_tor.involute()), word
+            self.check_mirror(word, n)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(braid_words())
+    def test_mirror_involutes_delta_generated(self, case):
+        self.check_mirror(*case)
 
     def test_conjugation_and_stabilisation_keep_delta(self):
         rng = seeded(69)
@@ -912,13 +937,13 @@ class TestConwayFoxRoute:
         monkeypatch.setattr(invariants, "alexander_data", counting)
         monkeypatch.setattr(cli, "alexander_data", counting)
         d = load_fixture("trefoil")
-        rec = cli._invariants_record(d, "trefoil.lnk")
+        rec = cli._invariants_record(d, "trefoil.lnk", None)
         assert rec["conway"] == "z^2 + 1"
         # a knot's component polynomial is the record's own delta
         assert len(calls) == 1
         calls.clear()
         d = load_fixture("hopf")
-        cli._invariants_record(d, "hopf.lnk")
+        cli._invariants_record(d, "hopf.lnk", None)
         # one for the record, one per component polynomial
         assert len(calls) == 1 + d.ncomps == 3
 
