@@ -141,9 +141,10 @@ def _obstruct_record(d, path, args):
 
 
 def _search_record(d, path, args):
-    report = build_report(d)
+    # the search checks its crossing budget before the report is built
     result = bounded_split_search(d, args.search_depth, mode=args.mode)
-    return {**_header("search", d, path), **_search_fields(report, result)}
+    return {**_header("search", d, path),
+            **_search_fields(build_report(d), result)}
 
 
 def _emit(record, out):

@@ -16,15 +16,15 @@ components ("free loops", which plain PD codes cannot express) are
 carried as a count and ordered after all others.
 
 The module also derives the Wirtinger presentation and its Fox Jacobian,
-and implements the diagram moves the obstruction machinery quantifies
-over: crossing changes, deletion of sublinks, oriented smoothing, and a
-small bigon-reduction pass used by the split search.  Every move that
-drops crossings splices and relabels its strands through one routine,
-``_splice``, and builds its diagram through one ``_traced``, which
-traces the components again.  Deletion and smoothing make one move per
-diagram; bigon reduction runs all its moves on a flat crossing list
-and builds one diagram at the end.  Components, arcs and pieces are
-numbered by one routine, ``_classes``.
+the link's or one component's, and implements the diagram moves the
+obstruction machinery quantifies over: crossing changes, oriented
+smoothing, and a small bigon-reduction pass used by the split search.
+Every move that drops crossings splices and relabels its strands
+through one routine, ``_splice``, and builds its diagram through one
+``_traced``, which traces the components again.  Smoothing makes one
+move per diagram; bigon reduction runs all its moves on a flat
+crossing list and builds one diagram at the end.  Components, arcs and
+pieces are numbered by one routine, ``_classes``.
 """
 
 from __future__ import annotations
@@ -103,10 +103,11 @@ def _next_move(crossings, signs):
     cancelling bigon, (i, j) with i < j: two crossings of opposite signs
     where one edge runs over at both and some edge runs under at both.
 
-    One pass over the crossings.  Bigons are taken in the order a scan of
-    the edges meets them: by their first crossing i, and where both
-    over-edges at i start one, by the edges' order in
-    ``set(crossings[i])``.
+    One pass over the crossings.  Bigons are taken by their first
+    crossing i, and where both over-edges at i start one, by the smaller
+    edge label.  A spliced strand is named by its smallest edge and
+    relabelling keeps the order of labels, so the rule does not depend
+    on when the labels are renumbered.
     """
     over = {}   # over-edge -> the crossing where it was first met
     move = None
@@ -120,9 +121,7 @@ def _next_move(crossings, signs):
             ai, _, ci, _ = crossings[i]
             if not (ai == a or ai == c or ci == a or ci == c):
                 continue
-            if move is None or i < move[0] or (
-                    i == move[0] and e == next(
-                        x for x in set(crossings[i]) if x in (e, move[2]))):
+            if move is None or i < move[0] or (i == move[0] and e < move[2]):
                 move = (i, k, e)
     return move[:2] if move else None
 
@@ -237,54 +236,18 @@ class LinkDiagram:
         return LinkDiagram(crossings, signs, self.comp_of_edge,
                            self.ncomps, self.nfree, self.name)
 
-    def _rebuild(self, drop, splices, comps=None):
-        """Drop the crossings in ``drop``, splicing the edge pairs ``splices``.
+    def smooth_crossing(self, i):
+        """Oriented smoothing at crossing i (skein 0-resolution).
 
-        Only the components in ``comps`` (old indices; by default all)
-        survive.  The strands are relabelled by ``_splice`` and the
+        The strands are spliced and relabelled by ``_splice`` and the
         components traced again by ``_traced``.
         """
-        if comps is None:
-            comps = range(self.ncomps)
-        crossings, closed = _splice(self.crossings, drop, splices)
-        nfree = sum(c >= self.ncomps - self.nfree for c in comps) + closed
-        return _traced(crossings,
-                       [s for k, s in enumerate(self.signs) if k not in drop],
-                       nfree, self.name)
-
-    def delete_components(self, keep):
-        """Sub-diagram of the components in ``keep`` (0-based indices).
-
-        Crossings involving a deleted strand are removed; where a kept
-        strand passed through such a crossing it is spliced straight
-        through.  Output components are reindexed 0..k-1 in the order
-        induced by the previous ordering, crossing-bearing components
-        first, crossing-free ones after.
-        """
-        keep = set(keep)
-        if not keep:
-            raise PDError("must keep at least one component")
-        for c in keep:
-            if not 0 <= c < self.ncomps:
-                raise PDError(f"component {c} out of range")
-        drop = set()
-        splices = []
-        for i, (a, b, c, d) in enumerate(self.crossings):
-            cu, co = self.crossing_components(i)
-            if cu in keep and co in keep:
-                continue
-            drop.add(i)
-            if cu in keep:
-                splices.append((a, c))
-            elif co in keep:
-                splices.append((b, d))
-        return self._rebuild(drop, splices, keep)
-
-    def smooth_crossing(self, i):
-        """Oriented smoothing at crossing i (skein 0-resolution)."""
         a, b, c, d = self.crossings[i]
-        return self._rebuild((i,), [(a, self.over_out_edge(i)),
-                                    (self.over_in_edge(i), c)])
+        crossings, closed = _splice(self.crossings, (i,),
+                                    [(a, self.over_out_edge(i)),
+                                     (self.over_in_edge(i), c)])
+        return _traced(crossings, self.signs[:i] + self.signs[i + 1:],
+                       self.nfree + closed, self.name)
 
     # -- split detection and bigon reduction ------------------------------
 
@@ -308,7 +271,7 @@ class LinkDiagram:
         Used only to make diagrammatic splitness visible after crossing
         changes; invariant computations never rely on it.  The moves run
         on plain lists, relabelled by ``_splice`` after each one as
-        ``_rebuild`` would, and one diagram is built at the end.
+        ``smooth_crossing`` is, and one diagram is built at the end.
         """
         move = _next_move(self.crossings, self.signs)
         if move is None:
@@ -523,15 +486,23 @@ def is_planar(d):
 # ---------------------------------------------------------------------------
 # Wirtinger presentation and Fox Jacobian
 
-def wirtinger_arcs(d):
+def wirtinger_arcs(d, c=None):
     """Wirtinger generators: maximal over-strand arcs of the diagram.
 
     Returns (arc_of_edge, arcs) where arcs is the sorted list of arc
     representatives and arc_of_edge maps each edge to its arc index.
-    Edges merge across a crossing they pass over.
+    Edges merge across a crossing they pass over.  With a component
+    ``c``, the arcs of c once the other components are deleted: c's
+    edges, merged also across a crossing where c runs under another.
     """
-    arc_of_edge = _classes(d.comp_of_edge,
-                           [(b, dd) for _, b, _, dd in d.crossings])
+    comp = d.comp_of_edge
+    if c is None:
+        edges, pairs = comp, [(b, dd) for _, b, _, dd in d.crossings]
+    else:
+        edges = [e for e, k in comp.items() if k == c]
+        pairs = [(b, dd) if comp[b] == c else (a, cc)
+                 for a, b, cc, dd in d.crossings if c in (comp[a], comp[b])]
+    arc_of_edge = _classes(edges, pairs)
     arcs = []
     for e in sorted(arc_of_edge):
         if arc_of_edge[e] == len(arcs):
@@ -539,7 +510,7 @@ def wirtinger_arcs(d):
     return arc_of_edge, arcs
 
 
-def fox_jacobian(d):
+def fox_jacobian(d, c=None):
     """The Fox Jacobian of the Wirtinger presentation, over m variables.
 
     Rows are crossings, columns are arcs.  Row r for a crossing with
@@ -550,29 +521,39 @@ def fox_jacobian(d):
     are the under- and over-component variables.  Coincident columns
     accumulate.
 
+    With a component ``c``, c's own Jacobian over one variable: deleting
+    the other components kills their arcs (Dehn filling along their
+    meridians), so the columns are ``wirtinger_arcs(d, c)`` and the rows
+    are c's crossings with itself.
+
     Returns (matrix, arc_component) with matrix a list of rows of
     LaurentPoly entries and arc_component the component index of each
     generator column.
     """
-    if d.ncrossings == 0:
-        raise PDError("crossing-free diagram has no Wirtinger relations")
-    m = d.ncomps
-    arc_of_edge, arcs = wirtinger_arcs(d)
+    m = d.ncomps if c is None else 1
+    at = [i for i in range(d.ncrossings)
+          if c is None or d.crossing_components(i) == (c, c)]
+    if not at:
+        raise PDError("crossing-free diagram has no Wirtinger relations"
+                      if c is None else
+                      f"component {c} has no crossing with itself")
+    arc_of_edge, arcs = wirtinger_arcs(d, c)
     arc_component = [d.comp_of_edge[a] for a in arcs]
+    var = d.comp_of_edge if c is None else dict.fromkeys(arc_of_edge, 0)
     rows = []
     zero = LaurentPoly.zero(m)
-    for i in range(d.ncrossings):
-        a, b, c, dd = d.crossings[i]
-        g_a, g_c = arc_of_edge[a], arc_of_edge[c]
+    for i in at:
+        a, b, cc, dd = d.crossings[i]
+        g_a, g_c = arc_of_edge[a], arc_of_edge[cc]
         g_o = arc_of_edge[b]
-        u = LaurentPoly.var(m, d.comp_of_edge[a])
-        v = LaurentPoly.var(m, d.comp_of_edge[b])
+        u = LaurentPoly.var(m, var[a])
+        v = LaurentPoly.var(m, var[b])
         row = [zero] * len(arcs)
         if d.signs[i] > 0:
             row[g_a] = row[g_a] + v
             row[g_o] = row[g_o] + (LaurentPoly.one(m) - u)
         else:
-            vinv = LaurentPoly.var(m, d.comp_of_edge[b], -1)
+            vinv = LaurentPoly.var(m, var[b], -1)
             row[g_a] = row[g_a] + vinv
             row[g_o] = row[g_o] + vinv * (u - LaurentPoly.one(m))
         row[g_c] = row[g_c] - LaurentPoly.one(m)

@@ -47,11 +47,13 @@ Crossing-free components contribute through the split-union rules: each
 one raises beta by 1, kills the multivariable polynomial (for links with
 more than one component) and leaves the torsion polynomial unchanged.
 
-Each component's Alexander polynomial is the delta of its own
-sub-diagram.  The Conway polynomial is read off delta, within a
-crossing budget: by Torres, nabla(t^(1/2) - t^(-1/2)) is delta(t) for a
-knot and (t-1) * delta(t,...,t) for a link, up to ±t^k.  Centring fixes
-t^k; the sign comes from nabla(0) = 1 for a knot and, for m components,
+Each component's Alexander polynomial is the torsion order of its own
+Jacobian, read off the link's crossings with the other components'
+arcs killed, through the same reduction and blocks.  The Conway
+polynomial is read off delta, within a crossing budget: by Torres,
+nabla(t^(1/2) - t^(-1/2)) is delta(t) for a knot and
+(t-1) * delta(t,...,t) for a link, up to ±t^k.  Centring fixes t^k;
+the sign comes from nabla(0) = 1 for a knot and, for m components,
 from the z^(m-1) coefficient, which equals any cofactor of the
 linking-number Laplacian (Hoste).  Where that cofactor is 0 the skein
 relation on descending diagrams computes it instead.  The skein alone
@@ -292,15 +294,32 @@ def _corank_one_order(rows, col_component, nvars):
     return minor
 
 
-def alexander_data(d):
-    """Compute AlexanderData for a link diagram (free loops included).
+def _rank_and_order(rows, col_component, nvars):
+    """The rank of a Fox Jacobian and its torsion order in unit normal form.
 
-    The reduced Fox Jacobian M' is taken block by block: the rank is the
-    sum of the blocks' ranks and the torsion order the product of their
-    orders.  A square block of corank 1 gives its order from one minor
-    and at most one exact division; any other block gives the gcd of its
-    rank-sized minors.
+    The reduced matrix M' is taken block by block: the rank is the
+    number of pivots plus the sum of the blocks' ranks and the torsion
+    order the product of their orders.  A square block of corank 1 gives
+    its order from one minor and at most one exact division; any other
+    block gives the gcd of its rank-sized minors.
     """
+    reduced, rank, cols = reduce_unit_pivots(rows)
+    order = LaurentPoly.one(nvars)
+    for block, block_cols in _blocks(reduced, cols):
+        r = matrix_rank(block)
+        rank += r
+        if len(block) == len(block_cols) == r + 1:
+            order = order * _corank_one_order(
+                block, [col_component[c] for c in block_cols], nvars)
+        else:
+            order = order * minor_gcd(block, r, nvars)
+    if order.is_zero():
+        raise PDError("rank/minor inconsistency in torsion order")
+    return rank, unit_normal_form(order)
+
+
+def alexander_data(d):
+    """Compute AlexanderData for a link diagram (free loops included)."""
     m = d.ncomps
     if d.ncrossings == 0:
         # a disjoint union of round circles
@@ -309,21 +328,8 @@ def alexander_data(d):
         return AlexanderData(m=m, beta=beta, delta=delta,
                              delta_tor=LaurentPoly.one(m))
     rows, arc_component = fox_jacobian(d)
-    reduced, k, cols = reduce_unit_pivots(rows)
-    rank, delta_tor = 0, LaurentPoly.one(m)
-    for block, block_cols in _blocks(reduced, cols):
-        r = matrix_rank(block)
-        rank += r
-        if len(block) == len(block_cols) == r + 1:
-            order = _corank_one_order(
-                block, [arc_component[c] for c in block_cols], m)
-        else:
-            order = minor_gcd(block, r, m)
-        delta_tor = delta_tor * order
-    beta = (len(arc_component) - k - rank - 1) + d.nfree
-    if delta_tor.is_zero():
-        raise PDError("rank/minor inconsistency in torsion order")
-    delta_tor = unit_normal_form(delta_tor)
+    rank, delta_tor = _rank_and_order(rows, arc_component, m)
+    beta = (len(arc_component) - rank - 1) + d.nfree
     delta = delta_tor if beta == 0 else LaurentPoly.zero(m)
     return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor)
 
@@ -539,12 +545,16 @@ def one_variable_alexander(d):
 def component_polynomials(d, alex=None):
     """One-variable Alexander polynomial of each component on its own.
 
-    Component i is isolated with delete_components and goes through
-    alexander_data.  A knot is its own component, so its polynomial is
-    the delta of ``alex``, d's AlexanderData, when given.  Returns a list
-    of one-variable polynomials in the link's component order.
+    Component c's polynomial is the torsion order of its own Jacobian,
+    ``fox_jacobian(d, c)`` (a knot has beta = 0), or 1 where c has no
+    crossing with itself.  A knot is its own component, so its
+    polynomial is the delta of ``alex``, d's AlexanderData, when given.
+    Returns a list of one-variable polynomials in the link's component
+    order.
     """
     if d.ncomps == 1 and alex is not None:
         return [alex.delta]
-    return [alexander_data(d.delete_components({c})).delta
-            for c in range(d.ncomps)]
+    crossed = {u for u, o in map(d.crossing_components,
+                                 range(d.ncrossings)) if u == o}
+    return [_rank_and_order(*fox_jacobian(d, c), 1)[1] if c in crossed
+            else LaurentPoly.one(1) for c in range(d.ncomps)]

@@ -310,6 +310,20 @@ class TestOverBudget:
         status, out, err = run(["search", "--search-depth", "1", path])
         assert status == 1 and out == "" and "budget" in err
 
+    def test_search_over_budget_skips_the_report(self, tmp_path,
+                                                  monkeypatch):
+        # the search's crossing budget is checked before the Alexander
+        # stage, whose report would be thrown away
+        calls = []
+        monkeypatch.setattr(cli, "build_report",
+                            lambda d: calls.append(d) or al.build_report(d))
+        path = torus_fixture(tmp_path, 21)
+        status, out, err = run(["search", "--search-depth", "1", path])
+        assert (status, out) == (1, "")
+        assert err == (f"error: {path}: 21 crossings exceed the budget "
+                       f"of {al.search.SEARCH_CROSSING_BUDGET}\n")
+        assert calls == []
+
     def test_search_depth_over_budget_is_an_error(self):
         status, out, err = run(["obstruct", "--search-depth", "5",
                                 fx("hopf")])

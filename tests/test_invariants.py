@@ -1,8 +1,10 @@
 """Alexander data, Conway polynomials and their consistency relations."""
 
+import json
 import random
 import re
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from alexlink.laurent import LaurentPoly, embed_univariate, unit_normal_form
 from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
                       load_fixture, random_braid_closures, random_braid_words,
                       seeded, shift)
+from test_diagram import reference_delete_components
 
 
 def P(text, nvars):
@@ -390,7 +393,8 @@ class TestCorankOneRoute:
     @staticmethod
     def with_components(diagrams):
         return [s for d in diagrams for s in
-                [d] + [d.delete_components({c}) for c in range(d.ncomps)]]
+                [d] + [reference_delete_components(d, {c})
+                       for c in range(d.ncomps)]]
 
     def test_equals_minor_gcd_route(self, corpus):
         closures = random_braid_closures(seeded(66), 200,
@@ -433,7 +437,8 @@ class TestCorankOneRoute:
         # pieces with beta = 0 give one corank-1 block each
         unions = 0
         for d in split_unions():
-            pieces = [d.delete_components(p) for p in d.split_partition()]
+            pieces = [reference_delete_components(d, p)
+                      for p in d.split_partition()]
             if any(al.alexander_data(p).beta for p in pieces):
                 continue
             del gcd_calls[:]
@@ -806,7 +811,65 @@ class TestOneVariable:
             assert al.unit_equal(diag, single), d.name
 
 
+def reference_component_polynomials(d):
+    """The sub-diagram route: each component kept alone by the reference
+    deletion, through alexander_data."""
+    return [al.alexander_data(reference_delete_components(d, {c})).delta
+            for c in range(d.ncomps)]
+
+
+def golden_generated_diagrams():
+    """The 100 diagrams of tests/golden/generated_diagrams.jsonl."""
+    path = Path(__file__).parent / "golden" / "generated_diagrams.jsonl"
+    return [al.parse_pd(case["pd"], nfree=case["freeloops"],
+                        name=case["name"])
+            for case in map(json.loads, path.read_text().splitlines())]
+
+
 class TestComponentPolynomials:
+    """Each component's own Jacobian, read off the link's crossings,
+    against the sub-diagram route kept in the tests."""
+
+    def test_equals_sub_diagram_route(self, corpus):
+        rng = seeded(90)
+        loops = [split_union(*(braid_closure_pd(w, n) for w, n in
+                               random_braid_words(rng, k, strands=(2, 3),
+                                                  length=(3, 7))),
+                             nfree=nfree)
+                 for k in (2, 3) for nfree in (1, 2) for _ in range(5)]
+        cases = (corpus + golden_generated_diagrams()
+                 + random_braid_closures(seeded(91), 400,
+                                         strands=(2, 3, 4, 5))
+                 + split_unions() + loops)
+        links = [d for d in cases if d.ncomps > 1]
+        assert len(links) >= 300
+        assert {d.ncomps for d in links} >= {2, 3, 4, 5}
+        assert sum(d.nfree > 0 for d in cases) >= 20
+        for d in cases:
+            assert al.component_polynomials(d) == \
+                reference_component_polynomials(d), d.name
+
+    @pytest.mark.parametrize("word, crossings, polys", [
+        # component 1 runs over the trefoil twice and never under
+        ([1, 1, 1, -2, 2], [(0, 0)] * 3 + [(0, 1)] * 2, ["t^2-t+1", "1"]),
+        # component 1 crosses only the trefoil: under once, over once
+        ([1, 1, 1, 2, 2], [(0, 0)] * 3 + [(1, 0), (0, 1)], ["t^2-t+1", "1"]),
+    ])
+    def test_named_components(self, word, crossings, polys):
+        d = braid_closure(word, 3)
+        assert [d.crossing_components(i)
+                for i in range(d.ncrossings)] == crossings
+        got = al.component_polynomials(d)
+        assert got == reference_component_polynomials(d)
+        assert [unit_normal_form(P(p, 1)) for p in polys] == got
+
+    def test_free_loop(self):
+        d = load_fixture("trefoil_unknot")
+        assert (d.ncomps, d.nfree) == (2, 1)
+        got = al.component_polynomials(d)
+        assert got == reference_component_polynomials(d)
+        assert got == [unit_normal_form(P("t^2-t+1", 1)), LaurentPoly.one(1)]
+
     def test_trefoil_union(self):
         polys = al.component_polynomials(load_fixture("trefoil_trefoil"))
         assert len(polys) == 2
@@ -845,7 +908,7 @@ class TestComponentPolynomials:
         assert max(d.ncrossings for d in closures) <= CONWAY_CROSSING_BUDGET
         for d in corpus + closures:
             for c, p in enumerate(al.component_polynomials(d)):
-                sub = d.delete_components({c})
+                sub = reference_delete_components(d, {c})
                 assert al.unit_equal(p, one_variable_alexander(sub)), \
                     (d.name, c)
 
@@ -942,10 +1005,20 @@ class TestConwayFoxRoute:
         # a knot's component polynomial is the record's own delta
         assert len(calls) == 1
         calls.clear()
+        jacobians = []
+        real_fox = invariants.fox_jacobian
+
+        def counting_fox(d, c=None):
+            jacobians.append(c)
+            return real_fox(d, c)
+
+        monkeypatch.setattr(invariants, "fox_jacobian", counting_fox)
         d = load_fixture("hopf")
         cli._invariants_record(d, "hopf.lnk", None)
-        # one for the record, one per component polynomial
-        assert len(calls) == 1 + d.ncomps == 3
+        # one for the record; Hopf's components have no crossing with
+        # themselves, so they take no Jacobian of their own
+        assert len(calls) == 1
+        assert jacobians == [None]
 
     def test_asymmetric_input_rejected(self):
         d = load_fixture("trefoil")
