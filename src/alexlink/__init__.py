@@ -9,8 +9,7 @@ matching upper bounds.
 """
 
 from .laurent import (LaurentPoly, NotDivisible, PolyParseError, divide_exact,
-                      divides, format_poly, is_negligible,
-                      negligible_decompose, parse_poly, unit_equal,
+                      divides, format_poly, parse_poly, unit_equal,
                       unit_normal_form)
 from .diagram import (LinkDiagram, PDError, fox_jacobian, parse_fixture,
                       parse_pd, serialize_pd)
@@ -28,8 +27,7 @@ from .search import SearchResult, bounded_split_search, certify_gap
 
 __all__ = [
     "LaurentPoly", "NotDivisible", "PolyParseError", "divide_exact",
-    "divides", "format_poly", "is_negligible", "negligible_decompose",
-    "parse_poly", "unit_equal", "unit_normal_form",
+    "divides", "format_poly", "parse_poly", "unit_equal", "unit_normal_form",
     "LinkDiagram", "PDError", "fox_jacobian", "parse_fixture", "parse_pd",
     "serialize_pd",
     "AlexanderData", "alexander_data", "component_polynomials",

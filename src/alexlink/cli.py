@@ -17,7 +17,12 @@ and the records are written after the loop, as line-delimited JSON with
 sorted keys and a fixed schemaVersion, or as obstruct's table.  Exit
 status is 0 when every input was processed, 2 when an input file is
 missing (the loop stops there; the records made before it are still
-written), 1 on any other error.  The parser is built once, at import.
+written) or the arguments do not parse (argparse's usage error), 1 on
+any other error.  The parser is built once, at import.
+
+A polynomial that starts with '-' goes after ``--``, as in
+``factor -- "-t^2+1"``; before it, argparse reads the text as an option
+and stops with a usage error.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import sys
 from pathlib import Path
 
 from .diagram import PDError, parse_fixture
-from .factor import MAX_FACTOR_VARS, factor_irreducible, norm_verdict
+from .factor import (MAX_FACTOR_VARS, factor_irreducible,
+                     is_negligible_factor, norm_verdict)
 from .invariants import (CONWAY_CROSSING_BUDGET, alexander_data,
                          component_polynomials, conway_polynomial)
-from .laurent import (DegreeSpanExceeded, PolyParseError, format_poly,
-                      format_terms, negligible_decompose, parse_poly)
+from .laurent import (DegreeSpanExceeded, LaurentPoly, PolyParseError,
+                      format_poly, format_terms, parse_poly)
 from .obstructions import build_report
 from .search import (MAX_SEARCH_DEPTH, SearchBudgetExceeded,
                      bounded_split_search, certify_gap)
@@ -54,6 +60,26 @@ def _norm_verdict_record(v):
         "witness": format_poly(v.witness) if v.witness is not None else None,
         "blockingFactors": [format_poly(b) for b in v.blocking_factors],
     }
+
+
+def _negligible_record(fact):
+    """The unit, the powers of 1 - t_i and the rest, read off fact.
+
+    The rest is the product of the other factors, in unit normal form as
+    each of them is; the input is negligible when the rest is 1.
+    """
+    nvars = fact.unit.nvars
+    exponents, core = [0] * nvars, LaurentPoly.one(nvars)
+    for f, mult in fact.factors:
+        if is_negligible_factor(f):
+            (i,) = f.variables_used()
+            exponents[i] += mult
+        else:
+            core = core * f ** mult
+    (monomial, sign), = fact.unit.terms.items()
+    return {"sign": sign, "monomial": list(monomial),
+            "oneMinusTExponents": exponents, "core": format_poly(core),
+            "isNegligible": core.is_one()}
 
 
 def _iter_fixture_files(paths):
@@ -192,7 +218,8 @@ def _build_parser():
     p_fac = sub.add_parser("factor",
                            help="factor a Laurent polynomial and run the "
                                 "norm tests")
-    p_fac.add_argument("poly")
+    p_fac.add_argument("poly", help="the polynomial; put -- before one "
+                                     "that starts with '-'")
     p_fac.add_argument("--vars", type=int, default=1)
 
     p_sea = sub.add_parser("search",
@@ -218,7 +245,6 @@ def _factor(text, nvars, out, err):
         err.write("error: cannot factor the zero polynomial\n")
         return 1
     fact = factor_irreducible(p)
-    dec = negligible_decompose(p)
     _emit({
         "schemaVersion": SCHEMA_VERSION,
         "kind": "factor",
@@ -227,13 +253,7 @@ def _factor(text, nvars, out, err):
         "unit": format_poly(fact.unit),
         "factors": [{"factor": format_poly(f), "multiplicity": mult}
                     for f, mult in fact.factors],
-        "negligible": {
-            "sign": dec.sign,
-            "monomial": list(dec.monomial),
-            "oneMinusTExponents": list(dec.one_minus_t_exponents),
-            "core": format_poly(dec.core),
-            "isNegligible": dec.is_negligible,
-        },
+        "negligible": _negligible_record(fact),
         "isNormUpToNegligible": _norm_verdict_record(norm_verdict(fact)),
         "isNormModuloUnivariate": _norm_verdict_record(
             norm_verdict(fact, skip_univariate=True)),

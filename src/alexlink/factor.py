@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
-                      _to_polynomial, divide_exact, divides, is_negligible,
-                      unit_equal, unit_normal_form)
+                      _to_polynomial, divide_exact, divides, unit_equal,
+                      unit_normal_form)
 
 
 # sympy's dense polynomials nest one list per variable and its routines
@@ -190,6 +190,19 @@ def _pair_off(classes, nvars):
     return NormVerdict(is_norm=True, witness=witness)
 
 
+def is_negligible_factor(q):
+    """Is the irreducible q, in unit normal form, negligible: is q 1 - t_i?
+
+    The negligible polynomials ±t^r * prod (1 - t_i)^s_i have no other
+    irreducible factors, and 1 - t_i is the unit normal form of t_i - 1.
+    """
+    used = q.variables_used()
+    if len(used) != 1:
+        return False
+    (i,) = used
+    return q == 1 - LaurentPoly.var(q.nvars, i)
+
+
 def norm_classes(fact, skip_univariate=False):
     """{class: multiplicity} of the non-negligible factors of fact.
 
@@ -198,7 +211,7 @@ def norm_classes(fact, skip_univariate=False):
     absorbed into a one-variable polynomial.
     """
     return {q: mult for q, mult in fact.factors
-            if not is_negligible(q)
+            if not is_negligible_factor(q)
             and not (skip_univariate and len(q.variables_used()) <= 1)}
 
 
@@ -249,11 +262,11 @@ def odd_multiplicity_divisor(p, q):
     fq = factor_irreducible(q)
     if len(fq.factors) != 1 or fq.factors[0][1] != 1:
         raise ValueError("q must be irreducible")
-    if is_negligible(q):
+    qn = unit_normal_form(q)
+    if is_negligible_factor(qn):
         raise ValueError("q must not be negligible")
     if not unit_equal(q.involute(), q):
         raise ValueError("q must be symmetric under the bar involution")
-    qn = unit_normal_form(q)
     mult = 0
     rest = p
     while True:

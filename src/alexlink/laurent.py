@@ -13,14 +13,14 @@ by a unit adds one key.  While every |exponent| is below 2^63 the keys
 are distinct and their integer order is the lexicographic order of the
 exponent tuples, so the leading term of a division and the least
 monomial of a unit normal form are the largest and smallest keys.  The
-three ring maps in use work on keys as well: ``eval_diagonal`` (every
-t_i to t) sums a key's digits, ``eval_at_one`` (t_i = 1) zeroes digit
-i, and ``embed_univariate`` shifts a one-variable key into digit i.
+two ring maps in use work on keys as well: ``eval_diagonal`` (every
+t_i to t) sums a key's digits, and ``embed_univariate`` shifts a
+one-variable key into digit i.
 
 Every polynomial carries a bound on its |exponents|, kept in O(1): a
-product adds its operands' bounds, a sum takes the larger one, and a
+product adds its operands' bounds, a sum takes the larger one, a
 division, normal form or diagonal map computes its result's box
-exactly, and the other two maps keep their operand's bound.  A result
+exactly, and ``embed_univariate`` keeps its operand's bound.  A result
 whose bound would reach ``EXPONENT_LIMIT`` = 2^60 raises
 ``ExponentLimitExceeded`` instead, which leaves room for the sums and
 differences of two or four exponents that division forms, so packed
@@ -34,7 +34,6 @@ its input, while arithmetic builds its already clean results directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 EXPONENT_LIMIT = 1 << 60
 
@@ -337,21 +336,6 @@ class LaurentPoly:
         d = _collect((sum(_unpack(k, n)), c) for k, c in self._d.items())
         return _new(1, d, _bounded(max(map(abs, d), default=0)))
 
-    def eval_at_one(self, i):
-        """Set t_i = 1, staying in the same ring for convenience.
-
-        Each key has its digit i zeroed.
-        """
-        n = self.nvars
-        if not 0 <= i < n:
-            raise ValueError(f"variable {i} outside a ring with {n}")
-        s = _WIDTH * (n - 1 - i)
-        ones = _ones(n)
-        # adding ones makes every digit unsigned, so no borrow reaches i
-        d = _collect((k - ((((k + ones) >> s & _MASK) - _HALF) << s), c)
-                     for k, c in self._d.items())
-        return _new(n, d, self._bound)
-
 
 def embed_univariate(p, var_index, m):
     """Place a one-variable polynomial into variable var_index of m.
@@ -402,53 +386,6 @@ def unit_equal(a, b):
     if a.nvars != b.nvars:
         raise VariableCountMismatch("cannot compare across rings")
     return unit_normal_form(a) == unit_normal_form(b)
-
-
-@dataclass(frozen=True)
-class NegligibleDecomposition:
-    """p = sign * t^monomial * prod (1-t_i)^exponents[i] * core.
-
-    ``core`` is in unit normal form and divisible by no (1 - t_i).  The
-    negligible polynomials are exactly those with core equal to 1.
-    """
-    sign: int
-    monomial: tuple
-    one_minus_t_exponents: tuple
-    core: LaurentPoly
-
-    @property
-    def is_negligible(self):
-        return self.core.is_one()
-
-
-def negligible_decompose(p):
-    """Factor out the maximal powers of (1-t_i) and the unit part of p."""
-    if p.is_zero():
-        raise ZeroInputError("cannot decompose the zero polynomial")
-    n = p.nvars
-    rest = p
-    exponents = [0] * n
-    for i in range(n):
-        factor = LaurentPoly.one(n) - LaurentPoly.var(n, i)
-        while True:
-            # factor theorem: (1 - t_i) divides p iff p vanishes at t_i = 1
-            if not rest.eval_at_one(i).is_zero():
-                break
-            rest = divide_exact(rest, factor)
-            exponents[i] += 1
-    core = unit_normal_form(rest)
-    unit = divide_exact(rest, core)
-    assert unit.is_unit()
-    exps, coeff = next(iter(unit.terms.items()))
-    return NegligibleDecomposition(sign=1 if coeff > 0 else -1,
-                                   monomial=exps,
-                                   one_minus_t_exponents=tuple(exponents),
-                                   core=core)
-
-
-def is_negligible(p):
-    """True when p = ±t^r * prod (1-t_i)^{s_i}, a unit of the localized ring."""
-    return negligible_decompose(p).is_negligible
 
 
 # -- exact division -------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import alexlink as al
+from alexlink.laurent import VariableCountMismatch
 
 FIXTURE_DIR = Path(al.__file__).parent / "fixtures"
 
@@ -61,6 +63,61 @@ def random_negligible(rng, nvars, max_exp=2, max_s=2):
         for _ in range(rng.randrange(0, max_s + 1)):
             p = p * one_minus
     return p
+
+
+def evaluate(p, images, new_nvars):
+    """The ring map t_i -> t^images[i] into a ring of new_nvars variables.
+
+    ``images[i]`` is the exponent vector of t_i's image, so this covers
+    any monomial substitution; the reference for the packed ring maps.
+    """
+    if len(images) != p.nvars:
+        raise VariableCountMismatch("substitution must cover every variable")
+    out = {}
+    for exps, c in p.terms.items():
+        key = [0] * new_nvars
+        for i, e in enumerate(exps):
+            for j in range(new_nvars):
+                key[j] += e * images[i][j]
+        key = tuple(key)
+        out[key] = out.get(key, 0) + c
+    return al.LaurentPoly(new_nvars, out)
+
+
+@dataclass(frozen=True)
+class NegligibleDecomposition:
+    """p = sign * t^monomial * prod (1-t_i)^one_minus_t_exponents[i] * core.
+
+    ``core`` is in unit normal form and divisible by no (1 - t_i).  The
+    negligible polynomials are exactly those with core equal to 1.
+    """
+    sign: int
+    monomial: tuple
+    one_minus_t_exponents: tuple
+    core: al.LaurentPoly
+
+
+def negligible_decompose(p):
+    """Divide out the maximal powers of (1-t_i), then the unit part of p.
+
+    The reference for the negligible part that ``alexlink factor`` reads
+    off its factorization.
+    """
+    n = p.nvars
+    rest, exponents = p, [0] * n
+    for i in range(n):
+        one_minus = 1 - al.LaurentPoly.var(n, i)
+        while al.divides(one_minus, rest):
+            rest = al.divide_exact(rest, one_minus)
+            exponents[i] += 1
+    core = al.unit_normal_form(rest)
+    (monomial, sign), = al.divide_exact(rest, core).terms.items()
+    return NegligibleDecomposition(sign, monomial, tuple(exponents), core)
+
+
+def is_negligible(p):
+    """True when p = ±t^r * prod (1-t_i)^{s_i}, a unit of the localized ring."""
+    return negligible_decompose(p).core.is_one()
 
 
 def content(p):

@@ -21,7 +21,7 @@ from alexlink.obstructions import (RULE_PARITY, RULE_SPLIT_NORM,
                                    delta_bounds, parity_refine)
 from alexlink.search import bounded_split_search, certify_gap
 
-from conftest import FIXTURE_DIR, load_fixture
+from conftest import FIXTURE_DIR, evaluate, load_fixture
 
 
 def P(text, nvars):
@@ -113,7 +113,7 @@ class TestCriterion1PaperValues:
         r = build_report(d)
         bound, reasons = r.bounds["splitting"]
         ok = (al.unit_equal(r.delta, published)
-              and published.eval_at_one(1).is_zero()
+              and evaluate(published, [(1, 0), (0, 0)], 2).is_zero()
               and d.total_linking_number() == 0
               and bound == 2 and RULE_SPLIT_NORM in reasons
               and RULE_PARITY not in reasons)

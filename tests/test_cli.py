@@ -11,16 +11,20 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alexlink as al
 from alexlink import cli
 from alexlink.cli import main
-from alexlink.factor import MAX_FACTOR_VARS, norm_verdict
+from alexlink.factor import (MAX_FACTOR_VARS, is_negligible_factor,
+                             norm_verdict)
 from alexlink.laurent import (COEFFICIENT_BIT_BUDGET, FACTOR_DEGREE_BUDGET,
                               LaurentPoly, PolyParseError)
 
-from conftest import (FIXTURE_DIR, braid_closure_pd, fixture_paths,
-                      load_fixture, seeded)
+from conftest import (FIXTURE_DIR, braid_closure_pd, corpus_diagrams,
+                      fixture_paths, is_negligible, load_fixture,
+                      negligible_decompose, seeded)
 
 
 def run(argv):
@@ -171,6 +175,83 @@ class TestFactor:
             assert rec[key]["isNorm"] == v.is_norm
             assert rec[key]["blockingFactors"] == \
                 [al.format_poly(b) for b in v.blocking_factors]
+
+
+    def test_leading_minus_after_double_dash(self):
+        text = "-2*t^3*(1-t)^2*(t+1)"
+        status, out, _ = run(["factor", "--", text])
+        assert status == 0
+        (rec,) = records(out)
+        assert rec["input"] == text
+        assert rec["negligible"] == {
+            "sign": -1, "monomial": [3], "oneMinusTExponents": [2],
+            "core": "2*t + 2", "isNegligible": False}
+
+    def test_leading_minus_without_double_dash_is_a_usage_error(
+            self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "-2*t^3*(1-t)^2*(t+1)"])
+        assert exc.value.code == 2
+        assert "required: poly" in capsys.readouterr().err
+
+
+def check_negligible_record(p):
+    """p's negligible object, read off its factorization, equals the
+    reference decomposition, and the shape test on each irreducible factor
+    equals the reference is_negligible."""
+    fact = al.factor_irreducible(p)
+    dec = negligible_decompose(p)
+    assert cli._negligible_record(fact) == {
+        "sign": dec.sign, "monomial": list(dec.monomial),
+        "oneMinusTExponents": list(dec.one_minus_t_exponents),
+        "core": al.format_poly(dec.core), "isNegligible": dec.core.is_one(),
+    }, p
+    for q, _ in fact.factors:
+        assert is_negligible_factor(q) == is_negligible(q), q
+
+
+@st.composite
+def negligible_products(draw):
+    """poly * negligible * unit in 1 to 3 variables; the poly may carry
+    factors that look like 1 - t_i but are not negligible."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    p = LaurentPoly(n, draw(st.dictionaries(exps, st.integers(-4, 4),
+                                            max_size=4)))
+    if p.is_zero():
+        p = LaurentPoly.one(n)
+    t = [LaurentPoly.var(n, i) for i in range(n)]
+    near = [LaurentPoly.const(n, 2), t[-1] - 2, 1 - t[0] * t[-1]]
+    for i in range(n):
+        near += [1 + t[i], 1 - t[i] ** 2, t[i] ** 2 - t[i] + 1]
+    for q in draw(st.lists(st.sampled_from(near), max_size=2)):
+        p = p * q
+    for i in range(n):
+        p = p * (1 - t[i]) ** draw(st.integers(0, 3))
+    return p * LaurentPoly.monomial(n, draw(exps),
+                                    draw(st.sampled_from([1, -1])))
+
+
+class TestNegligibleRecord:
+    """The negligible object against the reference decomposition."""
+
+    def test_corpus_polynomials(self):
+        count = 0
+        for d in corpus_diagrams():
+            alex = al.alexander_data(d)
+            polys = [alex.delta, alex.delta_tor,
+                     *al.component_polynomials(d, alex)]
+            for p in polys:
+                if not p.is_zero():
+                    check_negligible_record(p)
+                    count += 1
+        assert count >= 60
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(negligible_products())
+    def test_products(self, p):
+        check_negligible_record(p)
 
 
 class TestFactorBudget:

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import alexlink as al
-from alexlink.factor import (factor_irreducible, gcd_many, norm_verdict,
-                             to_sympy, from_sympy)
+from alexlink.factor import (factor_irreducible, gcd_many,
+                             is_negligible_factor, norm_verdict, to_sympy,
+                             from_sympy)
 from alexlink.laurent import LaurentPoly, ZeroInputError, unit_normal_form
 
 from conftest import (content, random_negligible, random_poly, random_unit,
@@ -290,6 +291,16 @@ class TestGcd:
 
 
 class TestNormTests:
+    def test_negligible_factor_shape(self):
+        for i in range(3):
+            one_minus = 1 - LaurentPoly.var(3, i)
+            assert is_negligible_factor(one_minus)
+            assert not is_negligible_factor(-one_minus)   # not normalised
+            assert not is_negligible_factor(1 + LaurentPoly.var(3, i))
+            assert not is_negligible_factor(1 - LaurentPoly.var(3, i, 2))
+        for text in ["2", "t1 - 2", "1 - t1*t2", "t1^2 - t1 + 1"]:
+            assert not is_negligible_factor(unit_normal_form(P(text, 2)))
+
     def test_norm_with_negligible(self):
         f = P("t1*t2 + 2", 2)
         p = f * f.involute() * P("-t1*(1-t2)", 2)
@@ -376,6 +387,8 @@ class TestOddMultiplicity:
             al.odd_multiplicity_divisor(P("t", 1), P("t^2-1", 1))
         with pytest.raises(ValueError):
             al.odd_multiplicity_divisor(P("t", 1), P("1-t", 1))
+        with pytest.raises(ValueError, match="negligible"):
+            al.odd_multiplicity_divisor(P("t2", 2), P("-t1*t2^-1+t1", 2))
         with pytest.raises(ValueError):
             al.odd_multiplicity_divisor(P("t", 1), P("t-2", 1))
         with pytest.raises(ZeroInputError):

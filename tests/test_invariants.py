@@ -582,7 +582,8 @@ def braid_words(draw):
 
 class TestMetamorphic:
     """Braid moves, mirrors and split unions on seeded closures; the
-    mirror also on closures that hypothesis generates."""
+    mirror, conjugation and stabilisation also on closures that
+    hypothesis generates."""
 
     @staticmethod
     def check_mirror(word, n):
@@ -602,17 +603,36 @@ class TestMetamorphic:
     def test_mirror_involutes_delta_generated(self, case):
         self.check_mirror(*case)
 
+    @staticmethod
+    def check_conjugation_and_stabilisation(word, n, g, sign):
+        """A knot's delta survives a cyclic shift, conjugation by sigma_g
+        and a stabilisation by sigma_n^sign."""
+        base = al.alexander_data(braid_closure(word, n)).delta
+        moved = [(word[1:] + word[:1], n),
+                 ([g] + word + [-g], n),
+                 (word + [sign * n], n + 1)]
+        for w, k in moved:
+            a = al.alexander_data(braid_closure(w, k))
+            assert a.beta == 0 and al.unit_equal(a.delta, base), (w, k)
+
     def test_conjugation_and_stabilisation_keep_delta(self):
         rng = seeded(69)
         for word, n in knot_words(rng, 40):
-            base = al.alexander_data(braid_closure(word, n)).delta
             g = rng.choice([1, -1]) * rng.randrange(1, n)
-            moved = [(word[1:] + word[:1], n),
-                     ([g] + word + [-g], n),
-                     (word + [rng.choice([1, -1]) * n], n + 1)]
-            for w, k in moved:
-                a = al.alexander_data(braid_closure(w, k))
-                assert a.beta == 0 and al.unit_equal(a.delta, base), (w, k)
+            self.check_conjugation_and_stabilisation(
+                word, n, g, rng.choice([1, -1]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(braid_words().filter(lambda case: braid_closure(*case).ncomps == 1),
+           st.data())
+    def test_conjugation_and_stabilisation_keep_delta_generated(self, case,
+                                                                data):
+        word, n = case
+        g = data.draw(st.integers(1, n - 1)) * \
+            data.draw(st.sampled_from([1, -1]))
+        self.check_conjugation_and_stabilisation(
+            word, n, g, data.draw(st.sampled_from([1, -1])))
 
     def test_split_union_multiplies_delta_tor(self):
         words = knot_words(seeded(70), 24)

@@ -8,11 +8,11 @@ import alexlink as al
 from alexlink.laurent import (EXPONENT_LIMIT, ExponentLimitExceeded,
                               LaurentPoly, NotDivisible,
                               VariableCountMismatch, ZeroInputError,
-                              embed_univariate, negligible_decompose,
-                              unit_normal_form)
+                              embed_univariate, unit_normal_form)
 
-from conftest import (content, random_negligible, random_poly, random_unit,
-                      seeded, shift)
+from conftest import (content, evaluate, is_negligible, negligible_decompose,
+                      random_negligible, random_poly, random_unit, seeded,
+                      shift)
 
 N_RANDOM = 1000
 
@@ -97,25 +97,6 @@ class RefPoly:
 
 def ref(p):
     return RefPoly(p.nvars, p.terms)
-
-
-def evaluate(p, images, new_nvars):
-    """The ring map t_i -> t^images[i] into a ring of new_nvars variables.
-
-    ``images[i]`` is the exponent vector of t_i's image, so this covers
-    any monomial substitution; the reference for the three packed maps.
-    """
-    if len(images) != p.nvars:
-        raise VariableCountMismatch("substitution must cover every variable")
-    out = {}
-    for exps, c in p.terms.items():
-        key = [0] * new_nvars
-        for i, e in enumerate(exps):
-            for j in range(new_nvars):
-                key[j] += e * images[i][j]
-        key = tuple(key)
-        out[key] = out.get(key, 0) + c
-    return LaurentPoly(new_nvars, out)
 
 
 def unit_vector(n, i):
@@ -227,13 +208,8 @@ class TestAgainstTupleReference:
 
 
 def check_ring_maps(p):
-    """p's diagonal and t_i = 1 maps agree with ``evaluate``."""
-    n = p.nvars
-    assert p.eval_diagonal() == evaluate(p, [(1,)] * n, 1)
-    for i in range(n):
-        images = [unit_vector(n, j) if j != i else (0,) * n
-                  for j in range(n)]
-        assert p.eval_at_one(i) == evaluate(p, images, n)
+    """p's diagonal map agrees with ``evaluate``."""
+    assert p.eval_diagonal() == evaluate(p, [(1,)] * p.nvars, 1)
 
 
 class TestRingMapsAgainstEvaluate:
@@ -274,8 +250,6 @@ class TestRingMapsAgainstEvaluate:
     def test_bad_arguments(self):
         p = P("t1*t2 - 1", 2)
         for i in (-1, 2):
-            with pytest.raises(ValueError):
-                p.eval_at_one(i)
             with pytest.raises(ValueError):
                 embed_univariate(P("t-1", 1), i, 2)
         with pytest.raises(VariableCountMismatch):
@@ -385,11 +359,6 @@ class TestBasics:
     def test_involute(self):
         p = P("t1^2*t2 - 3", 2)
         assert p.involute() == P("t1^-2*t2^-1 - 3", 2)
-
-    def test_eval_at_one(self):
-        p = P("(t1-1)*(t2+2)", 2)
-        assert p.eval_at_one(0).is_zero()
-        assert p.eval_at_one(1) == P("3*(t1-1)", 2)
 
     def test_eval_diagonal(self):
         p = P("t1*t2 - t1", 2)
@@ -507,16 +476,16 @@ class TestDivision:
 
 class TestNegligible:
     def test_unit_is_negligible(self):
-        assert al.is_negligible(P("-t1^2*t2^-1", 2))
+        assert is_negligible(P("-t1^2*t2^-1", 2))
 
     def test_one_minus_t_is_negligible(self):
-        assert al.is_negligible(P("(1-t1)^2*(1-t2)", 2))
-        assert al.is_negligible(P("t-1", 1))
+        assert is_negligible(P("(1-t1)^2*(1-t2)", 2))
+        assert is_negligible(P("t-1", 1))
 
     def test_not_negligible(self):
-        assert not al.is_negligible(P("t+1", 1))
-        assert not al.is_negligible(P("2", 1))
-        assert not al.is_negligible(P("t1*t2-1", 2))
+        assert not is_negligible(P("t+1", 1))
+        assert not is_negligible(P("2", 1))
+        assert not is_negligible(P("t1*t2-1", 2))
 
     def test_decomposition_structure(self):
         p = P("-t1*(1-t1)*(1-t2)^2*(t1*t2+1)", 2)
@@ -532,7 +501,10 @@ class TestNegligible:
             p = random_poly(rng, nvars) * random_negligible(rng, nvars)
             dec = negligible_decompose(p)
             assert recombine(dec) == p
-            assert not dec.core.eval_at_one(0).is_zero() or dec.core.is_one()
+            at_one = [(0,) * nvars] + [unit_vector(nvars, j)
+                                       for j in range(1, nvars)]
+            assert dec.core.is_one() or \
+                not evaluate(dec.core, at_one, nvars).is_zero()
 
 
 def test_content():
