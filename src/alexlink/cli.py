@@ -22,7 +22,7 @@ any other error.  The parser is built once, at import.
 
 A polynomial that starts with '-' goes after ``--``, as in
 ``factor -- "-t^2+1"``; before it, argparse reads the text as an option
-and stops with a usage error.
+and stops with a usage error, which says so.
 """
 
 from __future__ import annotations
@@ -193,12 +193,24 @@ def _table(records, out):
                   + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A subcommand parser whose missing-``poly`` error says where a
+    polynomial with a leading '-' goes: argparse took it for an option."""
+
+    def error(self, message):
+        if message.endswith("required: poly"):
+            message += ("; a polynomial that starts with '-' must follow "
+                        "--, as in: alexlink factor -- \"-t^2+1\"")
+        super().error(message)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="alexlink",
         description="Alexander-module invariants and splitting obstructions "
                     "for links given by PD-code fixtures.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     p_inv = sub.add_parser("invariants",
                            help="compute beta, Alexander polynomials and "

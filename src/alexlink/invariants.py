@@ -55,9 +55,13 @@ nabla(t^(1/2) - t^(-1/2)) is delta(t) for a knot and
 (t-1) * delta(t,...,t) for a link, up to ±t^k.  Centring fixes t^k;
 the sign comes from nabla(0) = 1 for a knot and, for m components,
 from the z^(m-1) coefficient, which equals any cofactor of the
-linking-number Laplacian (Hoste).  Where that cofactor is 0 the skein
-relation on descending diagrams computes it instead.  The skein alone
-gives the Sato-Levine invariant and the one-variable Alexander
+linking-number Laplacian (Hoste).  Where that cofactor is 0 one skein
+step at a crossing between two components whose change raises their
+|lk| gives nabla(L) = nabla(L') + sign * z * nabla(L0), both children
+by the same route: for two components L' has lk = ±1 and L0 is a knot,
+two Fox leaves.  Only a node with no such crossing runs the skein on
+descending diagrams.  The Sato-Levine invariant reads the Conway
+polynomial; the skein alone gives the one-variable Alexander
 polynomial, the route independent of the Fox Jacobian.
 """
 
@@ -398,9 +402,9 @@ def conway_polynomial(d, alex=None):
     (t-1) * delta(t,...,t) for a link, up to ±t^k, so ``_peel_z`` gives
     nabla up to sign.  The sign is fixed by nabla(0) = 1 for a knot and,
     for m components, by the z^(m-1) coefficient, which equals the
-    linking cofactor (Hoste).  Where that cofactor is 0 the skein
-    recursion runs instead.  ``alex`` is d's AlexanderData, computed
-    when not given.
+    linking cofactor (Hoste).  Where that cofactor is 0, ``_anchored_step``
+    takes one skein step and comes back here for both children.
+    ``alex`` is d's AlexanderData, computed when not given.
     """
     _check_budget(d)
     if alex is None:
@@ -413,7 +417,7 @@ def conway_polynomial(d, alex=None):
         return {}  # delta = 0 (split, beta > 0) or delta(t,...,t) = 0
     anchor = 1 if m == 1 else _linking_cofactor(d)
     if anchor == 0:
-        return _conway_skein(d)
+        return _anchored_step(d)
     nabla = _peel_z(one)
     lowest = nabla.get(m - 1, 0)
     if abs(lowest) != abs(anchor):
@@ -422,6 +426,46 @@ def conway_polynomial(d, alex=None):
                       f"cofactor for a link)")
     sign = 1 if lowest == anchor else -1
     return {k: sign * nabla[k] for k in sorted(nabla)}
+
+
+def _raising_crossing(d):
+    """The lowest crossing between two components whose change raises
+    their |lk|: lk is 0 or has the sign opposite to the crossing's.
+    None when every such change lowers a linking number."""
+    for i in range(d.ncrossings):
+        u, o = d.crossing_components(i)
+        if u != o and d.linking_number(u, o) * d.signs[i] <= 0:
+            return i
+    return None
+
+
+def _skein_sum(switched, sign, smoothed):
+    """nabla(L) = nabla(L') + sign * z * nabla(L0), from the children."""
+    result = dict(switched)
+    for k, c in smoothed.items():
+        new = result.get(k + 1, 0) + sign * c
+        if new:
+            result[k + 1] = new
+        else:
+            result.pop(k + 1, None)
+    return result
+
+
+def _anchored_step(d):
+    """The Conway polynomial of d, whose linking cofactor is 0.
+
+    One skein step at ``_raising_crossing``, both children by
+    ``conway_polynomial``.  The switched child has a larger sum of
+    |lk|, which is bounded, and the smoothed child one crossing fewer,
+    so the recursion ends.  A node with no raising crossing runs the
+    whole skein: stepping there at the skein's crossing would make it a
+    raising one, which the next step would switch straight back.
+    """
+    v = _raising_crossing(d)
+    if v is None:
+        return _conway_skein(d)
+    return _skein_sum(conway_polynomial(d.crossing_change(v)), d.signs[v],
+                      conway_polynomial(d.smooth_crossing(v)))
 
 
 def _entering_map(d):
@@ -489,16 +533,9 @@ def _conway_skein(d, memo=None):
         if v is None:
             result = {0: 1} if d.ncomps == 1 else {}
         else:
-            sign = d.signs[v]
-            switched = _conway_skein(d.crossing_change(v), memo)
-            smoothed = _conway_skein(d.smooth_crossing(v), memo)
-            result = dict(switched)
-            for k, c in smoothed.items():
-                new = result.get(k + 1, 0) + sign * c
-                if new:
-                    result[k + 1] = new
-                else:
-                    result.pop(k + 1, None)
+            result = _skein_sum(_conway_skein(d.crossing_change(v), memo),
+                                d.signs[v],
+                                _conway_skein(d.smooth_crossing(v), memo))
     memo[key] = result
     return result
 
@@ -507,13 +544,14 @@ def sato_levine(d):
     """Minus the z^3 coefficient of the Conway polynomial.
 
     Defined for 2-component links with linking number zero, where the
-    linking cofactor is 0, so the skein computes it.
+    linking cofactor is 0, so ``conway_polynomial`` takes one anchored
+    skein step: a knot and a link with lk = ±1, both by the Fox route.
     """
     if d.ncomps != 2:
         raise PDError("Sato-Levine invariant needs exactly 2 components")
     if d.linking_number(0, 1) != 0:
         raise PDError("Sato-Levine invariant needs linking number 0")
-    return -_conway_skein(d).get(3, 0)
+    return -conway_polynomial(d).get(3, 0)
 
 
 def one_variable_alexander(d):

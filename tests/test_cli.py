@@ -194,6 +194,26 @@ class TestFactor:
         assert exc.value.code == 2
         assert "required: poly" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["factor", "-2*t^3*(1-t)^2*(t+1)"],
+                                      ["factor", "-t", "--vars", "1"],
+                                      ["factor"]])
+    def test_missing_poly_error_names_double_dash(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "required: poly; a polynomial that starts with '-' must " \
+            "follow --" in err
+        assert 'alexlink factor -- "-t^2+1"' in err
+
+    def test_other_usage_errors_carry_no_hint(self, capsys):
+        for argv in (["factor", "t", "--vars", "x"],
+                     ["invariants"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "must follow --" not in capsys.readouterr().err
+
 
 def check_negligible_record(p):
     """p's negligible object, read off its factorization, equals the

@@ -569,14 +569,14 @@ class TestBlockRoute:
 
 
 @st.composite
-def braid_words(draw):
+def braid_words(draw, length=12):
     """(word, strands): a braid word on 2-5 strands using every generator,
-    of length up to 12."""
+    of at most ``length`` letters; ``length`` is at least 4."""
     n = draw(st.integers(2, 5))
     letter = st.builds(lambda g, s: g * s, st.integers(1, n - 1),
                        st.sampled_from([1, -1]))
     every = [draw(st.sampled_from([g, -g])) for g in range(1, n)]
-    more = draw(st.lists(letter, max_size=13 - n))
+    more = draw(st.lists(letter, max_size=length + 1 - n))
     return draw(st.permutations(every + more)), n
 
 
@@ -634,18 +634,43 @@ class TestMetamorphic:
         self.check_conjugation_and_stabilisation(
             word, n, g, data.draw(st.sampled_from([1, -1])))
 
+    @staticmethod
+    def check_split_union(u, n, v, k):
+        """The split union of two knot closures has beta = 1, delta = 0,
+        delta_tor ≐ the product of the knots' polynomials and, within
+        the crossing budget, Conway polynomial 0."""
+        d = split_union(braid_closure_pd(u, n), braid_closure_pd(v, k))
+        first = d.comp_of_edge[1]
+        pu, pv = (al.alexander_data(braid_closure(*w)).delta
+                  for w in ((u, n), (v, k)))
+        expected = embed_univariate(pu, first, 2) * \
+            embed_univariate(pv, 1 - first, 2)
+        a = al.alexander_data(d)
+        assert a.beta == 1 and a.delta.is_zero(), (u, v)
+        assert al.unit_equal(a.delta_tor, expected), (u, v)
+        if d.ncrossings <= CONWAY_CROSSING_BUDGET:
+            assert conway_polynomial(d, a) == {}, (u, v)
+        else:
+            with pytest.raises(invariants.ConwayBudgetExceeded):
+                conway_polynomial(d, a)
+
     def test_split_union_multiplies_delta_tor(self):
         words = knot_words(seeded(70), 24)
-        for (u, n), (v, k) in zip(words[::2], words[1::2]):
-            d = split_union(braid_closure_pd(u, n), braid_closure_pd(v, k))
-            first = d.comp_of_edge[1]
-            pu, pv = (al.alexander_data(braid_closure(*w)).delta
-                      for w in ((u, n), (v, k)))
-            expected = embed_univariate(pu, first, 2) * \
-                embed_univariate(pv, 1 - first, 2)
-            a = al.alexander_data(d)
-            assert a.beta == 1 and a.delta.is_zero(), (u, v)
-            assert al.unit_equal(a.delta_tor, expected), (u, v)
+        pairs = list(zip(words[::2], words[1::2]))
+        # some unions are within the crossing budget, some over it
+        assert len({len(u) + len(v) <= CONWAY_CROSSING_BUDGET
+                    for (u, _), (v, _) in pairs}) == 2
+        for (u, n), (v, k) in pairs:
+            self.check_split_union(u, n, v, k)
+
+    # two knots of at most 8 letters keep the union within the Conway
+    # polynomial's crossing budget
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(*[braid_words(8).filter(
+        lambda case: braid_closure(*case).ncomps == 1)] * 2)
+    def test_split_union_multiplies_delta_tor_generated(self, first, second):
+        self.check_split_union(*first, *second)
 
     def test_split_union_of_links_adds_beta(self):
         """beta(L1 u L2) = beta1 + beta2 + 1, delta is 0, and delta_tor is
@@ -803,6 +828,20 @@ class TestSatoLevine:
     def test_whitehead(self):
         assert al.sato_levine(load_fixture("whitehead")) == 1
 
+    def test_reads_the_anchored_route(self, corpus, skein_calls,
+                                      anchored_calls):
+        d = load_fixture("whitehead")
+        assert al.sato_levine(d) == 1
+        assert anchored_calls[0] is d and skein_calls == []
+        cases = corpus + random_braid_closures(seeded(95), 200,
+                                               strands=(3, 4), length=(6, 12))
+        links = [d for d in cases if d.ncomps == 2
+                 and d.ncrossings <= CONWAY_CROSSING_BUDGET
+                 and d.linking_number(0, 1) == 0]
+        assert len(links) >= 20
+        for d in links:
+            assert al.sato_levine(d) == -_conway_skein(d).get(3, 0), d.name
+
     def test_requires_lk_zero(self):
         from alexlink.diagram import PDError
         with pytest.raises(PDError):
@@ -947,6 +986,20 @@ def skein_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def anchored_calls(monkeypatch):
+    """Every _anchored_step call, the children's included."""
+    calls = []
+    real = invariants._anchored_step
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(invariants, "_anchored_step", counting)
+    return calls
+
+
 def fox_route_cases(corpus):
     """The corpus within budget, 80 seeded closures and four named ones.
 
@@ -964,41 +1017,48 @@ def fox_route_cases(corpus):
 class TestConwayFoxRoute:
     """The skein, _conway_skein, is the reference for the Fox route."""
 
-    def test_equals_skein(self, corpus, skein_calls):
+    def test_equals_skein(self, corpus, skein_calls, anchored_calls):
         cases = fox_route_cases(corpus)
         assert {d.ncomps for d in cases} == {1, 2, 3, 4}
         fox = {}
         for d in cases:
-            del skein_calls[:]
+            del skein_calls[:], anchored_calls[:]
             nabla = conway_polynomial(d)
-            ran = bool(skein_calls)
+            stepped = bool(anchored_calls)
+            # with two components the anchored step's children are Fox
+            # leaves, so the skein never runs
+            assert d.ncomps > 2 or skein_calls == [], d.name
             assert nabla == _conway_skein(d), d.name
             cofactor = 1 if d.ncomps == 1 else _linking_cofactor(d)
-            # the skein runs exactly where the cofactor is 0 and the
-            # Alexander polynomial is not
-            assert ran == (cofactor == 0 and bool(nabla)), d.name
-            if not ran:
+            # the anchored step runs exactly where the cofactor is 0 and
+            # the Alexander polynomial is not
+            assert stepped == (cofactor == 0 and bool(nabla)), d.name
+            if not stepped:
                 fox.setdefault(d.ncomps, []).append(cofactor)
         assert sorted(fox) == [1, 2, 3, 4]
         assert {3, 16, -16, 1} <= set(fox[3] + fox[4])
 
-    def test_skein_only_where_cofactor_is_zero(self, skein_calls):
+    def test_anchored_step_only_where_cofactor_is_zero(self, skein_calls,
+                                                       anchored_calls):
         for name in ("trefoil", "hopf", "L9a10", "L9a15"):
             conway_polynomial(load_fixture(name))
-            assert skein_calls == [], name
+            assert anchored_calls == skein_calls == [], name
         # all linking numbers 0: Whitehead, the Borromean rings, L9a54
         for name in ("whitehead", "L6a4", "L9a54"):
-            del skein_calls[:]
-            conway_polynomial(load_fixture(name))
-            assert skein_calls, name
+            del anchored_calls[:]
+            d = load_fixture(name)
+            conway_polynomial(d)
+            assert anchored_calls[0] is d, name
+        assert skein_calls == []
 
     def test_three_components_cofactor_zero_with_nonzero_lk(self,
-                                                            skein_calls):
+                                                            skein_calls,
+                                                            anchored_calls):
         d = load_fixture("L9a46")
         lks = [d.linking_number(i, j) for i in range(3) for j in range(i)]
         assert any(lks) and _linking_cofactor(d) == 0
         nabla = conway_polynomial(d)
-        assert skein_calls
+        assert anchored_calls[0] is d and skein_calls == []
         assert nabla == _conway_skein(d) == {4: -1}
 
     def test_cofactor_is_hoste_laplacian_minor(self):
@@ -1068,3 +1128,119 @@ class TestConwayFoxRoute:
                                       delta_tor=delta)
                 assert conway_polynomial(d, other) == \
                     conway_polynomial(d), name
+
+
+def steps(d):
+    """Whether conway_polynomial takes the anchored step at d: a link
+    with linking cofactor 0 whose delta(t,...,t) is not 0."""
+    return d.ncomps > 1 and _linking_cofactor(d) == 0 and \
+        not al.alexander_data(d).delta.eval_diagonal().is_zero()
+
+
+def pure_braid_closures(rng, count):
+    """``count`` seeded closures of pure braid words on 3-4 strands, at
+    most 16 letters, where conway_polynomial steps.  Each syllable is
+    sigma_g^(±2), or that conjugated by sigma_h, so the closure has one
+    component per strand."""
+    out = []
+    while len(out) < count:
+        n = rng.choice((3, 4))
+        word = []
+        for _ in range(rng.randrange(3, 6)):
+            g, h = (rng.choice([1, -1]) * rng.randrange(1, n)
+                    for _ in range(2))
+            word += [h, g, g, -h] if abs(h) != abs(g) and \
+                rng.random() < 0.5 else [g, g]
+        if len(word) > 16 or {abs(g) for g in word} != set(range(1, n)):
+            continue
+        d = braid_closure(word, n)
+        if steps(d):
+            out.append(d)
+    return out
+
+
+class TestAnchoredStep:
+    """Where the linking cofactor is 0, one skein step at a crossing that
+    raises |lk|, both children by conway_polynomial; _conway_skein is the
+    reference."""
+
+    def test_equals_skein_on_seeded_closures(self, skein_calls):
+        closures = [d for d in random_braid_closures(
+            seeded(92), 500, strands=(2, 3, 4, 5), length=(4, 14))
+            if d.ncrossings <= CONWAY_CROSSING_BUDGET]
+        stepped = [d for d in closures if steps(d)]
+        assert len(stepped) >= 6 and {d.ncomps for d in stepped} == {2, 3}
+        for d in closures:
+            nabla = conway_polynomial(d)
+            assert nabla == _conway_skein(d), d.name
+
+    def test_three_and_four_components(self, monkeypatch, anchored_calls):
+        links = pure_braid_closures(seeded(93), 60)
+        assert {d.ncomps for d in links} == {3, 4}
+        leaves = []
+        real = invariants.alexander_data
+
+        def counting(d):
+            leaves.append(d)
+            return real(d)
+
+        monkeypatch.setattr(invariants, "alexander_data", counting)
+        most = 0
+        for d in links:
+            del leaves[:], anchored_calls[:]
+            nabla = conway_polynomial(d, real(d))
+            assert anchored_calls[0] is d, d.name
+            # every node steps once and asks two children
+            assert len(leaves) == 2 * len(anchored_calls), d.name
+            most = max(most, len(leaves))
+            assert nabla == _conway_skein(d), d.name
+        assert most <= 12
+
+    def test_two_components_two_fox_leaves(self, corpus, monkeypatch,
+                                           skein_calls):
+        cases = corpus + random_braid_closures(seeded(94), 300,
+                                               strands=(3, 4), length=(6, 12))
+        links = [d for d in cases if d.ncomps == 2
+                 and d.ncrossings <= CONWAY_CROSSING_BUDGET and steps(d)]
+        assert len(links) >= 15
+        children = []
+        real = invariants.alexander_data
+
+        def counting(d):
+            children.append(d)
+            return real(d)
+
+        monkeypatch.setattr(invariants, "alexander_data", counting)
+        for d in links:
+            alex = real(d)
+            del children[:], skein_calls[:]
+            nabla = conway_polynomial(d, alex)
+            # the switched child has lk = ±1, the smoothed one is a knot
+            switched, smoothed = children
+            assert switched.ncomps == 2, d.name
+            assert abs(switched.linking_number(0, 1)) == 1, d.name
+            assert smoothed.ncomps == 1, d.name
+            assert skein_calls == [], d.name
+            assert nabla == _conway_skein(d), d.name
+
+    def test_fallback_without_raising_crossing(self, monkeypatch,
+                                               skein_calls):
+        d = braid_closure([1, 2, -1, -1, 3, -2, -2, 3, -2, 1], 4)
+        nodes = []
+        real = invariants._raising_crossing
+
+        def recording(n):
+            nodes.append((n, real(n)))
+            return nodes[-1][1]
+
+        monkeypatch.setattr(invariants, "_raising_crossing", recording)
+        nabla = conway_polynomial(d)
+        stuck = [n for n, v in nodes if v is None]
+        assert len(stuck) == 1 and skein_calls[0] is stuck[0]
+        del skein_calls[:]
+        assert nabla == _conway_skein(d) == {5: -1}
+        # the skein's own crossing there becomes a raising one once
+        # switched, and the anchored rule would switch it straight back
+        n, = stuck
+        v = invariants._first_violation(n)
+        assert real(n.crossing_change(v)) == v
