@@ -1,23 +1,33 @@
 """Factorization over the Laurent ring and norm-pairing decision procedures.
 
 The ring Z[t1^±1, ..., tm^±1] is a UFD whose units are the signed
-monomials.  Irreducible factorization is obtained by shifting a Laurent
-polynomial to an ordinary one and factoring over the integers (sympy does
-the heavy lifting); integer content is split into primes, which are
-honest irreducible elements here since the coefficient ring is Z.
+monomials.  A factorization splits the integer content into primes,
+which are honest irreducible elements here since the coefficient ring is
+Z, and divides off each 1 - t_i while the rest vanishes at t_i = 1.  The
+rest is then certified irreducible where it can be.  Read it as a
+polynomial in one variable t_k: when the gcd of its coefficients is a
+unit (one coefficient a single term is enough), every factor has
+positive degree in t_k.  So it is irreducible when its degree in t_k is
+1, and when its image in Z[t_k], the other variables at fixed integers,
+keeps that degree and is irreducible over Q, since the factors' images
+would keep their degrees and factor the image.  Both certificates are
+proofs, not tests of likelihood.  A rest with no certificate is shifted
+to an ordinary polynomial and factored over the integers by sympy.
+Factorization is unique up to units, so the routes agree.
 
 On top of the factorization we decide the "norm" questions that drive
 the link obstructions: whether p equals f * conj(f) times a unit of the
 localized ring (a negligible polynomial), with variants that ignore
 single-variable factors or compare two polynomials.
 
-sympy is imported by the first function that needs it, so that callers
-which never factor nor take a gcd beyond exact division do not pay for
-the import.
+sympy is imported only in the branches that call it, so that callers
+whose factorizations need no image (each rest of degree 1 in some
+variable), and which take no gcd beyond exact division, never load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
@@ -74,34 +84,134 @@ class Factorization:
 def factor_irreducible(p):
     """Complete factorization of p into irreducibles over the Laurent ring.
 
-    sympy factors the ordinary part as a Poly (``Poly.factor_list``), with
-    no round trip through a symbolic expression; the result is checked by
-    exact division.
+    The factors come from ``_irreducible_factors``; their product is
+    checked against p by exact division, and an explicit raise, not an
+    assert, reports a factor lost on the way.
     """
-    import sympy
     if p.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
     n = p.nvars
-    if p.is_unit():
-        return Factorization(unit=p, factors=())
-    coeff, raw = to_sympy(p).factor_list()
-    factors = {}
-    coeff = int(coeff)
-    for prime, mult in sympy.factorint(abs(coeff)).items():
-        factors[LaurentPoly.const(n, int(prime))] = mult
-    for fac, mult in raw:
-        q = unit_normal_form(from_sympy(fac, n))
-        if q.is_one():
-            continue
-        factors[q] = factors.get(q, 0) + mult
-    ordered = tuple(sorted(factors.items(),
+    ordered = tuple(sorted(_irreducible_factors(p).items(),
                            key=lambda fm: (sorted(fm[0].terms.items()),)))
     prod = LaurentPoly.one(n)
     for f, mult in ordered:
         prod = prod * (f ** mult)
-    unit = divide_exact(p, prod)
-    assert unit.is_unit(), "factorization lost a non-unit part"
+    try:
+        unit = divide_exact(p, prod)
+    except NotDivisible:
+        unit = None
+    if unit is None or not unit.is_unit():
+        raise AssertionError(
+            f"the factors of {p} multiply to {prod}, which is not p times "
+            f"a unit: inconsistent factorization")
     return Factorization(unit=unit, factors=ordered)
+
+
+def _irreducible_factors(p):
+    """{irreducible in unit normal form: multiplicity} of a nonzero p.
+
+    The integer content goes to sympy's ``factorint`` only when it is
+    above 1, and each 1 - t_i is divided off while the rest vanishes at
+    t_i = 1.  A rest that ``_certified_irreducible`` proves irreducible
+    is one factor; any other goes to sympy's ``Poly.factor_list``.
+    Factorization is unique up to units, so both routes give the same
+    factors.
+    """
+    n = p.nvars
+    factors = {}
+    rest = p
+    content = math.gcd(*p.terms.values())
+    if content > 1:
+        from sympy import factorint
+        for prime, mult in factorint(content).items():
+            factors[LaurentPoly.const(n, int(prime))] = mult
+        rest = LaurentPoly(n, {e: c // content for e, c in p.terms.items()})
+    for i in range(n):
+        one_minus = 1 - LaurentPoly.var(n, i)
+        while _vanishes_at_one(rest, i):
+            rest = divide_exact(rest, one_minus)
+            factors[one_minus] = factors.get(one_minus, 0) + 1
+    if rest.is_unit():
+        return factors
+    rest = unit_normal_form(rest)
+    if _certified_irreducible(rest):
+        factors[rest] = 1
+        return factors
+    for fac, mult in to_sympy(rest).factor_list()[1]:
+        q = unit_normal_form(from_sympy(fac, n))
+        factors[q] = factors.get(q, 0) + mult
+    return factors
+
+
+def _vanishes_at_one(p, i):
+    """Is p zero at t_i = 1, that is, divisible by 1 - t_i?"""
+    sums = {}
+    for exps, c in p.terms.items():
+        key = exps[:i] + exps[i + 1:]
+        sums[key] = sums.get(key, 0) + c
+    return not any(sums.values())
+
+
+def _coefficients(q, k):
+    """q's coefficients as a polynomial in t_k: {t_k-exponent: poly}."""
+    terms = {}
+    for exps, c in q.terms.items():
+        terms.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1:]] = c
+    return {e: LaurentPoly(q.nvars, t) for e, t in terms.items()}
+
+
+def _primitive_in(coeffs):
+    """Is the gcd of ``coeffs``, whose integer content is 1, a unit?
+
+    Every common factor divides the coefficient with fewest terms, so
+    the gcd is a unit exactly when each irreducible factor of that one,
+    prime integers aside, fails to divide some other coefficient.
+    """
+    low, *others = sorted(coeffs, key=lambda c: len(c.terms))
+    return low.is_monomial() or all(
+        f.is_monomial() or not all(divides(f, c) for c in others)
+        for f in _irreducible_factors(low))
+
+
+# t_j maps to _IMAGE_POINT + j in ``_certified_irreducible``'s image
+_IMAGE_POINT = 2
+
+
+def _certified_irreducible(q):
+    """Does a cheap certificate prove q irreducible?
+
+    q is in unit normal form, with integer content 1.  Read q as a
+    polynomial in t_k.  When its coefficients have a unit gcd (one of
+    them a single term suffices), q has no factor free of t_k, so every
+    proper factorization has both factors of positive degree in t_k.
+    Then q is irreducible when its degree in t_k is 1.  Otherwise map
+    each other variable t_j to the integer ``_IMAGE_POINT`` + j: when
+    the image in Z[t_k] keeps q's degree, so do the images of the
+    factors, so an image irreducible over Q (sympy's univariate
+    factorization) proves q irreducible.  False means no certificate,
+    not reducible.
+    """
+    for span, k in sorted((q.degree_span(k), k) for k in q.variables_used()):
+        coeffs = _coefficients(q, k)
+        if span > 1:
+            image = LaurentPoly(1, {(e,): _at_point(c) for e, c in coeffs.items()})
+            if image.degree_span(0) < span:
+                continue
+            (_, mult), *others = to_sympy(image).factor_list()[1]
+            if mult > 1 or others:
+                return False
+        return _primitive_in(coeffs.values())
+    return False
+
+
+def _at_point(p):
+    """p with each t_j at _IMAGE_POINT + j, an integer (exponents >= 0)."""
+    total = 0
+    for exps, c in p.terms.items():
+        for j, e in enumerate(exps):
+            c *= (_IMAGE_POINT + j) ** e
+        total += c
+    return total
 
 
 def gcd(a, b):

@@ -379,6 +379,41 @@ def torus_fixture(tmp_path, n):
     return str(p)
 
 
+def sympy_loaded(tmp_path, argv):
+    """(exit status, whether sympy is loaded) after ``argv`` runs in a
+    fresh interpreter; None runs nothing but ``import alexlink``."""
+    code = "import io, sys\nimport alexlink\nstatus = 0\n"
+    if argv is not None:
+        code += ("from alexlink import cli\n"
+                 f"status = cli.main({argv!r}, out=io.StringIO(), "
+                 "err=io.StringIO())\n")
+    code += "print(status, 'sympy' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(al.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    status, loaded = proc.stdout.split()
+    return int(status), loaded == "True"
+
+
+class TestLazySympy:
+    """sympy is loaded only by a factorization with no certificate."""
+
+    def test_import_alone(self, tmp_path):
+        assert sympy_loaded(tmp_path, None) == (0, False)
+
+    def test_certified_records_skip_sympy(self, tmp_path):
+        # T(2,4): delta = 1 + t1*t2, linear in t1; unknotted components
+        path = torus_fixture(tmp_path, 4)
+        assert sympy_loaded(tmp_path, ["obstruct", path]) == (0, False)
+        assert sympy_loaded(tmp_path, ["factor", "t1*t2+1", "--vars", "2"]) \
+            == (0, False)
+
+    def test_knotted_component_loads_sympy(self, tmp_path):
+        # t^2 - t + 1 is certified by its image, which sympy factors
+        assert sympy_loaded(tmp_path, ["obstruct", fx("trefoil")]) == \
+            (0, True)
+
+
 class TestOverBudget:
     def test_over_skein_budget_succeeds(self, tmp_path):
         # 17 crossings: one over the skein's, which guards only conway

@@ -1,9 +1,15 @@
 """Factorization, gcd and the norm-pairing decision procedures."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alexlink as al
 from alexlink.factor import (factor_irreducible, gcd_many,
@@ -149,6 +155,162 @@ class TestPolyPathMatchesExpressionPath:
             p = P(text, nvars)
             assert al.factor_irreducible(p) == \
                 _expression_path_factorization(p), text
+
+
+def sympy_factorization(p):
+    """The sympy-only route, kept as the reference for the certificates.
+
+    sympy's ``Poly.factor_list`` factors the whole ordinary part and
+    ``factorint`` its integer content, with no certificate on the way.
+    """
+    import sympy
+    n = p.nvars
+    if p.is_unit():
+        return al.Factorization(unit=p, factors=())
+    coeff, raw = to_sympy(p).factor_list()
+    factors = {}
+    for prime, mult in sympy.factorint(abs(int(coeff))).items():
+        factors[LaurentPoly.const(n, int(prime))] = mult
+    for fac, mult in raw:
+        q = unit_normal_form(from_sympy(fac, n))
+        if not q.is_one():
+            factors[q] = factors.get(q, 0) + mult
+    ordered = tuple(sorted(factors.items(),
+                           key=lambda fm: sorted(fm[0].terms.items())))
+    prod = LaurentPoly.one(n)
+    for f, mult in ordered:
+        prod = prod * f ** mult
+    return al.Factorization(unit=al.divide_exact(p, prod), factors=ordered)
+
+
+@st.composite
+def certificate_products(draw):
+    """A product in 1-4 variables of a unit, powers of 1 - t_i, an
+    integer content, a conjugate pair f * conj(f) and small factors."""
+    nvars = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)
+
+    def small():
+        terms = draw(st.dictionaries(exps.map(tuple), st.integers(-3, 3),
+                                     min_size=1, max_size=3))
+        p = LaurentPoly(nvars, terms)
+        return LaurentPoly.one(nvars) if p.is_zero() else p
+
+    p = LaurentPoly.monomial(nvars, draw(exps), draw(st.sampled_from([1, -1])))
+    for i in range(nvars):
+        p = p * (1 - LaurentPoly.var(nvars, i)) ** draw(st.integers(0, 2))
+    p = p * draw(st.sampled_from([1, 2, 6, 9, 10]))
+    if draw(st.booleans()):
+        f = small()
+        p = p * f * f.involute()
+    for _ in range(draw(st.integers(0, 2))):
+        p = p * small()
+    return p
+
+
+@pytest.fixture
+def sympy_polys(monkeypatch):
+    """The polynomials factor.py hands to sympy through to_sympy."""
+    from alexlink import factor
+    calls = []
+    real = factor.to_sympy
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(factor, "to_sympy", counting)
+    return calls
+
+
+class TestCertificates:
+    """The certified route against the sympy-only one, and each branch."""
+
+    def test_corpus_polynomials(self, corpus):
+        polys = []
+        for d in corpus:
+            alex = al.alexander_data(d)
+            polys += [alex.delta, alex.delta_tor]
+            polys += al.component_polynomials(d, alex)
+        polys = [p for p in polys if not p.is_zero()]
+        assert len(polys) >= 60
+        assert sum(len(p.variables_used()) >= 2 for p in polys) >= 20
+        for p in polys:
+            assert al.factor_irreducible(p) == sympy_factorization(p), \
+                al.format_poly(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(certificate_products())
+    def test_products(self, p):
+        assert al.factor_irreducible(p) == sympy_factorization(p)
+
+    @pytest.mark.parametrize("text, nvars", [
+        ("1 + t1*t2", 2), ("t1*t2*t3 - t1 + 1", 3),
+        ("-t1*t2*t3 + t1*t2 + t1*t3 - t2 - t3 + 1", 3),
+        ("6*(t1-1)^2*(t2*t1 + 2*t2^-1 + 1)", 2)])
+    def test_linear_rule_asks_no_sympy(self, monkeypatch, text, nvars):
+        from alexlink import factor
+
+        def refuse(p):
+            raise AssertionError("sympy asked for a polynomial")
+
+        p = P(text, nvars)
+        expected = sympy_factorization(p)
+        monkeypatch.setattr(factor, "to_sympy", refuse)
+        assert al.factor_irreducible(p) == expected
+
+    @pytest.mark.parametrize("text, nvars", [
+        ("t1^2*t2^2 + t1*t2 + 1", 2), ("t^4 - 3*t^3 + 5*t^2 - 3*t + 1", 1),
+        ("t1^2*t2^2*t3 - t1*t2 + t1^2 + t2^2*t3^2 + 1", 3)])
+    def test_image_certifies_higher_degree(self, sympy_polys, text, nvars):
+        p = P(text, nvars)
+        fact = al.factor_irreducible(p)
+        (q, mult), = fact.factors
+        assert mult == 1 and min(map(q.degree_span, q.variables_used())) >= 2
+        # one univariate image, no factorization of the whole polynomial
+        assert [x.nvars for x in sympy_polys] == [1]
+        assert fact == sympy_factorization(p)
+
+    def test_reducible_images_reach_sympy(self, sympy_polys):
+        p = P("1 - t1^2*t2^2", 2)
+        fact = al.factor_irreducible(p)
+        assert [x.nvars for x in sympy_polys] == [1, 2]
+        assert [q for q, _ in fact.factors] == \
+            [P("1 - t1*t2", 2), P("1 + t1*t2", 2)]
+        assert fact == sympy_factorization(p)
+
+    @pytest.mark.parametrize("text", [
+        # no t_k-coefficient of these is a single term, and each has a
+        # factor free of some variable of degree 1
+        "(t1 + 1)*(t2 + 2)", "(t1 + 1)*(t1 + t2 + 2)",
+        "(t1*t2 + t2 + 2)*(t2 + 3)",
+        # t1's top coefficient vanishes at t2 = 3, where the image is the
+        # irreducible t1 + 10 of lower degree
+        "(t1*t2^2 - 3*t1*t2 + 1)*(t1 + t2^2 + 1)"])
+    def test_reducible_rest_is_not_certified(self, text):
+        p = P(text, 2)
+        fact = al.factor_irreducible(p)
+        assert len(fact.factors) == 2
+        assert fact == sympy_factorization(p)
+
+    def test_lost_factor_raises_under_optimisation(self):
+        code = (
+            "from alexlink import factor, parse_poly\n"
+            "real = factor._irreducible_factors\n"
+            "def drop_one(p):\n"
+            "    found = real(p)\n"
+            "    found.pop(max(found, key=lambda q: len(q.terms)))\n"
+            "    return found\n"
+            "factor._irreducible_factors = drop_one\n"
+            "try:\n"
+            "    factor.factor_irreducible(parse_poly('(t1-1)*(t2+2)', 2))\n"
+            "except AssertionError as exc:\n"
+            "    print(__debug__, 'raised:', exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(al.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.startswith("False raised:"), proc.stderr
+        assert "inconsistent factorization" in proc.stdout
 
 
 def _interpolate(xs, ys):

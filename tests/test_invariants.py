@@ -568,6 +568,109 @@ class TestBlockRoute:
         assert a.beta == 2
 
 
+def jacobian_blocks(d):
+    """(block, bound) for each block of the reduced Fox Jacobians of d,
+    the link's and each self-crossing component's, as _rank_and_order
+    takes them: the bound is min(rows, columns - 1)."""
+    jacobians = [al.fox_jacobian(d)] if d.ncrossings else []
+    jacobians += [al.fox_jacobian(d, c) for c in range(d.ncomps)
+                  if (c, c) in map(d.crossing_components,
+                                   range(d.ncrossings))]
+    for rows, _ in jacobians:
+        reduced, _, cols = reduce_unit_pivots(rows)
+        for block, block_cols in invariants._blocks(reduced, cols):
+            yield block, min(len(block), len(block_cols) - 1)
+
+
+@pytest.fixture
+def bareiss_runs(monkeypatch):
+    """The row count of every Bareiss elimination."""
+    runs = []
+    real = invariants._bareiss_rank
+
+    def counting(rows):
+        runs.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(invariants, "_bareiss_rank", counting)
+    return runs
+
+
+class TestCertifiedRank:
+    """matrix_rank with the Fox bound against Bareiss alone, the reference."""
+
+    def test_equals_bareiss_on_every_block(self, corpus):
+        cases = (corpus + golden_generated_diagrams() + split_unions()
+                 + random_braid_closures(seeded(74), 300, strands=(3, 4, 5),
+                                         length=(10, 18)))
+        blocks = [b for d in cases for b in jacobian_blocks(d)]
+        assert len(blocks) >= 500
+        certified = below = 0
+        for block, bound in blocks:
+            rank = matrix_rank(block)
+            assert matrix_rank(block, bound) == rank <= bound
+            certified += len(block) > 2 and rank == bound
+            below += rank < bound
+        # blocks of three or more rows at the bound take the image alone
+        assert certified >= 100 and below >= 2
+
+    def test_trefoil_takes_one_rank(self, monkeypatch):
+        bounds = []
+        real = invariants.matrix_rank
+
+        def recording(rows, bound=None):
+            bounds.append(bound)
+            return real(rows, bound)
+
+        monkeypatch.setattr(invariants, "matrix_rank", recording)
+        al.alexander_data(load_fixture("trefoil"))
+        # one 2 x 2 block, whose kernel vector bounds its rank by 1
+        assert bounds == [1]
+
+    def test_image_at_the_point_falls_back(self, bareiss_runs):
+        t, one = LaurentPoly.var(1, 0), LaurentPoly.one(1)
+        zero = LaurentPoly.zero(1)
+        a = invariants._residue(0)
+        for c, fallback in ((a, True), (a + 1, False)):
+            # t - c is 0 at the point when c = a: the image has rank 2
+            rows = [[t - c, zero, zero], [one, t, zero], [zero, one, t + one]]
+            assert invariants._image_rank(rows) == (2 if fallback else 3)
+            assert matrix_rank(rows, 3) == 3
+            assert bareiss_runs == ([3] if fallback else [])
+            assert matrix_rank(rows) == 3
+            bareiss_runs.clear()
+
+    def test_large_exponents_cost_one_power_each(self, bareiss_runs):
+        # a dense table of powers over the exponent range would not fit
+        big = LaurentPoly.var(1, 0, 1 << 50)
+        one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
+        rows = [[big - one, zero, zero], [one, big.involute(), zero],
+                [zero, one, big + one]]
+        assert matrix_rank(rows, 3) == 3 and bareiss_runs == []
+
+    def test_two_rows_take_bareiss(self, bareiss_runs):
+        rows = [[P("t1-1", 2), P("t2", 2)], [P("t1+1", 2), P("2", 2)]]
+        assert matrix_rank(rows, 2) == 2 and bareiss_runs == [2]
+
+    def test_connected_diagram_of_a_split_link(self, bareiss_runs):
+        # component 1 passes over component 0 at every crossing between
+        # them and never crosses itself, so it lifts off: the link is
+        # split, though its diagram is connected
+        d = braid_closure([-1, -1, -2, -3, -3, -3, 2, -1], 4)
+        assert d.ncomps == 2 and len(d.split_partition()) == 1
+        assert {(u, o) for u, o in map(d.crossing_components,
+                                       range(d.ncrossings))} == \
+            {(0, 0), (0, 1)}
+        reduced, _, cols = reduce_unit_pivots(al.fox_jacobian(d)[0])
+        (block, block_cols), = invariants._blocks(reduced, cols)
+        bound = min(len(block), len(block_cols) - 1)
+        assert (len(block), len(block_cols), bound) == (3, 4, 3)
+        assert matrix_rank(block, bound) == matrix_rank(block) == 2
+        assert bareiss_runs == [3, 3]
+        assert al.alexander_data(d) == minor_gcd_alexander_data(d)
+        assert al.alexander_data(d).beta == 1
+
+
 @st.composite
 def braid_words(draw, length=12):
     """(word, strands): a braid word on 2-5 strands using every generator,
