@@ -404,13 +404,14 @@ def parse_fixture(text, name_hint=""):
     Lines: ``name: <string>``, ``components: <m>``, optional
     ``freeloops: <k>``, ``pd: X[a,b,c,d], ...`` (possibly empty for
     unlinks).  Lines starting with '#' are comments; ``note:`` lines are
-    carried as annotations.
+    carried as annotations.  Each key may appear once.
     """
     name = name_hint
     m = None
     nfree = 0
     pd_text = None
     notes = {}
+    seen = set()
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -419,6 +420,9 @@ def parse_fixture(text, name_hint=""):
             raise PDError(f"bad fixture line: {line!r}")
         key, _, val = line.partition(":")
         key, val = key.strip(), val.strip()
+        if key in seen:
+            raise PDError(f"repeated fixture key {key!r}")
+        seen.add(key)
         if key == "name":
             name = val
         elif key == "components":

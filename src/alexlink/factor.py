@@ -216,14 +216,14 @@ def _at_point(p):
 
 def gcd(a, b):
     """A greatest common divisor of a and b, in unit normal form."""
-    import sympy
+    a._check(b)
     if a.is_zero() and b.is_zero():
         raise ZeroInputError("gcd(0, 0) is undefined")
     if a.is_zero():
         return unit_normal_form(b)
     if b.is_zero():
         return unit_normal_form(a)
-    a._check(b)
+    import sympy
     return unit_normal_form(
         from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), a.nvars))
 

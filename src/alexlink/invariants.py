@@ -26,16 +26,14 @@ finer), all-zero rows and columns belong to none, and the rank of M' is
 the sum of the blocks' ranks r_i while the gcd of its minors is the
 product of the gcds of each block's r_i-minors.
 
-A block's rank is certified by one image.  The fundamental formula makes
+A block's rank is certified by one minor.  The fundamental formula makes
 w_j = t_c(j) - 1 a nonzero kernel vector of each block (below), so its
-rank is at most min(rows, columns - 1).  Mapping each t_i to a fixed
-nonzero residue modulo the prime 2^61 - 1 sends every minor to the
-image's minor, so the image's rank is at most the block's; when it
-reaches the bound, the bound is the rank, exactly.  A block whose image
-falls short (a connected diagram of a split link, or an unlucky point),
-and a block of two rows or fewer, whose one elimination step costs less
-than the image, take exact fraction-free (Bareiss) elimination over the
-polynomial ring.
+rank is at most min(rows, columns - 1).  A nonzero minor of that size,
+on the block's last rows and last columns, proves the rank reaches the
+bound; on a square block it is the minor that ``_corank_one_order``
+takes again for the order.  A block whose minor vanishes (a connected
+diagram of a split link) takes exact fraction-free (Bareiss)
+elimination over the polynomial ring.
 
 A square block of corank 1 needs one minor.  The fundamental formula
 makes w_j = t_c(j) - 1, c(j) column j's component, a kernel vector of
@@ -157,78 +155,22 @@ def reduce_unit_pivots(rows):
             k, live_cols)
 
 
-# ``_image_rank`` works modulo this prime
-_PRIME = (1 << 61) - 1
-_MASK64 = (1 << 64) - 1
-
-
-def _residue(i):
-    """The fixed residue of t_i in ``_image_rank``: splitmix64 of i + 1,
-    a hash with no small relation between the values it gives."""
-    z = (i + 1) * 0x9E3779B97F4A7C15 & _MASK64
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
-    return (z ^ z >> 31) % _PRIME or 1
-
-
 def matrix_rank(rows, bound=None):
     """Rank over the quotient field.
 
-    ``bound``, when given, must be an upper bound on the rank.  The rank
-    of the image of ``rows`` modulo ``_PRIME`` at a fixed point of
-    nonzero residues is at most the rank, since each minor maps to the
-    image's minor; when it reaches ``bound``, that is the rank.
-    Otherwise, without a bound, and for two rows or fewer, where its
-    single step costs less than the image, fraction-free Bareiss
-    elimination gives it.
+    ``bound``, when given, must be an upper bound on the rank, at most
+    the number of rows and of columns.  A nonzero minor on the last
+    ``bound`` rows and the last ``bound`` columns makes the rank at
+    least ``bound``, so then the bound is the rank.  Otherwise, and
+    without a bound, fraction-free Bareiss elimination gives it.
     """
-    if bound is not None and len(rows) > 2 and _image_rank(rows) == bound:
-        return bound
+    if bound is not None:
+        nr, nc = len(rows), len(rows[0])
+        minor = _determinant(rows, tuple(range(nr - bound, nr)),
+                             tuple(range(nc - bound, nc)), {})
+        if not minor.is_zero():
+            return bound
     return _bareiss_rank(rows)
-
-
-def _image_rank(rows):
-    """Rank of rows modulo _PRIME with each t_i at ``_residue(i)``.
-
-    Each exponent that occurs is raised once per variable, a negative
-    one as a power of the residue's inverse, taken once.
-    """
-    terms = [[x.terms for x in row] for row in rows]
-    powers = []
-    for i in range(rows[0][0].nvars):
-        a = _residue(i)
-        inverse = pow(a, -1, _PRIME)
-        powers.append({e: pow(a, e, _PRIME) if e >= 0 else
-                       pow(inverse, -e, _PRIME)
-                       for e in {e[i] for row in terms for x in row
-                                 for e in x}})
-    m = []
-    for row in terms:
-        out = []
-        for x in row:
-            total = 0
-            for exps, c in x.items():
-                for e, power in zip(exps, powers):
-                    c *= power[e]
-                total += c
-            out.append(total % _PRIME)
-        m.append(out)
-    rank = 0
-    for col in range(len(m[0])):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, _PRIME)
-        top = m[rank]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col] * inv % _PRIME
-            if f:
-                m[r] = [(x - f * y) % _PRIME for x, y in zip(m[r], top)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def _bareiss_rank(rows):
@@ -389,7 +331,7 @@ def _rank_and_order(rows, col_component, nvars):
     number of pivots plus the sum of the blocks' ranks and the torsion
     order the product of their orders.  Each block's rank is bounded by
     min(rows, columns - 1), which ``matrix_rank`` certifies from one
-    image where it can.  A square block of corank 1 gives its order from
+    minor where it can.  A square block of corank 1 gives its order from
     one minor and at most one exact division; any other block gives the
     gcd of its rank-sized minors.
     """

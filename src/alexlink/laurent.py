@@ -381,10 +381,10 @@ def unit_normal_form(p):
 
 def unit_equal(a, b):
     """True when a ≐ b, i.e. they differ by a unit ±t^k."""
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
     if a.nvars != b.nvars:
         raise VariableCountMismatch("cannot compare across rings")
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
     return unit_normal_form(a) == unit_normal_form(b)
 
 
@@ -400,11 +400,11 @@ def divide_exact(a, b):
     that box means b does not divide a, and keeping inside it ends the
     loop.
     """
+    a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
         return LaurentPoly(a.nvars)
-    a._check(b)
     n = a.nvars
     lo_a, hi_a = _box(a._d, n)
     lo_b, hi_b = _box(b._d, n)

@@ -503,7 +503,9 @@ class TestMutatedFixtures:
         rng = seeded(81)
         texts = [p.read_text() for p in fixture_paths()]
         paths = []
-        for k in range(150):
+        # a repeated line is an error since repeated keys are refused,
+        # so 250 files keep at least 20 that parse
+        for k in range(250):
             path = tmp_path / f"m{k:03d}.lnk"
             path.write_text(mutate(rng, rng.choice(texts)))
             paths.append(str(path))
@@ -543,6 +545,15 @@ class TestExitCodes:
         p.write_text("name: bad\ncomponents: 2\npd: X[1,2,3]\n")
         status, _, err = run(["invariants", str(p)])
         assert status == 1 and "error" in err
+
+    def test_repeated_fixture_key_rejected(self, tmp_path):
+        # two pd: lines would otherwise parse only the second diagram
+        p = tmp_path / "twice.lnk"
+        p.write_text((FIXTURE_DIR / "hopf.lnk").read_text()
+                     + "pd: X[1,5,2,4], X[5,3,6,2], X[3,1,4,6]\n")
+        status, out, err = run(["invariants", str(p)])
+        assert status == 1 and out == ""
+        assert err == f"error: {p}: repeated fixture key 'pd'\n"
 
     def test_non_planar_rejected(self, tmp_path):
         p = tmp_path / "nonplanar.lnk"

@@ -96,6 +96,17 @@ class TestParsing:
         with pytest.raises(PDError):
             al.parse_fixture(f"name: bad\nbogus: 1\npd: {HOPF}\n")
 
+    @pytest.mark.parametrize("line", ["name: other", "components: 2",
+                                      "freeloops: 0", f"pd: {HOPF}",
+                                      "note_u: 1"])
+    def test_fixture_repeated_key(self, line):
+        key = line.partition(":")[0]
+        text = f"name: hopf\ncomponents: 2\nfreeloops: 0\nnote_u: 1\n" \
+            f"pd: {HOPF}\n"
+        assert al.parse_fixture(text).name == "hopf"
+        with pytest.raises(PDError, match=f"repeated fixture key '{key}'"):
+            al.parse_fixture(text + line + "\n")
+
 
 class TestOrientationInference:
     def test_negative_crossings(self):

@@ -402,6 +402,23 @@ class TestGcd:
         with pytest.raises(ZeroInputError):
             al.gcd(LaurentPoly.zero(1), LaurentPoly.zero(1))
 
+    def test_with_zero_checks_the_ring_before_sympy(self):
+        # in a fresh interpreter: sympy may be loaded here already
+        code = (
+            "import sys\n"
+            "from alexlink import LaurentPoly, gcd, parse_poly\n"
+            "p = parse_poly('t1^-1*t2 - t1^-1', 2)\n"
+            "print(gcd(LaurentPoly.zero(2), p), 'sympy' in sys.modules)\n"
+            "try:\n"
+            "    gcd(LaurentPoly.zero(1), p)\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__, 'sympy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(al.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.splitlines() == [
+            "-t2 + 1 False", "VariableCountMismatch False"], proc.stderr
+
     def test_gcd_many_short_circuit(self):
         g = gcd_many([P("t1-1", 2), P("t2-1", 2), P("(t1-1)*(t2-1)", 2)])
         assert g.is_one()

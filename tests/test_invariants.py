@@ -596,6 +596,18 @@ def bareiss_runs(monkeypatch):
     return runs
 
 
+@st.composite
+def braid_words(draw, length=12):
+    """(word, strands): a braid word on 2-5 strands using every generator,
+    of at most ``length`` letters; ``length`` is at least 4."""
+    n = draw(st.integers(2, 5))
+    letter = st.builds(lambda g, s: g * s, st.integers(1, n - 1),
+                       st.sampled_from([1, -1]))
+    every = [draw(st.sampled_from([g, -g])) for g in range(1, n)]
+    more = draw(st.lists(letter, max_size=length + 1 - n))
+    return draw(st.permutations(every + more)), n
+
+
 class TestCertifiedRank:
     """matrix_rank with the Fox bound against Bareiss alone, the reference."""
 
@@ -611,7 +623,8 @@ class TestCertifiedRank:
             assert matrix_rank(block, bound) == rank <= bound
             certified += len(block) > 2 and rank == bound
             below += rank < bound
-        # blocks of three or more rows at the bound take the image alone
+        # blocks of three or more rows at the bound, certified by the
+        # minor alone
         assert certified >= 100 and below >= 2
 
     def test_trefoil_takes_one_rank(self, monkeypatch):
@@ -627,30 +640,50 @@ class TestCertifiedRank:
         # one 2 x 2 block, whose kernel vector bounds its rank by 1
         assert bounds == [1]
 
-    def test_image_at_the_point_falls_back(self, bareiss_runs):
+    def test_zero_minor_falls_back(self, bareiss_runs):
         t, one = LaurentPoly.var(1, 0), LaurentPoly.one(1)
         zero = LaurentPoly.zero(1)
-        a = invariants._residue(0)
-        for c, fallback in ((a, True), (a + 1, False)):
-            # t - c is 0 at the point when c = a: the image has rank 2
-            rows = [[t - c, zero, zero], [one, t, zero], [zero, one, t + one]]
-            assert invariants._image_rank(rows) == (2 if fallback else 3)
-            assert matrix_rank(rows, 3) == 3
-            assert bareiss_runs == ([3] if fallback else [])
-            assert matrix_rank(rows) == 3
-            bareiss_runs.clear()
+        # the last row is t times the middle one, and the certificate
+        # minor (rows 1-2, columns 1-2) vanishes though the rank is 2
+        rows = [[t - one, one, t], [one, zero, t + one],
+                [t, zero, t * t + t]]
+        assert _determinant(rows, (1, 2), (1, 2), {}).is_zero()
+        assert matrix_rank(rows, 2) == 2 and bareiss_runs == [3]
 
     def test_large_exponents_cost_one_power_each(self, bareiss_runs):
-        # a dense table of powers over the exponent range would not fit
+        # the minor multiplies sparse terms, never a dense table of
+        # powers over the exponent range
         big = LaurentPoly.var(1, 0, 1 << 50)
         one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
         rows = [[big - one, zero, zero], [one, big.involute(), zero],
                 [zero, one, big + one]]
         assert matrix_rank(rows, 3) == 3 and bareiss_runs == []
 
-    def test_two_rows_take_bareiss(self, bareiss_runs):
-        rows = [[P("t1-1", 2), P("t2", 2)], [P("t1+1", 2), P("2", 2)]]
-        assert matrix_rank(rows, 2) == 2 and bareiss_runs == [2]
+    def test_two_rows_certified_by_one_entry(self, bareiss_runs):
+        # a rank-1 block with kernel vector (t1 - 1, t2 - 1), as the
+        # fundamental formula gives; its last entry is the minor
+        rows = [[P("t2-1", 2), P("1-t1", 2)],
+                [P("t1*t2-t1", 2), P("t1-t1^2", 2)]]
+        assert matrix_rank(rows, 1) == 1 and bareiss_runs == []
+        assert matrix_rank(rows) == 1 and bareiss_runs == [2]
+
+    def test_non_square_blocks_certified_on_last_columns(self,
+                                                         bareiss_runs):
+        t, one = LaurentPoly.var(1, 0), LaurentPoly.one(1)
+        zero = LaurentPoly.zero(1)
+        # the first two columns are equal, the last two are not
+        wide = [[one, one, t, zero], [t, t, zero, one]]
+        assert _determinant(wide, (0, 1), (0, 1), {}).is_zero()
+        assert matrix_rank(wide, 2) == 2 and bareiss_runs == []
+        # a link's 3 x 2 block, bounded by 1 and certified by its last
+        # entry
+        d = braid_closure([-1, -2, -1, -1, -4, 4, -4, 1, -3, -4, -4, -3,
+                           4, 3, 1, 3], 5)
+        reduced, _, cols = reduce_unit_pivots(al.fox_jacobian(d)[0])
+        (block, block_cols), = invariants._blocks(reduced, cols)
+        assert (len(block), len(block_cols)) == (3, 2)
+        assert matrix_rank(block, 1) == 1 and bareiss_runs == []
+        assert matrix_rank(block) == 1 and bareiss_runs == [3]
 
     def test_connected_diagram_of_a_split_link(self, bareiss_runs):
         # component 1 passes over component 0 at every crossing between
@@ -670,17 +703,13 @@ class TestCertifiedRank:
         assert al.alexander_data(d) == minor_gcd_alexander_data(d)
         assert al.alexander_data(d).beta == 1
 
-
-@st.composite
-def braid_words(draw, length=12):
-    """(word, strands): a braid word on 2-5 strands using every generator,
-    of at most ``length`` letters; ``length`` is at least 4."""
-    n = draw(st.integers(2, 5))
-    letter = st.builds(lambda g, s: g * s, st.integers(1, n - 1),
-                       st.sampled_from([1, -1]))
-    every = [draw(st.sampled_from([g, -g])) for g in range(1, n)]
-    more = draw(st.lists(letter, max_size=length + 1 - n))
-    return draw(st.permutations(every + more)), n
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(braid_words())
+    def test_equals_bareiss_on_generated_blocks(self, case):
+        for block, bound in jacobian_blocks(braid_closure(*case)):
+            assert matrix_rank(block, bound) == \
+                invariants._bareiss_rank(block), case
 
 
 class TestMetamorphic:

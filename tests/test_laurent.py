@@ -417,6 +417,10 @@ class TestUnitNormalForm:
         assert not al.unit_equal(P("t+1", 1), P("t-1", 1))
         assert al.unit_equal(LaurentPoly.zero(2), LaurentPoly.zero(2))
 
+    def test_unit_equal_checks_the_ring_before_zero(self):
+        with pytest.raises(VariableCountMismatch):
+            al.unit_equal(LaurentPoly.zero(1), P("t1-t2", 2))
+
     def test_normalization_random(self):
         rng = seeded(12)
         for _ in range(N_RANDOM):
@@ -450,6 +454,14 @@ class TestDivision:
 
     def test_zero_numerator(self):
         assert al.divide_exact(LaurentPoly.zero(1), P("t", 1)).is_zero()
+
+    def test_zero_numerator_checks_the_ring(self):
+        with pytest.raises(VariableCountMismatch):
+            al.divide_exact(LaurentPoly.zero(1), P("t1-t2", 2))
+
+    def test_divides_zero_checks_the_ring(self):
+        with pytest.raises(VariableCountMismatch):
+            al.divides(P("t1-t2", 2), LaurentPoly.zero(1))
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
