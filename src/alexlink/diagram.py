@@ -19,12 +19,13 @@ The module also derives the Wirtinger presentation and its Fox Jacobian,
 the link's or one component's, and implements the diagram moves the
 obstruction machinery quantifies over: crossing changes, oriented
 smoothing, and a small bigon-reduction pass used by the split search.
-Every move that drops crossings splices and relabels its strands
-through one routine, ``_splice``, and builds its diagram through one
-``_traced``, which traces the components again.  Smoothing makes one
-move per diagram; bigon reduction runs all its moves on a flat
-crossing list and builds one diagram at the end.  Components, arcs and
-pieces are numbered by one routine, ``_classes``.
+Every move that drops crossings splices its strands through ``_splice``,
+naming each spliced strand by its smallest edge; bigon reduction loops
+over its moves on a flat list in ``_reduced``, shared with the search.
+``_traced`` builds each diagram a move makes: it renumbers the strands
+1..N once and traces the components.  The moves compare labels only by
+``==`` and ``<``, which renumbering keeps, so they pick the same moves.
+Components, arcs and pieces are numbered by ``_classes``.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ def _strand_pairs(crossings):
 def _splice(crossings, drop, splices):
     """Drop the crossings at the indices in ``drop``, splicing ``splices``.
 
-    The edge pairs in ``splices`` join edges into strands, each named by
-    its smallest edge; the strands left at kept crossings are relabelled
-    1..N in that order.  Returns the kept crossings, relabelled, and the
-    number of spliced strands left with no crossing: each closes up into
-    a free loop.
+    The edge pairs in ``splices`` join edges into strands, and each
+    strand left at a kept crossing is named by its smallest edge; no
+    other label changes.  Returns the kept crossings and the number of
+    spliced strands left with no crossing: each closes up into a free
+    loop.
     """
     strand = {}   # spliced edge -> the smallest edge of its strand
     for x, y in splices:
@@ -88,14 +89,19 @@ def _splice(crossings, drop, splices):
             for e, s in strand.items():
                 if s == y:
                     strand[e] = x
-    kept = [cr for k, cr in enumerate(crossings) if k not in drop]
-    edges = set().union(*kept)
-    used = edges.difference(strand)
-    used.update([s for e, s in strand.items() if e in edges])
-    new = {e: k for k, e in enumerate(sorted(used), 1)}
-    new.update([(e, new[s]) for e, s in strand.items() if e in edges])
-    closed = len(set(strand.values()) - used)
-    return [(new[a], new[b], new[c], new[d]) for a, b, c, d in kept], closed
+    get = strand.get
+    kept = [(get(a, a), get(b, b), get(c, c), get(d, d))
+            for k, (a, b, c, d) in enumerate(crossings) if k not in drop]
+    return kept, len(set(strand.values()).difference(*kept))
+
+
+def _switched(crossing, sign):
+    """A crossing and its sign with over- and under-strand swapped."""
+    a, b, c, d = crossing
+    if sign > 0:
+        # over ran d->b; the old under-strand a->c becomes the over-strand
+        return (d, a, b, c), -sign
+    return (b, c, d, a), -sign
 
 
 def _next_move(crossings, signs):
@@ -105,9 +111,7 @@ def _next_move(crossings, signs):
 
     One pass over the crossings.  Bigons are taken by their first
     crossing i, and where both over-edges at i start one, by the smaller
-    edge label.  A spliced strand is named by its smallest edge and
-    relabelling keeps the order of labels, so the rule does not depend
-    on when the labels are renumbered.
+    edge label.
     """
     over = {}   # over-edge -> the crossing where it was first met
     move = None
@@ -126,13 +130,32 @@ def _next_move(crossings, signs):
     return move[:2] if move else None
 
 
-def _traced(crossings, signs, nfree, name):
-    """The diagram on relabelled ``crossings`` with ``nfree`` free loops,
-    its components traced again: a smoothing can merge or split them.
-    Where no splice joined two components, one keeping a crossing keeps
-    the strand of its smallest edge, so the components keep their order.
+def _reduced(crossings, signs):
+    """Make the moves ``_next_move`` finds until none is left; ``signs``
+    loses the removed crossings' signs in place.  Returns the crossings
+    left, on the labels they came with, and the number of loops closed.
     """
-    comp_of_edge = _classes(set().union(*crossings), _strand_pairs(crossings))
+    closed = 0
+    move = _next_move(crossings, signs)
+    while move is not None:
+        crossings, k = _splice(crossings, move,
+                               _strand_pairs(crossings[i] for i in move))
+        closed += k
+        for i in move[::-1]:
+            del signs[i]
+        move = _next_move(crossings, signs)
+    return crossings, closed
+
+
+def _traced(crossings, signs, nfree, name):
+    """The diagram on ``crossings`` renumbered 1..N in order, with ``nfree``
+    free loops, its components traced again: a smoothing can merge or split
+    them.  Where no splice joined two components, one keeping a crossing
+    keeps the strand of its smallest edge, so the components keep their order.
+    """
+    new = {e: k for k, e in enumerate(sorted(set().union(*crossings)), 1)}
+    crossings = [tuple(map(new.__getitem__, cr)) for cr in crossings]
+    comp_of_edge = _classes(new.values(), _strand_pairs(crossings))
     ncomps = len(set(comp_of_edge.values())) + nfree
     return LinkDiagram(crossings, signs, comp_of_edge, ncomps, nfree, name)
 
@@ -223,24 +246,16 @@ class LinkDiagram:
         """Swap over- and under-strand at crossing i."""
         if not 0 <= i < self.ncrossings:
             raise PDError(f"crossing {i} out of range")
-        a, b, c, d = self.crossings[i]
-        if self.signs[i] > 0:
-            # over ran d->b; the old under-strand a->c becomes the over-strand
-            new = (d, a, b, c)
-        else:
-            new = (b, c, d, a)
-        crossings = list(self.crossings)
-        signs = list(self.signs)
-        crossings[i] = new
-        signs[i] = -signs[i]
+        crossings, signs = list(self.crossings), list(self.signs)
+        crossings[i], signs[i] = _switched(crossings[i], signs[i])
         return LinkDiagram(crossings, signs, self.comp_of_edge,
                            self.ncomps, self.nfree, self.name)
 
     def smooth_crossing(self, i):
         """Oriented smoothing at crossing i (skein 0-resolution).
 
-        The strands are spliced and relabelled by ``_splice`` and the
-        components traced again by ``_traced``.
+        The strands are spliced by ``_splice``, and ``_traced`` renumbers
+        them and traces the components again.
         """
         a, b, c, d = self.crossings[i]
         crossings, closed = _splice(self.crossings, (i,),
@@ -270,21 +285,13 @@ class LinkDiagram:
 
         Used only to make diagrammatic splitness visible after crossing
         changes; invariant computations never rely on it.  The moves run
-        on plain lists, relabelled by ``_splice`` after each one as
-        ``smooth_crossing`` is, and one diagram is built at the end.
+        on a flat list, and one diagram is built at the end.
         """
-        move = _next_move(self.crossings, self.signs)
-        if move is None:
+        signs = list(self.signs)
+        crossings, closed = _reduced(self.crossings, signs)
+        if len(crossings) == self.ncrossings:
             return self
-        crossings, signs, nfree = self.crossings, list(self.signs), self.nfree
-        while move is not None:
-            crossings, closed = _splice(
-                crossings, move, _strand_pairs(crossings[k] for k in move))
-            nfree += closed
-            for k in move[::-1]:
-                del signs[k]
-            move = _next_move(crossings, signs)
-        return _traced(crossings, signs, nfree, self.name)
+        return _traced(crossings, signs, self.nfree + closed, self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ changes to a completely split link, as does the rank bound.
 
 A completely split diagram has every lk(i,j) = 0, and changing crossing
 c between components i and j moves lk(i,j) by -sign(c).  So a set is
-skipped, before any diagram is built, unless for every pair the signs of
+skipped, before it is reduced, unless for every pair the signs of
 its changed (i,j) crossings sum to lk(i,j), and the search starts at
 depth sum |lk(i,j)|.  Bigon reduction keeps linking numbers, so neither
-step changes the reported set.
+step changes the reported set.  A set left is reduced as a flat list,
+the diagram's crossings with the set's switched, and splits when every
+crossing left joins a component to itself by the given ``comp_of_edge``:
+a label left is one of the diagram's own edges, and curl and bigon moves
+are isotopies, so it keeps its component.
 
 Splitness is only certified at the diagram level, so a genuinely split
 link can be missed on an unhelpful diagram: the upper bounds are
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+from .diagram import _reduced, _switched
 
 MAX_SEARCH_DEPTH = 4
 SEARCH_CROSSING_BUDGET = 20
@@ -72,8 +78,9 @@ def bounded_split_search(d, max_depth, mode="inter"):
         if cu != co:
             mixed[c] = ((max(cu, co), min(cu, co)), d.signs[c])
     candidates = list(mixed) if mode == "inter" else range(d.ncrossings)
+    switched = list(map(_switched, d.crossings, d.signs))
+    comp = d.comp_of_edge
 
-    seen = set()
     for depth in range(sum(map(abs, lk.values())), max_depth + 1):
         for changes in combinations(candidates, depth):
             moved = dict.fromkeys(lk, 0)
@@ -83,19 +90,14 @@ def bounded_split_search(d, max_depth, mode="inter"):
                     moved[pair] += sign
             if moved != lk:
                 continue
-            cur = d
-            for i in changes:
-                cur = cur.crossing_change(i)
-            reduced = cur.reduce_bigons()
-            key = reduced.state_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            partition = reduced.split_partition()
-            if all(len(part) == 1 for part in partition):
-                return SearchResult(found=True, sequence=tuple(changes),
-                                    partition=tuple(partition), depth=depth,
-                                    mode=mode)
+            crossings, signs = list(d.crossings), list(d.signs)
+            for c in changes:
+                crossings[c], signs[c] = switched[c]
+            crossings, _ = _reduced(crossings, signs)
+            if all(comp[a] == comp[b] for a, b, _, _ in crossings):
+                partition = tuple((i,) for i in range(d.ncomps))
+                return SearchResult(found=True, sequence=changes, depth=depth,
+                                    partition=partition, mode=mode)
     return SearchResult(found=False, sequence=(), partition=None,
                         depth=max_depth, mode=mode)
 

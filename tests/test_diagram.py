@@ -532,6 +532,29 @@ class TestMovesMatchReference:
                     assert wirtinger_arcs(e) == reference_wirtinger_arcs(e)
 
 
+# diagrams whose first crossing starts two bigons, as (PD code, {over-edge:
+# the other crossing of its bigon}, the over-edge the tie rule takes)
+TIE_CASES = [
+    # sigma1 sigma1^-1 sigma1^-1 sigma1^-1 closed: crossing 0 has
+    # over-edges b = 2 (a bigon with crossing 1) and d = 1 (a bigon
+    # with crossing 3), and the smaller edge, 1, is taken
+    ("X[5,2,6,1], X[6,2,7,3], X[3,7,4,8], X[8,4,5,1]", {2: 1, 1: 3}, 1),
+    # its mirror-image word: b = 5 (crossing 3) is the smaller edge
+    ("X[1,5,2,6], X[2,7,3,6], X[7,4,8,3], X[4,5,1,8]", {5: 3, 6: 1}, 5),
+    # the first word with edge 1 renamed 9: CPython's
+    # set((5, 2, 6, 9)) meets 9 first, but the rule takes 2
+    ("X[5,2,6,9], X[6,2,7,3], X[3,7,4,8], X[8,4,5,9]", {2: 1, 9: 3}, 2),
+]
+
+
+def relabelled(d):
+    """d with every edge label e renamed 3e + 7, which keeps their order."""
+    return LinkDiagram([[3 * e + 7 for e in cr] for cr in d.crossings],
+                       d.signs, {3 * e + 7: c
+                                 for e, c in d.comp_of_edge.items()},
+                       d.ncomps, d.nfree, d.name)
+
+
 class TestBigonReductionMatchesReference:
     """The flat-list reduction against the rebuild-per-move reference."""
 
@@ -549,17 +572,7 @@ class TestBigonReductionMatchesReference:
                 assert shape(c.reduce_bigons()) == \
                     shape(reference_reduce_bigons(c)), (d.name, changes)
 
-    @pytest.mark.parametrize("pd, over_edges, first", [
-        # sigma1 sigma1^-1 sigma1^-1 sigma1^-1 closed: crossing 0 has
-        # over-edges b = 2 (a bigon with crossing 1) and d = 1 (a bigon
-        # with crossing 3), and the smaller edge, 1, is taken
-        ("X[5,2,6,1], X[6,2,7,3], X[3,7,4,8], X[8,4,5,1]", {2: 1, 1: 3}, 1),
-        # its mirror-image word: b = 5 (crossing 3) is the smaller edge
-        ("X[1,5,2,6], X[2,7,3,6], X[7,4,8,3], X[4,5,1,8]", {5: 3, 6: 1}, 5),
-        # the first word with edge 1 renamed 9: CPython's
-        # set((5, 2, 6, 9)) meets 9 first, but the rule takes 2
-        ("X[5,2,6,9], X[6,2,7,3], X[3,7,4,8], X[8,4,5,9]", {2: 1, 9: 3}, 2),
-    ])
+    @pytest.mark.parametrize("pd, over_edges, first", TIE_CASES)
     def test_two_bigons_at_the_first_crossing(self, pd, over_edges, first):
         d = al.parse_pd(pd)
         assert min(over_edges) == first
@@ -573,6 +586,24 @@ class TestBigonReductionMatchesReference:
         assert one != other   # the tie decides the diagram
         assert shape(d.reduce_bigons()) == reduced[first] == \
             shape(reference_reduce_bigons(d))
+
+    def test_labels_renumbered_once(self):
+        """The moves read labels only by order, and a built diagram is
+        renumbered 1..N once: relabelling a diagram's edges in order
+        changes no reduction or smoothing of it."""
+        cases = [al.parse_pd(pd) for pd, _, _ in TIE_CASES]
+        cases += random_braid_closures(seeded(73), 24, strands=(2, 3, 4, 5))
+        moved = 0
+        for d in cases:
+            for c in [d] + [d.crossing_change(i) for i in range(d.ncrossings)]:
+                r, m = c.reduce_bigons(), relabelled(c).reduce_bigons()
+                moved += r is not c
+                assert shape(m) == shape(relabelled(c) if r is c else r), \
+                    c.crossings
+            for i in range(d.ncrossings):
+                assert shape(relabelled(d).smooth_crossing(i)) == \
+                    shape(d.smooth_crossing(i)), (d.name, i)
+        assert moved >= 200
 
     def test_bigon_leaving_a_free_loop(self):
         # sigma1 sigma1^-1 sigma2^2 closed: component 0 runs over

@@ -703,6 +703,25 @@ class TestCertifiedRank:
         assert al.alexander_data(d) == minor_gcd_alexander_data(d)
         assert al.alexander_data(d).beta == 1
 
+    # connected diagrams with beta = 1, mined from random_braid_words(
+    # seeded(11), 3000, (3, 4, 5), (6, 16)): the one block's rank is one
+    # below its bound, so the certificate's minor vanishes and the rank
+    # comes from Bareiss
+    @pytest.mark.parametrize("word, n", [
+        ([2, -1, 3, -2, -1, -2, 1], 4),
+        ([4, 4, 3, -2, -2, -3, -1], 5),
+        ([2, -2, -2, -3, -3, 2, 1, 1], 4),
+        ([1, -1, -3, -3, 2, 1, -2, -2, 1, -2, 2], 4),
+    ])
+    def test_rank_below_the_bound_falls_back(self, bareiss_runs, word, n):
+        d = braid_closure(word, n)
+        assert len(d.split_partition()) == 1
+        (block, bound), = jacobian_blocks(d)
+        assert matrix_rank(block, bound) == invariants._bareiss_rank(block) \
+            == bound - 1
+        assert bareiss_runs == [len(block)] * 2
+        assert al.alexander_data(d).beta == 1
+
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(braid_words())

@@ -3,16 +3,19 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 import alexlink as al
+from alexlink import search
 from alexlink.diagram import LinkDiagram
 from alexlink.obstructions import build_report
 from alexlink.search import (MAX_SEARCH_DEPTH, SEARCH_CROSSING_BUDGET,
                              SearchBudgetExceeded, SearchResult,
                              bounded_split_search, certify_gap)
 
-from conftest import (braid_closure_pd, corpus_diagrams, load_fixture,
-                      random_braid_closures, seeded)
+from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
+                      load_fixture, random_braid_closures, seeded)
+from test_invariants import braid_words
 
 
 def _parity_feasible(d, change_counts):
@@ -69,17 +72,30 @@ def reference_split_search(d, max_depth, mode="inter"):
 
 
 @pytest.fixture
-def crossing_changes(monkeypatch):
-    """The number of LinkDiagram.crossing_change calls, one per move."""
-    calls = []
-    real = LinkDiagram.crossing_change
+def reduced_states(monkeypatch):
+    """The crossing list of every state reduced, one per change set: the
+    search's through ``search._reduced``, the reference's through
+    ``LinkDiagram.reduce_bigons``."""
+    states = []
+    real_reduced, real_reduce = search._reduced, LinkDiagram.reduce_bigons
 
-    def counting(self, i):
-        calls.append(i)
-        return real(self, i)
+    def reduced(crossings, signs):
+        states.append(list(crossings))
+        return real_reduced(crossings, signs)
 
-    monkeypatch.setattr(LinkDiagram, "crossing_change", counting)
-    return calls
+    def reduce_bigons(self):
+        states.append(list(self.crossings))
+        return real_reduce(self)
+
+    monkeypatch.setattr(search, "_reduced", reduced)
+    monkeypatch.setattr(LinkDiagram, "reduce_bigons", reduce_bigons)
+    return states
+
+
+def changed(d, crossings):
+    """The indices of the crossings of d that ``crossings`` switches."""
+    return [i for i, (x, y) in enumerate(zip(d.crossings, crossings))
+            if x != y]
 
 
 def torus_2(n):
@@ -161,35 +177,46 @@ class TestLinkingNumberPrune:
                 assert bounded_split_search(d, depth, mode) == \
                     reference_split_search(d, depth, mode), (d.name, depth)
 
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(braid_words())
+    def test_matches_reference_on_generated_closures(self, case):
+        d = braid_closure(*case)
+        for mode in ("inter", "any"):
+            for depth in range(4):
+                assert bounded_split_search(d, depth, mode) == \
+                    reference_split_search(d, depth, mode), (case, mode)
+
     @pytest.mark.parametrize("name", ["L6a4", "whitehead"])
     @pytest.mark.parametrize("mode", ["inter", "any"])
-    def test_fewer_crossing_changes(self, crossing_changes, name, mode):
+    def test_fewer_crossing_changes(self, reduced_states, name, mode):
         d = load_fixture(name)
         expected = reference_split_search(d, 3, mode)
-        reference_calls = len(crossing_changes)
-        del crossing_changes[:]
+        reference_states = len(reduced_states)
+        del reduced_states[:]
         assert bounded_split_search(d, 3, mode) == expected
         if mode == "any":
-            assert len(crossing_changes) < reference_calls
+            assert len(reduced_states) < reference_states
         else:
             # each component pair here shares two crossings of opposite
             # sign, so parity already pruned what the sum prunes
-            assert len(crossing_changes) == reference_calls
+            assert len(reduced_states) == reference_states
 
-    def test_start_depth_above_max_builds_nothing(self, crossing_changes):
+    def test_start_depth_above_max_builds_nothing(self, reduced_states):
         d = torus_2(10)
         assert abs(d.linking_number(0, 1)) == 5
         r = bounded_split_search(d, 4, mode="any")
         assert r == SearchResult(found=False, sequence=(), partition=None,
                                  depth=4, mode="any")
-        assert crossing_changes == []
+        assert reduced_states == []
 
-    def test_start_depth_is_total_absolute_linking(self, crossing_changes):
+    def test_start_depth_is_total_absolute_linking(self, reduced_states):
         # T(2,8) has |lk| = 4: the search starts at depth 4 and its first
         # set changes four crossings
-        r = bounded_split_search(torus_2(8), 4, mode="inter")
+        d = torus_2(8)
+        r = bounded_split_search(d, 4, mode="inter")
         assert r.found and r.depth == 4
-        assert crossing_changes[:4] == [0, 1, 2, 3]
+        assert changed(d, reduced_states[0]) == [0, 1, 2, 3]
 
 
 class TestCertifyGap:
