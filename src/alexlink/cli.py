@@ -16,9 +16,9 @@ subcommands share one loop: each file gives a record or one error line,
 and the records are written after the loop, as line-delimited JSON with
 sorted keys and a fixed schemaVersion, or as obstruct's table.  Exit
 status is 0 when every input was processed, 2 when an input file is
-missing (the loop stops there; the records made before it are still
-written) or the arguments do not parse (argparse's usage error), 1 on
-any other error.  The parser is built once, at import.
+missing or a directory has no .lnk file (the loop stops there, with the
+records before it written) or the arguments do not parse (argparse's
+usage error), 1 on any other error.  The parser is built once, at import.
 
 A polynomial that starts with '-' goes after ``--``, as in
 ``factor -- "-t^2+1"``; before it, argparse reads the text as an option
@@ -35,8 +35,8 @@ from pathlib import Path
 from .diagram import PDError, parse_fixture
 from .factor import (MAX_FACTOR_VARS, factor_irreducible,
                      is_negligible_factor, norm_verdict)
-from .invariants import (CONWAY_CROSSING_BUDGET, alexander_data,
-                         component_polynomials, conway_polynomial)
+from .invariants import (alexander_data, component_polynomials,
+                         conway_polynomial)
 from .laurent import (DegreeSpanExceeded, LaurentPoly, PolyParseError,
                       format_poly, format_terms, parse_poly)
 from .obstructions import build_report
@@ -83,11 +83,12 @@ def _negligible_record(fact):
 
 
 def _iter_fixture_files(paths):
+    """Each path; a directory as its .lnk files, or itself if it has none."""
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
             yield from sorted(x for x in p.iterdir()
-                              if x.is_file() and x.suffix == ".lnk")
+                              if x.is_file() and x.suffix == ".lnk") or [p]
         else:
             yield p
 
@@ -128,17 +129,15 @@ def _search_fields(report, result):
 
 def _invariants_record(d, path, args):
     alex = alexander_data(d)
-    rec = {
+    return {
         **_header("invariants", d, path),
         **_orders(alex, component_polynomials(d, alex)),
         "crossings": d.ncrossings,
         "linkingNumbers": {
             f"{i + 1},{j + 1}": d.linking_number(i, j)
             for i in range(d.ncomps) for j in range(i)},
+        "conway": _conway_str(conway_polynomial(d, alex)),
     }
-    if d.ncrossings <= CONWAY_CROSSING_BUDGET:
-        rec["conway"] = _conway_str(conway_polynomial(d, alex))
-    return rec
 
 
 def _obstruct_record(d, path, args):
@@ -294,11 +293,12 @@ def main(argv=None, out=None, err=None):
     if args.command == "factor":
         return _factor(args.poly, nvars, out, err)
 
-    # one record per fixture file; a missing file ends the loop
+    # one record per fixture file; a missing input ends the loop
     status, records = 0, []
     for path in _iter_fixture_files(args.paths):
-        if not path.exists():
-            err.write(f"error: no such file: {path}\n")
+        if path.is_dir() or not path.exists():
+            err.write(f"error: no .lnk fixture in {path}\n" if path.is_dir()
+                      else f"error: no such file: {path}\n")
             status = 2
             break
         try:

@@ -26,30 +26,22 @@ finer), all-zero rows and columns belong to none, and the rank of M' is
 the sum of the blocks' ranks r_i while the gcd of its minors is the
 product of the gcds of each block's r_i-minors.
 
-A block's rank is certified by one minor.  The fundamental formula makes
-w_j = t_c(j) - 1 a nonzero kernel vector of each block (below), so its
-rank is at most min(rows, columns - 1).  A nonzero minor of that size,
-on the block's last rows and last columns, proves the rank reaches the
-bound; on a square block it is the minor that ``_corank_one_order``
-takes again for the order.  A block whose minor vanishes (a connected
-diagram of a split link) takes exact fraction-free (Bareiss)
-elimination over the polynomial ring.
-
-A square block of corank 1 needs one minor.  The fundamental formula
-makes w_j = t_c(j) - 1, c(j) column j's component, a kernel vector of
-M', and the Wirtinger relations give a left kernel vector of units,
-which the pivots leave on the kept rows; both restrict to each block.  So the adjugate of such a block is its
-minor gcd times units times w / gcd(w) (Torres, Crowell-Fox): the minor
-without row i and column j is the gcd times t_c(j) - 1, or the gcd
-itself when the block's columns belong to one component, and one minor
-and at most one exact division give it.  Each piece of the diagram
-with beta = 0 gives one such block, or none when its M' is zero.  Any
-other block (a
-connected diagram of a split link, a component that never passes
-under) takes the gcd of its r_i-minors, determinants computed lazily by
-sparse cofactor expansion with memoization; factor.gcd_many stops at 1
-and asks sympy only when the running gcd does not divide the next minor
-exactly.
+The fundamental formula makes w_j = t_c(j) - 1, c(j) column j's
+component, a nonzero kernel vector of M', and the Wirtinger relations
+give a left kernel vector of units, which the pivots leave on the kept
+rows; both restrict to each block.  So a block's rank is at most
+min(rows, columns - 1), and a nonzero minor of that size, on its last
+rows and columns, certifies it; a block whose minor vanishes (a
+connected diagram of a split link) takes fraction-free (Bareiss)
+elimination.  A square block of corank 1, one per piece of the diagram
+with beta = 0, has adjugate its minor gcd times units times w / gcd(w)
+(Torres, Crowell-Fox): ``_corank_one_order`` divides the certifying
+minor exactly by t_c(0) - 1, or by nothing when the block's columns
+belong to one component.  Any other block (a connected diagram of a
+split link, a component that never passes under) takes the gcd of its
+r_i-minors, determinants computed lazily by sparse cofactor expansion
+with memoization; factor.gcd_many stops at 1 and asks sympy only when
+the running gcd does not divide the next minor exactly.
 
 Crossing-free components contribute through the split-union rules: each
 one raises beta by 1, kills the multivariable polynomial (for links with
@@ -58,25 +50,25 @@ more than one component) and leaves the torsion polynomial unchanged.
 Each component's Alexander polynomial is the torsion order of its own
 Jacobian, read off the link's crossings with the other components'
 arcs killed, through the same reduction and blocks.  The Conway
-polynomial is read off delta, within a crossing budget: by Torres,
-nabla(t^(1/2) - t^(-1/2)) is delta(t) for a knot and
-(t-1) * delta(t,...,t) for a link, up to ±t^k.  Centring fixes t^k;
-the sign comes from nabla(0) = 1 for a knot and, for m components,
-from the z^(m-1) coefficient, which equals any cofactor of the
-linking-number Laplacian (Hoste).  Where that cofactor is 0 one skein
-step at a crossing between two components whose change raises their
-|lk| gives nabla(L) = nabla(L') + sign * z * nabla(L0), both children
-by the same route: for two components L' has lk = ±1 and L0 is a knot,
-two Fox leaves.  Only a node with no such crossing runs the skein on
-descending diagrams.  The Sato-Levine invariant reads the Conway
-polynomial; the skein alone gives the one-variable Alexander
-polynomial, the route independent of the Fox Jacobian.
+polynomial is read off delta: by Torres, nabla(t^(1/2) - t^(-1/2)) is
+delta(t) for a knot and (t-1) * delta(t,...,t) for a link, up to ±t^k.
+Centring fixes t^k; the sign comes from nabla(0) = 1 for a knot and,
+for m components, from the z^(m-1) coefficient, which equals any
+cofactor of the linking-number Laplacian (Hoste).  On a connected
+diagram that cofactor is a nonzero multiaffine polynomial in the
+lk(i,j) (matrix-tree theorem), so where it is 0, switching a chain of
+crossings between components makes it nonzero (Alon, Combinatorial
+Nullstellensatz), and the skein steps of the chain smooth crossings
+that join two components.  The Sato-Levine invariant reads the Conway
+polynomial.  The skein on descending diagrams, within a crossing
+budget, gives the one-variable Alexander polynomial, the reference
+route independent of the Fox Jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, permutations
 from math import comb
 
 from .diagram import PDError, _classes, fox_jacobian
@@ -367,7 +359,7 @@ def alexander_data(d):
 
 
 # ---------------------------------------------------------------------------
-# Conway polynomial: from the Fox route, by the skein where it cannot
+# Conway polynomial from the Fox route; the skein as its reference
 
 class ConwayBudgetExceeded(ValueError):
     pass
@@ -380,15 +372,25 @@ def _check_budget(d):
             f"of {CONWAY_CROSSING_BUDGET}")
 
 
-def _linking_cofactor(d):
+def _linking_matrix(d):
+    """lk(i,j) for every pair of d's components, 0 on the diagonal."""
+    return [[d.linking_number(i, j) if i != j else 0 for j in range(d.ncomps)]
+            for i in range(d.ncomps)]
+
+
+def _linking_cofactor(d, lk=None, switched=()):
     """A cofactor of the linking-number Laplacian: lk(1,2) when m = 2.
 
-    L[i][i] = sum_j lk(i,j) and L[i][j] = -lk(i,j); by Hoste every
-    cofactor equals the z^(m-1) coefficient of the Conway polynomial.
+    L[i][i] = sum_j lk(i,j) and L[i][j] = -lk(i,j), where ``lk`` is d's
+    linking matrix (computed when not given) after the crossings in
+    ``switched`` change, each moving its lk(i,j) by -sign.  By Hoste
+    every cofactor equals the z^(m-1) coefficient of the Conway polynomial.
     """
     m = d.ncomps
-    lk = [[d.linking_number(i, j) if i != j else 0 for j in range(m)]
-          for i in range(m)]
+    lk = [list(row) for row in lk or _linking_matrix(d)]
+    for v in switched:
+        for u, o in permutations(d.crossing_components(v)):
+            lk[u][o] -= d.signs[v]
     rows = [[LaurentPoly.const(1, sum(lk[i]) if i == j else -lk[i][j])
              for j in range(m)] for i in range(m)]
     rest = tuple(range(1, m))
@@ -426,15 +428,12 @@ def _peel_z(one):
 def conway_polynomial(d, alex=None):
     """The Conway polynomial as a dict {z-degree: coefficient}.
 
-    By Torres, nabla(t^(1/2) - t^(-1/2)) is delta(t) for a knot and
-    (t-1) * delta(t,...,t) for a link, up to ±t^k, so ``_peel_z`` gives
-    nabla up to sign.  The sign is fixed by nabla(0) = 1 for a knot and,
-    for m components, by the z^(m-1) coefficient, which equals the
-    linking cofactor (Hoste).  Where that cofactor is 0, ``_anchored_step``
-    takes one skein step and comes back here for both children.
-    ``alex`` is d's AlexanderData, computed when not given.
+    ``_peel_z`` reads nabla off delta up to sign (Torres).  The sign is
+    fixed by nabla(0) = 1 for a knot and, for m components, by the
+    linking cofactor, the z^(m-1) coefficient (Hoste); where that
+    cofactor is 0, ``_chain_step`` gives nabla.  ``alex`` is d's
+    AlexanderData, computed when not given.
     """
-    _check_budget(d)
     if alex is None:
         alex = alexander_data(d)
     m = d.ncomps
@@ -443,9 +442,10 @@ def conway_polynomial(d, alex=None):
         one = one * (LaurentPoly.var(1, 0) - LaurentPoly.one(1))
     if one.is_zero():
         return {}  # delta = 0 (split, beta > 0) or delta(t,...,t) = 0
-    anchor = 1 if m == 1 else _linking_cofactor(d)
+    lk = _linking_matrix(d)
+    anchor = 1 if m == 1 else _linking_cofactor(d, lk)
     if anchor == 0:
-        return _anchored_step(d)
+        return _chain_step(d, lk)
     nabla = _peel_z(one)
     lowest = nabla.get(m - 1, 0)
     if abs(lowest) != abs(anchor):
@@ -454,17 +454,6 @@ def conway_polynomial(d, alex=None):
                       f"cofactor for a link)")
     sign = 1 if lowest == anchor else -1
     return {k: sign * nabla[k] for k in sorted(nabla)}
-
-
-def _raising_crossing(d):
-    """The lowest crossing between two components whose change raises
-    their |lk|: lk is 0 or has the sign opposite to the crossing's.
-    None when every such change lowers a linking number."""
-    for i in range(d.ncrossings):
-        u, o = d.crossing_components(i)
-        if u != o and d.linking_number(u, o) * d.signs[i] <= 0:
-            return i
-    return None
 
 
 def _skein_sum(switched, sign, smoothed):
@@ -479,21 +468,32 @@ def _skein_sum(switched, sign, smoothed):
     return result
 
 
-def _anchored_step(d):
+def _chain_step(d, lk):
     """The Conway polynomial of d, whose linking cofactor is 0.
 
-    One skein step at ``_raising_crossing``, both children by
-    ``conway_polynomial``.  The switched child has a larger sum of
-    |lk|, which is bounded, and the smoothed child one crossing fewer,
-    so the recursion ends.  A node with no raising crossing runs the
-    whole skein: stepping there at the skein's crossing would make it a
-    raising one, which the next step would switch straight back.
+    S = (v_1..v_s) is the first of the smallest sets of crossings between
+    two components whose switching makes the cofactor nonzero; a smallest
+    set changes each lk(i,j) at most once (the cofactor is affine in it),
+    so only the first crossing of each pair and sign is tried.  Then
+    nabla(L) = nabla(L_S) + sum_k sign(v_k) * z * nabla(L_k): L_S has S
+    switched and is a Fox leaf, L_k has v_1..v_(k-1) switched and v_k
+    smoothed, which joins two components, so the recursion ends.
     """
-    v = _raising_crossing(d)
-    if v is None:
-        return _conway_skein(d)
-    return _skein_sum(conway_polynomial(d.crossing_change(v)), d.signs[v],
-                      conway_polynomial(d.smooth_crossing(v)))
+    first = {(*sorted(d.crossing_components(v)), d.signs[v]): v
+             for v in reversed(range(d.ncrossings))
+             if len(set(d.crossing_components(v))) == 2}
+    chain = next((s for size in range(1, d.ncomps)
+                  for s in combinations(sorted(first.values()), size)
+                  if _linking_cofactor(d, lk, s)), None)
+    if chain is None:
+        raise PDError("no switch chain makes the linking cofactor nonzero")
+    partial = list(accumulate(chain, lambda n, v: n.crossing_change(v),
+                              initial=d))
+    nabla = conway_polynomial(partial[-1])
+    for node, v in zip(partial, chain):
+        nabla = _skein_sum(nabla, d.signs[v],
+                           conway_polynomial(node.smooth_crossing(v)))
+    return nabla
 
 
 def _entering_map(d):
@@ -572,8 +572,8 @@ def sato_levine(d):
     """Minus the z^3 coefficient of the Conway polynomial.
 
     Defined for 2-component links with linking number zero, where the
-    linking cofactor is 0, so ``conway_polynomial`` takes one anchored
-    skein step: a knot and a link with lk = ±1, both by the Fox route.
+    linking cofactor is 0, so ``conway_polynomial`` switches one crossing
+    between the components: a knot and a link with lk = ±1, two Fox leaves.
     """
     if d.ncomps != 2:
         raise PDError("Sato-Levine invariant needs exactly 2 components")

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -416,16 +417,23 @@ class TestLazySympy:
 
 class TestOverBudget:
     def test_over_skein_budget_succeeds(self, tmp_path):
-        # 17 crossings: one over the skein's, which guards only conway
+        # 17 crossings: one over the skein's budget, which guards only
+        # the skein reference, so the record has conway
         path = torus_fixture(tmp_path, 17)
         expected = al.divide_exact(al.parse_poly("t^17+1", 1),
                                    al.parse_poly("t+1", 1))
+        # nabla(T(2,n)) = z nabla(T(2,n-1)) + nabla(T(2,n-2)), a Fibonacci
+        # polynomial: the coefficient of z^(16-2j) is C(16-j, j)
+        fibonacci = {16 - 2 * j: math.comb(16 - j, j) for j in range(9)}
         for argv in (["invariants"], ["obstruct"],
                      ["search", "--search-depth", "1"]):
             status, out, err = run(argv + [path])
             assert status == 0 and err == "", argv
             (rec,) = records(out)
-            assert "conway" not in rec
+            if argv[0] == "invariants":
+                assert rec["conway"] == cli._conway_str(fibonacci)
+            else:
+                assert "conway" not in rec
             if argv[0] != "search":
                 (poly,) = rec["componentPolys"]
                 assert al.unit_equal(al.parse_poly(poly, 1), expected)
@@ -536,6 +544,23 @@ class TestExitCodes:
         if "--table" in argv:
             header, row = out.splitlines()
             assert header.split()[0] == "name" and row.split()[0] == "Hopf"
+        else:
+            (rec,) = records(out)
+            assert rec["name"] == "Hopf"
+
+    @pytest.mark.parametrize("argv", [["invariants"], ["obstruct", "--table"]])
+    def test_directory_without_fixtures_stops_the_loop(self, tmp_path,
+                                                       argv):
+        # like a missing file: exit 2, the records before it written
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("not a fixture\n")
+        status, out, err = run(argv + [fx("hopf"), str(empty),
+                                       fx("trefoil")])
+        assert status == 2 and err == f"error: no .lnk fixture in {empty}\n"
+        if "--table" in argv:
+            header, row = out.splitlines()
+            assert row.split()[0] == "Hopf"
         else:
             (rec,) = records(out)
             assert rec["name"] == "Hopf"

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -731,6 +732,51 @@ class TestCertifiedRank:
                 invariants._bareiss_rank(block), case
 
 
+# Words of random_braid_words(seeded(11), 3000, (3, 4, 5), (6, 16)) whose
+# Alexander data reaches fallback routes, as tests/mine_fallback_words.py
+# finds them: the Bareiss rank, minor_gcd on a block that is not square
+# of corank 1, and sympy's gcd inside gcd_many
+FALLBACK_WORDS = [
+    ([4, 4, 3, -2, -2, -3, -1], 5, {"bareiss", "minor_gcd", "gcd"}),
+    ([2, -1, 3, -2, -1, -2, 1], 4, {"bareiss", "minor_gcd", "gcd"}),
+    ([2, -2, -2, -3, -3, 2, 1, 1], 4, {"bareiss", "minor_gcd", "gcd"}),
+    ([-1, -1, -2, -3, -2, -1, -1, 3, 1, -2, -3, -3, 1, 2, 3, 2], 4,
+     {"bareiss", "minor_gcd"}),
+    ([-1, -2, 1, 2, 1, 2], 3, {"minor_gcd", "gcd"}),
+    ([-1, -1, -2, -1, 2, 1, -2, 1], 3, {"minor_gcd", "gcd"}),
+    ([-3, -3, 2, 3, 4, 2, 4, 1], 5, {"minor_gcd", "gcd"}),
+    ([-2, -2, -1, -2, -1, -2, 2, 1, 1, -1, -1, 2, 1], 3, {"minor_gcd"}),
+]
+
+
+class TestFallbackRoutes:
+    """Mined closures that leave the certificates, each route against its
+    reference: the unreduced Jacobian for the Alexander data, and
+    reference_minor_gcd for each minor_gcd result."""
+
+    @pytest.mark.parametrize("word, n, routes", FALLBACK_WORDS)
+    def test_route_runs_and_agrees(self, monkeypatch, bareiss_runs,
+                                   minor_gcd_calls, gcd_calls, word, n,
+                                   routes):
+        results = []
+        counting = invariants.minor_gcd
+
+        def recording(rows, size, nvars):
+            results.append((rows, size, nvars, counting(rows, size, nvars)))
+            return results[-1][-1]
+
+        monkeypatch.setattr(invariants, "minor_gcd", recording)
+        d = braid_closure(word, n)
+        a = al.alexander_data(d)
+        reached = {"bareiss": bareiss_runs, "minor_gcd": minor_gcd_calls,
+                   "gcd": gcd_calls}
+        assert {r for r, calls in reached.items() if calls} == routes
+        assert results
+        for rows, size, nvars, g in results:
+            assert g == reference_minor_gcd(rows, size, nvars), word
+        assert a == unreduced_alexander_data(d), word
+
+
 class TestMetamorphic:
     """Braid moves, mirrors and split unions on seeded closures; the
     mirror, conjugation and stabilisation also on closures that
@@ -787,39 +833,34 @@ class TestMetamorphic:
 
     @staticmethod
     def check_split_union(u, n, v, k):
-        """The split union of two knot closures has beta = 1, delta = 0,
-        delta_tor ≐ the product of the knots' polynomials and, within
-        the crossing budget, Conway polynomial 0."""
+        """The split union of two closures, each a knot or a 2-component
+        link, has beta = 1 + beta1 + beta2, delta = 0, delta_tor ≐ the
+        product of the pieces' orders, each in its own variables, and
+        Conway polynomial 0 at any size."""
         d = split_union(braid_closure_pd(u, n), braid_closure_pd(v, k))
-        first = d.comp_of_edge[1]
-        pu, pv = (al.alexander_data(braid_closure(*w)).delta
-                  for w in ((u, n), (v, k)))
-        expected = embed_univariate(pu, first, 2) * \
-            embed_univariate(pv, 1 - first, 2)
+        beta, expected, offset = 1, LaurentPoly.one(d.ncomps), 0
+        for piece in (braid_closure(u, n), braid_closure(v, k)):
+            pa = al.alexander_data(piece)
+            beta += pa.beta
+            expected = expected * in_union(pa.delta_tor, piece, d, offset)
+            offset += max(piece.comp_of_edge)
         a = al.alexander_data(d)
-        assert a.beta == 1 and a.delta.is_zero(), (u, v)
+        assert a.beta == beta and a.delta.is_zero(), (u, v)
         assert al.unit_equal(a.delta_tor, expected), (u, v)
-        if d.ncrossings <= CONWAY_CROSSING_BUDGET:
-            assert conway_polynomial(d, a) == {}, (u, v)
-        else:
-            with pytest.raises(invariants.ConwayBudgetExceeded):
-                conway_polynomial(d, a)
+        assert conway_polynomial(d, a) == {}, (u, v)
 
     def test_split_union_multiplies_delta_tor(self):
         words = knot_words(seeded(70), 24)
         pairs = list(zip(words[::2], words[1::2]))
-        # some unions are within the crossing budget, some over it
-        assert len({len(u) + len(v) <= CONWAY_CROSSING_BUDGET
-                    for (u, _), (v, _) in pairs}) == 2
+        # the Conway polynomial has no crossing budget
+        assert max(len(u) + len(v) for (u, _), (v, _) in pairs) > 16
         for (u, n), (v, k) in pairs:
             self.check_split_union(u, n, v, k)
 
-    # two knots of at most 8 letters keep the union within the Conway
-    # polynomial's crossing budget
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(*[braid_words(8).filter(
-        lambda case: braid_closure(*case).ncomps == 1)] * 2)
+        lambda case: braid_closure(*case).ncomps <= 2)] * 2)
     def test_split_union_multiplies_delta_tor_generated(self, first, second):
         self.check_split_union(*first, *second)
 
@@ -840,16 +881,8 @@ class TestMetamorphic:
             for piece in diagrams:
                 pa = al.alexander_data(piece)
                 beta += pa.beta
-                # the piece's component c is the union's var[c]
-                var = {c: d.comp_of_edge[e + offset]
-                       for e, c in piece.comp_of_edge.items()}
-                terms = {}
-                for exps, coeff in pa.delta_tor.terms.items():
-                    key = [0] * m
-                    for c, x in enumerate(exps):
-                        key[var[c]] = x
-                    terms[tuple(key)] = coeff
-                expected = expected * LaurentPoly(m, terms)
+                expected = expected * in_union(pa.delta_tor, piece, d,
+                                               offset)
                 offset += max(piece.comp_of_edge)
             a = al.alexander_data(d)
             assert m == sum(piece.ncomps for piece in diagrams), pieces
@@ -857,6 +890,21 @@ class TestMetamorphic:
             assert al.unit_equal(a.delta_tor, expected), pieces
             components.append(m)
         assert max(components) >= 4
+
+
+def in_union(p, piece, d, offset):
+    """p, a polynomial in the variables of ``piece``, in those of the
+    split union d, where the piece's edges are shifted by ``offset``:
+    the piece's component c is the union's comp_of_edge[e + offset]."""
+    var = {c: d.comp_of_edge[e + offset]
+           for e, c in piece.comp_of_edge.items()}
+    terms = {}
+    for exps, coeff in p.terms.items():
+        key = [0] * d.ncomps
+        for c, x in enumerate(exps):
+            key[var[c]] = x
+        terms[tuple(key)] = coeff
+    return LaurentPoly(d.ncomps, terms)
 
 
 class TestKnownValues:
@@ -967,12 +1015,15 @@ class TestConway:
 
     def test_budget(self):
         from alexlink.invariants import ConwayBudgetExceeded
-        # split union of six trefoils: 18 crossings, over the budget
+        # split union of six trefoils: 18 crossings, over the skein's
+        # budget, which guards only the skein reference
         tref = [(4, 2, 5, 1), (2, 6, 3, 5), (6, 4, 1, 3)]
         text = ", ".join("X[%d,%d,%d,%d]" % tuple(6 * k + x for x in c)
                          for k in range(6) for c in tref)
+        d = al.parse_pd(text)
         with pytest.raises(ConwayBudgetExceeded):
-            conway_polynomial(al.parse_pd(text))
+            one_variable_alexander(d)
+        assert conway_polynomial(d) == {}
 
 
 class TestSatoLevine:
@@ -980,18 +1031,21 @@ class TestSatoLevine:
         assert al.sato_levine(load_fixture("whitehead")) == 1
 
     def test_reads_the_anchored_route(self, corpus, skein_calls,
-                                      anchored_calls):
+                                      chain_calls, unbudgeted):
         d = load_fixture("whitehead")
         assert al.sato_levine(d) == 1
-        assert anchored_calls[0] is d and skein_calls == []
+        assert chain_calls[0] is d and skein_calls == []
         cases = corpus + random_braid_closures(seeded(95), 200,
-                                               strands=(3, 4), length=(6, 12))
+                                               strands=(3, 4), length=(6, 20))
         links = [d for d in cases if d.ncomps == 2
-                 and d.ncrossings <= CONWAY_CROSSING_BUDGET
                  and d.linking_number(0, 1) == 0]
         assert len(links) >= 20
+        assert max(d.ncrossings for d in links) > CONWAY_CROSSING_BUDGET
         for d in links:
-            assert al.sato_levine(d) == -_conway_skein(d).get(3, 0), d.name
+            del skein_calls[:]
+            nabla = al.sato_levine(d)
+            assert skein_calls == [], d.name
+            assert nabla == -_conway_skein(d).get(3, 0), d.name
 
     def test_requires_lk_zero(self):
         from alexlink.diagram import PDError
@@ -1138,21 +1192,28 @@ def skein_calls(monkeypatch):
 
 
 @pytest.fixture
-def anchored_calls(monkeypatch):
-    """Every _anchored_step call, the children's included."""
+def chain_calls(monkeypatch):
+    """Every _chain_step call, the children's included."""
     calls = []
-    real = invariants._anchored_step
+    real = invariants._chain_step
 
-    def counting(d):
+    def counting(d, lk):
         calls.append(d)
-        return real(d)
+        return real(d, lk)
 
-    monkeypatch.setattr(invariants, "_anchored_step", counting)
+    monkeypatch.setattr(invariants, "_chain_step", counting)
     return calls
 
 
+@pytest.fixture
+def unbudgeted(monkeypatch):
+    """Lifts the skein's crossing budget, so that _conway_skein is a
+    reference at any size."""
+    monkeypatch.setattr(invariants, "CONWAY_CROSSING_BUDGET", 10 ** 6)
+
+
 def fox_route_cases(corpus):
-    """The corpus within budget, 80 seeded closures and four named ones.
+    """The corpus, 80 seeded closures and four named ones.
 
     The named closures are T(3,3), T(4,4), its mirror and the chain
     s1^2 s2^2 s3^2, whose linking cofactors are 3, 16, -16 and 1.
@@ -1161,27 +1222,25 @@ def fox_route_cases(corpus):
              ([1, 1, 2, 2, 3, 3], 4)]
     braids = [al.parse_pd(braid_closure_pd(w, n), name=f"braid{n}:{w}")
               for w, n in words]
-    cases = corpus + random_braid_closures(seeded(63), 80) + braids
-    return [d for d in cases if d.ncrossings <= CONWAY_CROSSING_BUDGET]
+    return corpus + random_braid_closures(seeded(63), 80) + braids
 
 
 class TestConwayFoxRoute:
     """The skein, _conway_skein, is the reference for the Fox route."""
 
-    def test_equals_skein(self, corpus, skein_calls, anchored_calls):
+    def test_equals_skein(self, corpus, skein_calls, chain_calls,
+                          unbudgeted):
         cases = fox_route_cases(corpus)
         assert {d.ncomps for d in cases} == {1, 2, 3, 4}
         fox = {}
         for d in cases:
-            del skein_calls[:], anchored_calls[:]
+            del skein_calls[:], chain_calls[:]
             nabla = conway_polynomial(d)
-            stepped = bool(anchored_calls)
-            # with two components the anchored step's children are Fox
-            # leaves, so the skein never runs
-            assert d.ncomps > 2 or skein_calls == [], d.name
+            stepped = bool(chain_calls)
+            assert skein_calls == [], d.name
             assert nabla == _conway_skein(d), d.name
             cofactor = 1 if d.ncomps == 1 else _linking_cofactor(d)
-            # the anchored step runs exactly where the cofactor is 0 and
+            # the chain step runs exactly where the cofactor is 0 and
             # the Alexander polynomial is not
             assert stepped == (cofactor == 0 and bool(nabla)), d.name
             if not stepped:
@@ -1190,27 +1249,36 @@ class TestConwayFoxRoute:
         assert {3, 16, -16, 1} <= set(fox[3] + fox[4])
 
     def test_anchored_step_only_where_cofactor_is_zero(self, skein_calls,
-                                                       anchored_calls):
+                                                       chain_calls):
         for name in ("trefoil", "hopf", "L9a10", "L9a15"):
             conway_polynomial(load_fixture(name))
-            assert anchored_calls == skein_calls == [], name
+            assert chain_calls == skein_calls == [], name
         # all linking numbers 0: Whitehead, the Borromean rings, L9a54
         for name in ("whitehead", "L6a4", "L9a54"):
-            del anchored_calls[:]
+            del chain_calls[:]
             d = load_fixture(name)
             conway_polynomial(d)
-            assert anchored_calls[0] is d, name
+            assert chain_calls[0] is d, name
         assert skein_calls == []
 
     def test_three_components_cofactor_zero_with_nonzero_lk(self,
                                                             skein_calls,
-                                                            anchored_calls):
+                                                            chain_calls):
         d = load_fixture("L9a46")
         lks = [d.linking_number(i, j) for i in range(3) for j in range(i)]
         assert any(lks) and _linking_cofactor(d) == 0
         nabla = conway_polynomial(d)
-        assert anchored_calls[0] is d and skein_calls == []
+        assert chain_calls[0] is d and skein_calls == []
         assert nabla == _conway_skein(d) == {4: -1}
+
+    def test_no_chain_is_an_error(self):
+        # a split diagram with a nonzero delta: no switch between its
+        # components can make the linking cofactor nonzero
+        d = load_fixture("trefoil_trefoil")
+        bad = AlexanderData(m=2, beta=0, delta=P("1", 2),
+                            delta_tor=P("1", 2))
+        with pytest.raises(PDError, match="no switch chain"):
+            conway_polynomial(d, bad)
 
     def test_cofactor_is_hoste_laplacian_minor(self):
         d = al.parse_pd(braid_closure_pd([1, 2, 3] * 4, 4))
@@ -1282,8 +1350,8 @@ class TestConwayFoxRoute:
 
 
 def steps(d):
-    """Whether conway_polynomial takes the anchored step at d: a link
-    with linking cofactor 0 whose delta(t,...,t) is not 0."""
+    """Whether conway_polynomial takes the chain step at d: a link with
+    linking cofactor 0 whose delta(t,...,t) is not 0."""
     return d.ncomps > 1 and _linking_cofactor(d) == 0 and \
         not al.alexander_data(d).delta.eval_diagonal().is_zero()
 
@@ -1310,22 +1378,50 @@ def pure_braid_closures(rng, count):
     return out
 
 
+def first_switch_chain(d):
+    """The first of the smallest sets of crossings between two components
+    whose switching makes d's linking cofactor nonzero, searched over
+    every such crossing."""
+    lk = invariants._linking_matrix(d)
+    between = [v for v in range(d.ncrossings)
+               if len(set(d.crossing_components(v))) == 2]
+    return next(s for size in range(1, len(between) + 1)
+                for s in combinations(between, size)
+                if _linking_cofactor(d, lk, s))
+
+
+def pure_braid_word(syllables):
+    """The word of the product of A_ij^e over ``syllables``, triples
+    (i, j, e) with 1 <= i < j.  A_ij = s_(j-1)..s_(i+1) s_i^2
+    s_(i+1)^-1..s_(j-1)^-1 crosses strands i and j twice, so the
+    closure's lk(i,j) is the exponent sum of A_ij."""
+    word = []
+    for i, j, e in syllables:
+        conj = list(range(j - 1, i, -1))
+        word += conj + [i if e > 0 else -i] * (2 * abs(e)) + \
+            [-g for g in reversed(conj)]
+    return word
+
+
 class TestAnchoredStep:
-    """Where the linking cofactor is 0, one skein step at a crossing that
-    raises |lk|, both children by conway_polynomial; _conway_skein is the
-    reference."""
+    """Where the linking cofactor is 0, _chain_step switches the first of
+    the smallest sets S of crossings between components that makes it
+    nonzero, and asks conway_polynomial for |S| + 1 children;
+    _conway_skein is the reference."""
 
     def test_equals_skein_on_seeded_closures(self, skein_calls):
-        closures = [d for d in random_braid_closures(
+        closures = random_braid_closures(
             seeded(92), 500, strands=(2, 3, 4, 5), length=(4, 14))
-            if d.ncrossings <= CONWAY_CROSSING_BUDGET]
         stepped = [d for d in closures if steps(d)]
         assert len(stepped) >= 6 and {d.ncomps for d in stepped} == {2, 3}
         for d in closures:
+            del skein_calls[:]
             nabla = conway_polynomial(d)
+            assert skein_calls == [], d.name
             assert nabla == _conway_skein(d), d.name
 
-    def test_three_and_four_components(self, monkeypatch, anchored_calls):
+    def test_three_and_four_components(self, monkeypatch, chain_calls,
+                                       skein_calls):
         links = pure_braid_closures(seeded(93), 60)
         assert {d.ncomps for d in links} == {3, 4}
         leaves = []
@@ -1336,16 +1432,53 @@ class TestAnchoredStep:
             return real(d)
 
         monkeypatch.setattr(invariants, "alexander_data", counting)
-        most = 0
+        sizes = set()
         for d in links:
-            del leaves[:], anchored_calls[:]
+            del leaves[:], chain_calls[:], skein_calls[:]
             nabla = conway_polynomial(d, real(d))
-            assert anchored_calls[0] is d, d.name
-            # every node steps once and asks two children
-            assert len(leaves) == 2 * len(anchored_calls), d.name
-            most = max(most, len(leaves))
+            assert chain_calls[0] is d and skein_calls == [], d.name
+            # every node asks |S| + 1 children, the one with all of S
+            # switched first
+            chains = [first_switch_chain(n) for n in chain_calls]
+            assert len(leaves) == sum(len(c) + 1 for c in chains), d.name
+            first = reduce(lambda n, v: n.crossing_change(v), chains[0], d)
+            assert (leaves[0].crossings, leaves[0].signs) == \
+                (first.crossings, first.signs), d.name
+            sizes.update(map(len, chains))
             assert nabla == _conway_skein(d), d.name
-        assert most <= 12
+        assert sizes == {1, 2}
+
+    def test_four_and_five_components_without_single_switch(
+            self, skein_calls, chain_calls, unbudgeted):
+        # every pair linked once, in a 4 x 4 linking matrix whose
+        # cofactor no single change of a linking number makes nonzero,
+        # and a 5 x 5 one with the same property
+        cases = [
+            (4, [(1, 4, -1), (2, 4, 1), (1, 3, 1), (3, 4, -1), (1, 2, -1),
+                 (2, 3, -1)], {7: 2, 9: 1}),
+            (4, [(1, 2, 1), (1, 4, 1), (1, 3, -1), (3, 4, 1), (2, 3, 1),
+                 (2, 4, -1)], {5: 1}),
+            (5, [(4, 5, -1), (2, 3, 1), (1, 5, 1), (1, 4, -1), (3, 4, 1),
+                 (1, 3, -1), (3, 5, -1)], {6: -4, 8: -2}),
+        ]
+        for n, syllables, expected in cases:
+            d = braid_closure(pure_braid_word(syllables), n)
+            lk = invariants._linking_matrix(d)
+            assert d.ncomps == n and d.ncrossings > CONWAY_CROSSING_BUDGET
+            assert _linking_cofactor(d, lk) == 0
+            assert [lk[i - 1][j - 1] for i, j, _ in syllables] == \
+                [e for _, _, e in syllables]
+            for i, j in combinations(range(n), 2):
+                for step in (1, -1):
+                    moved = [list(row) for row in lk]
+                    moved[i][j] += step
+                    moved[j][i] += step
+                    assert _linking_cofactor(d, moved) == 0, (n, i, j)
+            del skein_calls[:], chain_calls[:]
+            nabla = conway_polynomial(d)
+            assert chain_calls[0] is d and skein_calls == [], n
+            assert len(first_switch_chain(d)) == 2, n
+            assert nabla == _conway_skein(d) == expected, n
 
     def test_two_components_two_fox_leaves(self, corpus, monkeypatch,
                                            skein_calls):
@@ -1374,24 +1507,21 @@ class TestAnchoredStep:
             assert skein_calls == [], d.name
             assert nabla == _conway_skein(d), d.name
 
-    def test_fallback_without_raising_crossing(self, monkeypatch,
-                                               skein_calls):
+    def test_no_raising_crossing_needs_no_skein(self, skein_calls,
+                                                chain_calls):
         d = braid_closure([1, 2, -1, -1, 3, -2, -2, 3, -2, 1], 4)
-        nodes = []
-        real = invariants._raising_crossing
-
-        def recording(n):
-            nodes.append((n, real(n)))
-            return nodes[-1][1]
-
-        monkeypatch.setattr(invariants, "_raising_crossing", recording)
         nabla = conway_polynomial(d)
-        stuck = [n for n, v in nodes if v is None]
-        assert len(stuck) == 1 and skein_calls[0] is stuck[0]
-        del skein_calls[:]
+        assert chain_calls == [d] and skein_calls == []
         assert nabla == _conway_skein(d) == {5: -1}
-        # the skein's own crossing there becomes a raising one once
-        # switched, and the anchored rule would switch it straight back
-        n, = stuck
-        v = invariants._first_violation(n)
-        assert real(n.crossing_change(v)) == v
+        # with crossing 1 changed, every change between two components
+        # lowers some |lk|, and the cofactor is still 0
+        stuck = d.crossing_change(1)
+        assert _linking_cofactor(stuck) == 0
+        assert not any(u != o and stuck.linking_number(u, o)
+                       * stuck.signs[v] <= 0 for v, (u, o) in enumerate(
+                           map(stuck.crossing_components,
+                               range(stuck.ncrossings))))
+        del chain_calls[:], skein_calls[:]
+        nabla = conway_polynomial(stuck)
+        assert chain_calls[0] is stuck and skein_calls == []
+        assert nabla == _conway_skein(stuck)
