@@ -60,10 +60,8 @@ def to_sympy(p):
 
 
 def from_sympy(poly, nvars):
-    """Inverse of to_sympy for ordinary polynomials."""
-    import sympy
-    if not isinstance(poly, sympy.Poly):
-        poly = sympy.Poly(poly, *_symbols(nvars), domain=sympy.ZZ)
+    """Inverse of to_sympy for ordinary polynomials: ``poly`` is a sympy
+    Poly in t1..t_nvars."""
     terms = {tuple(int(e) for e in exps): int(c)
              for exps, c in poly.as_dict().items()}
     return LaurentPoly(nvars, terms)

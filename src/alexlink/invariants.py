@@ -30,18 +30,20 @@ The fundamental formula makes w_j = t_c(j) - 1, c(j) column j's
 component, a nonzero kernel vector of M', and the Wirtinger relations
 give a left kernel vector of units, which the pivots leave on the kept
 rows; both restrict to each block.  So a block's rank is at most
-min(rows, columns - 1), and a nonzero minor of that size, on its last
-rows and columns, certifies it; a block whose minor vanishes (a
-connected diagram of a split link) takes fraction-free (Bareiss)
-elimination.  A square block of corank 1, one per piece of the diagram
-with beta = 0, has adjugate its minor gcd times units times w / gcd(w)
-(Torres, Crowell-Fox): ``_corank_one_order`` divides the certifying
-minor exactly by t_c(0) - 1, or by nothing when the block's columns
-belong to one component.  Any other block (a connected diagram of a
-split link, a component that never passes under) takes the gcd of its
-r_i-minors, determinants computed lazily by sparse cofactor expansion
-with memoization; factor.gcd_many stops at 1 and asks sympy only when
-the running gcd does not divide the next minor exactly.
+min(rows, columns - 1); it is the size of its largest nonzero minor,
+sought from that bound down, the minor on the last rows and columns
+first, so one minor certifies a block at its bound and a block below it
+(a connected diagram of a split link) walks the smaller minors.  A
+square block of corank 1, one per piece of the diagram with beta = 0,
+has adjugate its minor gcd times units times w / gcd(w) (Torres,
+Crowell-Fox): ``_corank_one_order`` divides the certifying minor
+exactly by t_c(0) - 1, or by nothing when the block's columns belong to
+one component.  Any other block (a connected diagram of a split link, a
+component that never passes under) takes the gcd of its r_i-minors;
+factor.gcd_many stops at 1 and asks sympy only when the running gcd
+does not divide the next minor exactly.  Minors are determinants
+computed lazily by sparse cofactor expansion, through one memo per
+block that its rank and its order share.
 
 Crossing-free components contribute through the split-union rules: each
 one raises beta by 1, kills the multivariable polynomial (for links with
@@ -147,53 +149,23 @@ def reduce_unit_pivots(rows):
             k, live_cols)
 
 
-def matrix_rank(rows, bound=None):
-    """Rank over the quotient field.
+def matrix_rank(rows, bound, memo):
+    """Rank over the quotient field: the largest nonzero minor's size.
 
-    ``bound``, when given, must be an upper bound on the rank, at most
-    the number of rows and of columns.  A nonzero minor on the last
-    ``bound`` rows and the last ``bound`` columns makes the rank at
-    least ``bound``, so then the bound is the rank.  Otherwise, and
-    without a bound, fraction-free Bareiss elimination gives it.
+    ``bound`` must be an upper bound on the rank, at most the number of
+    rows and of columns.  Sizes are tried from ``bound`` down, and at
+    each size the minor on the last rows and the last columns first, so
+    a block at its bound is settled by that one minor.  ``memo`` is the
+    ``_determinant`` memo, shared with the block's order.
     """
-    if bound is not None:
-        nr, nc = len(rows), len(rows[0])
-        minor = _determinant(rows, tuple(range(nr - bound, nr)),
-                             tuple(range(nc - bound, nc)), {})
-        if not minor.is_zero():
-            return bound
-    return _bareiss_rank(rows)
-
-
-def _bareiss_rank(rows):
-    """Rank over the quotient field, by fraction-free Bareiss elimination."""
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev_pivot = None
-    for col in range(nc):
-        pivot_row = None
-        for r in range(rank, nr):
-            if not m[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nr):
-            for c in range(col + 1, nc):
-                num = m[r][c] * pivot - m[r][col] * m[rank][c]
-                m[r][c] = num if prev_pivot is None else \
-                    divide_exact(num, prev_pivot)
-            m[r][col] = LaurentPoly.zero(pivot.nvars)
-        prev_pivot = pivot
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    nr, nc = len(rows), len(rows[0])
+    for size in range(bound, 0, -1):
+        # index tuples in descending order, so the last ones come first
+        if any(not _determinant(rows, ri[::-1], ci[::-1], memo).is_zero()
+               for ri in combinations(reversed(range(nr)), size)
+               for ci in combinations(reversed(range(nc)), size)):
+            return size
+    return 0
 
 
 def _determinant(rows, row_idx, col_idx, memo):
@@ -235,18 +207,17 @@ def _determinant(rows, row_idx, col_idx, memo):
     return result
 
 
-def minor_gcd(rows, size, nvars):
+def minor_gcd(rows, size, nvars, memo):
     """GCD of all size x size minors of a matrix over nvars variables.
 
     Returns 1 for size 0, whatever the matrix, and the zero polynomial
     when every minor vanishes.  Minors are computed only as gcd_many
-    asks for them.
+    asks for them, through the ``_determinant`` memo ``memo``.
     """
     if size == 0:
         return LaurentPoly.one(nvars)
     if size > len(rows) or size > len(rows[0]):
         return LaurentPoly.zero(nvars)
-    memo = {}
     try:
         return gcd_many(_determinant(rows, ri, ci, memo)
                         for ri in combinations(range(len(rows)), size)
@@ -293,7 +264,7 @@ def _blocks(rows, cols):
     return out
 
 
-def _corank_one_order(rows, col_component, nvars):
+def _corank_one_order(rows, col_component, nvars, memo):
     """The gcd of the corank-1 minors of a square block of corank 1.
 
     w_j = t_c(j) - 1 is a kernel vector of the block, and it has a left
@@ -301,11 +272,12 @@ def _corank_one_order(rows, col_component, nvars):
     product of units and w / gcd(w) (Torres).  The minor without row 0
     and column 0 is therefore the gcd times t_c(0) - 1 when the columns
     hold two or more components, and the gcd itself when they hold one.
+    ``memo``, the block's, holds that minor from the rank's certificate.
     Returned up to a unit.  A zero minor or a failed division means the
     rank and the minors disagree.
     """
     rest = tuple(range(1, len(rows)))
-    minor = _determinant(rows, rest, rest, {})
+    minor = _determinant(rows, rest, rest, memo)
     if len(set(col_component)) > 1 and not minor.is_zero():
         w = LaurentPoly.var(nvars, col_component[0]) - LaurentPoly.one(nvars)
         try:
@@ -322,21 +294,23 @@ def _rank_and_order(rows, col_component, nvars):
     The reduced matrix M' is taken block by block: the rank is the
     number of pivots plus the sum of the blocks' ranks and the torsion
     order the product of their orders.  Each block's rank is bounded by
-    min(rows, columns - 1), which ``matrix_rank`` certifies from one
-    minor where it can.  A square block of corank 1 gives its order from
-    one minor and at most one exact division; any other block gives the
-    gcd of its rank-sized minors.
+    min(rows, columns - 1), and ``matrix_rank`` walks its minors down
+    from that bound.  A square block of corank 1 gives its order from
+    the minor that certified its rank and at most one exact division;
+    any other block gives the gcd of its rank-sized minors.  One
+    ``_determinant`` memo per block serves its rank and its order.
     """
     reduced, rank, cols = reduce_unit_pivots(rows)
     order = LaurentPoly.one(nvars)
     for block, block_cols in _blocks(reduced, cols):
-        r = matrix_rank(block, min(len(block), len(block_cols) - 1))
+        memo = {}
+        r = matrix_rank(block, min(len(block), len(block_cols) - 1), memo)
         rank += r
         if len(block) == len(block_cols) == r + 1:
             order = order * _corank_one_order(
-                block, [col_component[c] for c in block_cols], nvars)
+                block, [col_component[c] for c in block_cols], nvars, memo)
         else:
-            order = order * minor_gcd(block, r, nvars)
+            order = order * minor_gcd(block, r, nvars, memo)
     if order.is_zero():
         raise PDError("rank/minor inconsistency in torsion order")
     return rank, unit_normal_form(order)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .factor import (NormVerdict, _pair_off, factor_irreducible,
                      is_norm_up_to_negligible, norm_classes, norm_equivalent,
                      norm_verdict, odd_multiplicity_divisor)
-from .invariants import AlexanderData
+from .invariants import AlexanderData, alexander_data, component_polynomials
 from .laurent import (LaurentPoly, NotDivisible, divide_exact,
                       embed_univariate, unit_equal, unit_normal_form)
 
@@ -249,18 +249,15 @@ class ObstructionReport:
     annotations: dict = field(default_factory=dict)
 
 
-def build_report(d, alex=None, component_polys=None):
+def build_report(d):
     """Assemble the full obstruction report for a diagram.
 
     Fixture annotations (``note_*`` lines) ride along; a fixture marked
     ``note_open`` gets its named quantities listed as inconclusive: the
     bounds here cannot settle them.
     """
-    from .invariants import alexander_data, component_polynomials
-    if alex is None:
-        alex = alexander_data(d)
-    if component_polys is None:
-        component_polys = component_polynomials(d, alex)
+    alex = alexander_data(d)
+    component_polys = component_polynomials(d, alex)
     lk_sum = d.total_linking_number()
     bounds = delta_bounds(alex, component_polys)
     bound, reasons, verdict = bounds["splitting"]

@@ -3,12 +3,14 @@
 ``alexander_data`` has three routes that its certificates leave only
 on some inputs:
 
-  * bareiss: ``_bareiss_rank``, where a block's certifying minor is 0;
+  * rank below the bound: ``matrix_rank`` returns less than its bound,
+    so every minor of the bound's size is 0 and smaller ones give the
+    rank;
   * minor_gcd: a block that is not square of corank 1;
   * gcd: sympy's gcd in ``factor.gcd_many``, where the running gcd of
     the minors does not divide the next one.
 
-This script counts the calls of each route while it computes the
+This script counts the times each route is taken while it computes the
 Alexander data of ``random_braid_words(seeded(11), COUNT, (3, 4, 5),
 (6, 16))``, and prints the words that reach each one, as the
 ``(word, strands)`` pairs pinned in ``tests/test_invariants.py``.  It
@@ -28,23 +30,27 @@ from alexlink import factor, invariants
 
 from conftest import braid_closure, random_braid_words, seeded
 
-ROUTES = {"bareiss": (invariants, "_bareiss_rank"),
-          "minor_gcd": (invariants, "minor_gcd"),
-          "gcd": (factor, "gcd")}
+BELOW = "rank below the bound"
+# route -> (module, function, whether a call takes the route)
+ROUTES = {BELOW: (invariants, "matrix_rank",
+                  lambda args, rank: rank < args[1]),
+          "minor_gcd": (invariants, "minor_gcd", lambda args, _: True),
+          "gcd": (factor, "gcd", lambda args, _: True)}
 
 
 def mine(count):
     """{route: [(word, strands), ...]} over the seeded words, in order."""
     calls = dict.fromkeys(ROUTES, 0)
 
-    def counting(route, real):
+    def counting(route, real, taken):
         def wrapper(*args):
-            calls[route] += 1
-            return real(*args)
+            result = real(*args)
+            calls[route] += taken(args, result)
+            return result
         return wrapper
 
-    for route, (module, name) in ROUTES.items():
-        setattr(module, name, counting(route, getattr(module, name)))
+    for route, (module, name, taken) in ROUTES.items():
+        setattr(module, name, counting(route, getattr(module, name), taken))
     found = {route: [] for route in ROUTES}
     for word, n in random_braid_words(seeded(11), count, strands=(3, 4, 5),
                                       length=(6, 16)):

@@ -125,7 +125,7 @@ def _expression_path_factorization(p):
     for prime, mult in sympy.factorint(abs(int(coeff))).items():
         factors[LaurentPoly.const(n, int(prime))] = mult
     for fac, mult in raw:
-        q = unit_normal_form(from_sympy(fac, n))
+        q = unit_normal_form(from_sympy(sympy.Poly(fac, *_symbols(n)), n))
         if not q.is_one():
             factors[q] = factors.get(q, 0) + mult
     ordered = tuple(sorted(factors.items(),

@@ -5,6 +5,7 @@ import random
 import re
 from functools import reduce
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ def matrix_rank_numeric(rows, nvars, trials=3, seed=0):
 
     Evaluates the variables at random units mod p and takes the maximal
     integer-matrix rank over several trials.  Never exceeds the true
-    rank; used as a fast cross-check against matrix_rank.
+    rank; used as a fast cross-check against the exact rank.
     """
     if not rows:
         return 0
@@ -77,6 +78,41 @@ def matrix_rank_numeric(rows, nvars, trials=3, seed=0):
     return best
 
 
+def bareiss_rank(rows):
+    """Rank over the quotient field, by fraction-free Bareiss elimination.
+
+    The reference for matrix_rank, which reads the rank off minors:
+    Bareiss divides exactly by the previous pivot instead.
+    """
+    if not rows:
+        return 0
+    m = [list(r) for r in rows]
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    prev_pivot = None
+    for col in range(nc):
+        pivot_row = None
+        for r in range(rank, nr):
+            if not m[r][col].is_zero():
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for r in range(rank + 1, nr):
+            for c in range(col + 1, nc):
+                num = m[r][c] * pivot - m[r][col] * m[rank][c]
+                m[r][c] = num if prev_pivot is None else \
+                    al.divide_exact(num, prev_pivot)
+            m[r][col] = LaurentPoly.zero(pivot.nvars)
+        prev_pivot = pivot
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
 def deleted_column_minor_gcd(d, col):
     """The raw deleted-column minor gcd A_col of the full Jacobian.
 
@@ -85,7 +121,7 @@ def deleted_column_minor_gcd(d, col):
     """
     rows, arc_component = al.fox_jacobian(d)
     kept = [[x for c, x in enumerate(row) if c != col] for row in rows]
-    a = minor_gcd(kept, len(arc_component) - 1, d.ncomps)
+    a = minor_gcd(kept, len(arc_component) - 1, d.ncomps, {})
     return a if a.is_zero() else unit_normal_form(a)
 
 
@@ -98,11 +134,11 @@ def unreduced_alexander_data(d):
     """
     rows, arc_component = al.fox_jacobian(d)
     m = d.ncomps
-    r = matrix_rank(rows)
+    r = bareiss_rank(rows)
     beta = (len(arc_component) - r - 1) + d.nfree
     if beta > 0:
         return AlexanderData(m=m, beta=beta, delta=LaurentPoly.zero(m),
-                             delta_tor=minor_gcd(rows, r, m))
+                             delta_tor=minor_gcd(rows, r, m, {}))
     delta = deleted_column_minor_gcd(d, 0)
     if m > 1:
         tj = LaurentPoly.var(m, arc_component[0]) - LaurentPoly.one(m)
@@ -119,9 +155,9 @@ def minor_gcd_alexander_data(d):
     rows, arc_component = al.fox_jacobian(d)
     m = d.ncomps
     reduced, k, _ = reduce_unit_pivots(rows)
-    rank = matrix_rank(reduced)
+    rank = bareiss_rank(reduced)
     beta = (len(arc_component) - k - rank - 1) + d.nfree
-    delta_tor = minor_gcd(reduced, rank, m)
+    delta_tor = minor_gcd(reduced, rank, m, {})
     delta = delta_tor if beta == 0 else LaurentPoly.zero(m)
     return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor)
 
@@ -198,7 +234,7 @@ def reference_reduce_unit_pivots(rows):
 def reduced_jacobian(d):
     """The unit-pivot-reduced Fox Jacobian M' of d and its rank."""
     reduced, _, _ = reduce_unit_pivots(al.fox_jacobian(d)[0])
-    return reduced, matrix_rank(reduced)
+    return reduced, bareiss_rank(reduced)
 
 
 class TestRank:
@@ -207,18 +243,20 @@ class TestRank:
             if d.ncrossings == 0:
                 continue
             rows, _ = al.fox_jacobian(d)
-            assert matrix_rank(rows) == matrix_rank_numeric(rows, d.ncomps), \
+            assert bareiss_rank(rows) == matrix_rank_numeric(rows, d.ncomps), \
                 d.name
 
     def test_zero_matrix(self):
         z = LaurentPoly.zero(1)
-        assert matrix_rank([[z, z], [z, z]]) == 0
+        assert bareiss_rank([[z, z], [z, z]]) == 0
+        assert matrix_rank([[z, z], [z, z]], 1, {}) == 0
 
     def test_full_rank(self):
         one = LaurentPoly.one(1)
         t = LaurentPoly.var(1, 0)
         z = LaurentPoly.zero(1)
-        assert matrix_rank([[one, t], [z, t - one]]) == 2
+        assert bareiss_rank([[one, t], [z, t - one]]) == 2
+        assert matrix_rank([[one, t], [z, t - one]], 2, {}) == 2
 
 
 class TestUnitPivotReduction:
@@ -239,7 +277,7 @@ class TestUnitPivotReduction:
             assert len(cols) == len(rows[0]) - k, d.name
             assert cols == sorted(set(cols)), d.name
             assert all(len(row) == len(cols) for row in reduced)
-            assert k + matrix_rank(reduced) == matrix_rank(rows), d.name
+            assert k + bareiss_rank(reduced) == bareiss_rank(rows), d.name
 
     def test_no_unit_entry_comes_back_unchanged(self):
         rows = [[P("1+t", 1), P("2", 1), P("0", 1)],
@@ -257,7 +295,8 @@ class TestUnitPivotReduction:
         assert (k, cols) == (1, [0, 2])
         assert reduced == [[P("1-4*t^-1", 1), P("3", 1)],
                            [P("3-10*t^-1", 1), P("7", 1)]]
-        assert al.unit_equal(minor_gcd(rows, 3, 1), minor_gcd(reduced, 2, 1))
+        assert al.unit_equal(minor_gcd(rows, 3, 1, {}),
+                             minor_gcd(reduced, 2, 1, {}))
 
     def test_markowitz_ties_go_to_lower_row_then_column(self):
         one, two, three, t = (P(x, 1) for x in ("1", "2", "3", "t"))
@@ -271,9 +310,9 @@ class TestUnitPivotReduction:
         assert reduce_unit_pivots([[one, t]]) == ([], 1, [1])
         assert reduce_unit_pivots([[one], [-t]]) == ([[]], 1, [])
         for empty in ([], [[]]):
-            assert matrix_rank(empty) == 0
-            assert minor_gcd(empty, 0, 2).is_one()
-            assert minor_gcd(empty, 1, 2).is_zero()
+            assert bareiss_rank(empty) == 0
+            assert minor_gcd(empty, 0, 2, {}).is_one()
+            assert minor_gcd(empty, 1, 2, {}).is_zero()
 
     def test_sparse_loop_matches_dense_reference(self, corpus):
         closures = random_braid_closures(seeded(68), 150,
@@ -318,14 +357,14 @@ class TestMinorGcdThroughGcdMany:
             reduced, rank = reduced_jacobian(d)
             # rank + 1: every minor vanishes and both return zero
             for size in range(rank + 2):
-                assert minor_gcd(reduced, size, d.ncomps) == \
+                assert minor_gcd(reduced, size, d.ncomps, {}) == \
                     reference_minor_gcd(reduced, size, d.ncomps), \
                     (d.name, size)
 
     def test_three_split_trefoils_ask_sympy_less(self, gcd_calls):
         d = al.parse_pd(split_trefoils(3))
         reduced, rank = reduced_jacobian(d)
-        g = minor_gcd(reduced, rank, 3)
+        g = minor_gcd(reduced, rank, 3, {})
         calls = len(gcd_calls)
         assert g == reference_minor_gcd(reduced, rank, 3)
         # the reference asks sympy on every minor: 63 calls
@@ -376,9 +415,9 @@ def minor_gcd_calls(monkeypatch):
     calls = []
     real = invariants.minor_gcd
 
-    def counting(rows, size, nvars):
+    def counting(rows, size, nvars, memo):
         calls.append((size, nvars))
-        return real(rows, size, nvars)
+        return real(rows, size, nvars, memo)
 
     monkeypatch.setattr(invariants, "minor_gcd", counting)
     return calls
@@ -503,13 +542,13 @@ class TestBlockRoute:
         assert sorted(sorted(cols) for _, cols in found) == \
             [[0, 1], [2, 3, 4], [5]]
         assert sorted(len(b) for b, _ in found) == [1, 2, 2]
-        ranks = [matrix_rank(b) for b, _ in found]
+        ranks = [bareiss_rank(b) for b, _ in found]
         order = LaurentPoly.one(2)
         for (b, _), r in zip(found, ranks):
-            order = order * minor_gcd(b, r, 2)
-        rank = matrix_rank(rows)
+            order = order * minor_gcd(b, r, 2, {})
+        rank = bareiss_rank(rows)
         assert sum(ranks) == rank == 5
-        assert unit_normal_form(order) == minor_gcd(rows, rank, 2) == \
+        assert unit_normal_form(order) == minor_gcd(rows, rank, 2, {}) == \
             unit_normal_form(P("(2*t1-2-t1*t2-t2)*(t1+2)^2*(t2^2+1)", 2))
 
     def test_one_block_is_the_matrix_itself(self):
@@ -554,9 +593,9 @@ class TestBlockRoute:
         corank_one = []
         real = invariants._corank_one_order
 
-        def counting(rows, col_component, nvars):
+        def counting(rows, col_component, nvars, memo):
             corank_one.append(len(rows))
-            return real(rows, col_component, nvars)
+            return real(rows, col_component, nvars, memo)
 
         monkeypatch.setattr(invariants, "_corank_one_order", counting)
         # the trefoil's 2 x 2 block has corank 1; the other piece, a
@@ -584,17 +623,36 @@ def jacobian_blocks(d):
 
 
 @pytest.fixture
-def bareiss_runs(monkeypatch):
-    """The row count of every Bareiss elimination."""
+def below_bound(monkeypatch):
+    """The row count of every block whose rank invariants.matrix_rank
+    finds below its bound, walking minors smaller than the bound's."""
     runs = []
-    real = invariants._bareiss_rank
+    real = invariants.matrix_rank
 
-    def counting(rows):
-        runs.append(len(rows))
-        return real(rows)
+    def recording(rows, bound, memo):
+        rank = real(rows, bound, memo)
+        if rank < bound:
+            runs.append(len(rows))
+        return rank
 
-    monkeypatch.setattr(invariants, "_bareiss_rank", counting)
+    monkeypatch.setattr(invariants, "matrix_rank", recording)
     return runs
+
+
+def rank_by_minors(rows, bound):
+    """matrix_rank(rows, bound) on a fresh memo, and the minors of size
+    ``bound`` that it expanded, as {(row indices, column indices): det}
+    (their own expansions are all smaller)."""
+    memo = {}
+    rank = matrix_rank(rows, bound, memo)
+    return rank, {key: det for key, det in memo.items()
+                  if len(key[0]) == bound}
+
+
+def walked_every_minor(rows, size, minors):
+    """Whether ``minors`` holds every size x size minor of rows, all 0."""
+    return len(minors) == comb(len(rows), size) * comb(len(rows[0]), size) \
+        and all(det.is_zero() for det in minors.values())
 
 
 @st.composite
@@ -610,7 +668,8 @@ def braid_words(draw, length=12):
 
 
 class TestCertifiedRank:
-    """matrix_rank with the Fox bound against Bareiss alone, the reference."""
+    """matrix_rank, the largest nonzero minor under the Fox bound, against
+    Bareiss elimination, the reference."""
 
     def test_equals_bareiss_on_every_block(self, corpus):
         cases = (corpus + golden_generated_diagrams() + split_unions()
@@ -620,8 +679,8 @@ class TestCertifiedRank:
         assert len(blocks) >= 500
         certified = below = 0
         for block, bound in blocks:
-            rank = matrix_rank(block)
-            assert matrix_rank(block, bound) == rank <= bound
+            rank = bareiss_rank(block)
+            assert matrix_rank(block, bound, {}) == rank <= bound
             certified += len(block) > 2 and rank == bound
             below += rank < bound
         # blocks of three or more rows at the bound, certified by the
@@ -632,50 +691,57 @@ class TestCertifiedRank:
         bounds = []
         real = invariants.matrix_rank
 
-        def recording(rows, bound=None):
+        def recording(rows, bound, memo):
             bounds.append(bound)
-            return real(rows, bound)
+            return real(rows, bound, memo)
 
         monkeypatch.setattr(invariants, "matrix_rank", recording)
         al.alexander_data(load_fixture("trefoil"))
         # one 2 x 2 block, whose kernel vector bounds its rank by 1
         assert bounds == [1]
 
-    def test_zero_minor_falls_back(self, bareiss_runs):
+    def test_zero_minor_falls_back(self):
         t, one = LaurentPoly.var(1, 0), LaurentPoly.one(1)
         zero = LaurentPoly.zero(1)
         # the last row is t times the middle one, and the certificate
         # minor (rows 1-2, columns 1-2) vanishes though the rank is 2
         rows = [[t - one, one, t], [one, zero, t + one],
                 [t, zero, t * t + t]]
-        assert _determinant(rows, (1, 2), (1, 2), {}).is_zero()
-        assert matrix_rank(rows, 2) == 2 and bareiss_runs == [3]
+        rank, minors = rank_by_minors(rows, 2)
+        assert rank == bareiss_rank(rows) == 2
+        # rows 1-2 give only zero minors; rows 0 and 2, columns 1-2, the
+        # first nonzero one
+        assert minors[(1, 2), (1, 2)].is_zero()
+        assert list(minors)[-1] == ((0, 2), (1, 2)) and len(minors) == 4
+        assert not minors[(0, 2), (1, 2)].is_zero()
 
-    def test_large_exponents_cost_one_power_each(self, bareiss_runs):
+    def test_large_exponents_cost_one_power_each(self):
         # the minor multiplies sparse terms, never a dense table of
         # powers over the exponent range
         big = LaurentPoly.var(1, 0, 1 << 50)
         one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
         rows = [[big - one, zero, zero], [one, big.involute(), zero],
                 [zero, one, big + one]]
-        assert matrix_rank(rows, 3) == 3 and bareiss_runs == []
+        rank, minors = rank_by_minors(rows, 3)
+        assert rank == 3 and list(minors) == [((0, 1, 2), (0, 1, 2))]
 
-    def test_two_rows_certified_by_one_entry(self, bareiss_runs):
+    def test_two_rows_certified_by_one_entry(self):
         # a rank-1 block with kernel vector (t1 - 1, t2 - 1), as the
         # fundamental formula gives; its last entry is the minor
         rows = [[P("t2-1", 2), P("1-t1", 2)],
                 [P("t1*t2-t1", 2), P("t1-t1^2", 2)]]
-        assert matrix_rank(rows, 1) == 1 and bareiss_runs == []
-        assert matrix_rank(rows) == 1 and bareiss_runs == [2]
+        rank, minors = rank_by_minors(rows, 1)
+        assert rank == 1 and list(minors) == [((1,), (1,))]
+        assert bareiss_rank(rows) == 1
 
-    def test_non_square_blocks_certified_on_last_columns(self,
-                                                         bareiss_runs):
+    def test_non_square_blocks_certified_on_last_columns(self):
         t, one = LaurentPoly.var(1, 0), LaurentPoly.one(1)
         zero = LaurentPoly.zero(1)
         # the first two columns are equal, the last two are not
         wide = [[one, one, t, zero], [t, t, zero, one]]
         assert _determinant(wide, (0, 1), (0, 1), {}).is_zero()
-        assert matrix_rank(wide, 2) == 2 and bareiss_runs == []
+        rank, minors = rank_by_minors(wide, 2)
+        assert rank == 2 and list(minors) == [((0, 1), (2, 3))]
         # a link's 3 x 2 block, bounded by 1 and certified by its last
         # entry
         d = braid_closure([-1, -2, -1, -1, -4, 4, -4, 1, -3, -4, -4, -3,
@@ -683,10 +749,11 @@ class TestCertifiedRank:
         reduced, _, cols = reduce_unit_pivots(al.fox_jacobian(d)[0])
         (block, block_cols), = invariants._blocks(reduced, cols)
         assert (len(block), len(block_cols)) == (3, 2)
-        assert matrix_rank(block, 1) == 1 and bareiss_runs == []
-        assert matrix_rank(block) == 1 and bareiss_runs == [3]
+        rank, minors = rank_by_minors(block, 1)
+        assert rank == 1 and list(minors) == [((2,), (1,))]
+        assert bareiss_rank(block) == 1
 
-    def test_connected_diagram_of_a_split_link(self, bareiss_runs):
+    def test_connected_diagram_of_a_split_link(self, below_bound):
         # component 1 passes over component 0 at every crossing between
         # them and never crosses itself, so it lifts off: the link is
         # split, though its diagram is connected
@@ -699,49 +766,53 @@ class TestCertifiedRank:
         (block, block_cols), = invariants._blocks(reduced, cols)
         bound = min(len(block), len(block_cols) - 1)
         assert (len(block), len(block_cols), bound) == (3, 4, 3)
-        assert matrix_rank(block, bound) == matrix_rank(block) == 2
-        assert bareiss_runs == [3, 3]
+        rank, minors = rank_by_minors(block, bound)
+        assert rank == bareiss_rank(block) == 2
+        # all four 3-minors vanish, and the descent expanded each
+        assert walked_every_minor(block, bound, minors)
         assert al.alexander_data(d) == minor_gcd_alexander_data(d)
         assert al.alexander_data(d).beta == 1
+        assert below_bound == [3, 3]
 
     # connected diagrams with beta = 1, mined from random_braid_words(
     # seeded(11), 3000, (3, 4, 5), (6, 16)): the one block's rank is one
-    # below its bound, so the certificate's minor vanishes and the rank
-    # comes from Bareiss
+    # below its bound, so every minor of the bound's size vanishes and
+    # the rank comes from the smaller ones
     @pytest.mark.parametrize("word, n", [
         ([2, -1, 3, -2, -1, -2, 1], 4),
         ([4, 4, 3, -2, -2, -3, -1], 5),
         ([2, -2, -2, -3, -3, 2, 1, 1], 4),
         ([1, -1, -3, -3, 2, 1, -2, -2, 1, -2, 2], 4),
     ])
-    def test_rank_below_the_bound_falls_back(self, bareiss_runs, word, n):
+    def test_rank_below_the_bound_falls_back(self, below_bound, word, n):
         d = braid_closure(word, n)
         assert len(d.split_partition()) == 1
         (block, bound), = jacobian_blocks(d)
-        assert matrix_rank(block, bound) == invariants._bareiss_rank(block) \
-            == bound - 1
-        assert bareiss_runs == [len(block)] * 2
+        rank, minors = rank_by_minors(block, bound)
+        assert rank == bareiss_rank(block) == bound - 1
+        assert walked_every_minor(block, bound, minors)
         assert al.alexander_data(d).beta == 1
+        assert below_bound == [len(block)]
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(braid_words())
     def test_equals_bareiss_on_generated_blocks(self, case):
         for block, bound in jacobian_blocks(braid_closure(*case)):
-            assert matrix_rank(block, bound) == \
-                invariants._bareiss_rank(block), case
+            assert matrix_rank(block, bound, {}) == bareiss_rank(block), case
 
 
 # Words of random_braid_words(seeded(11), 3000, (3, 4, 5), (6, 16)) whose
 # Alexander data reaches fallback routes, as tests/mine_fallback_words.py
-# finds them: the Bareiss rank, minor_gcd on a block that is not square
-# of corank 1, and sympy's gcd inside gcd_many
+# finds them: a block's rank below its bound, minor_gcd on a block that
+# is not square of corank 1, and sympy's gcd inside gcd_many
+BELOW = "rank below the bound"
 FALLBACK_WORDS = [
-    ([4, 4, 3, -2, -2, -3, -1], 5, {"bareiss", "minor_gcd", "gcd"}),
-    ([2, -1, 3, -2, -1, -2, 1], 4, {"bareiss", "minor_gcd", "gcd"}),
-    ([2, -2, -2, -3, -3, 2, 1, 1], 4, {"bareiss", "minor_gcd", "gcd"}),
+    ([4, 4, 3, -2, -2, -3, -1], 5, {BELOW, "minor_gcd", "gcd"}),
+    ([2, -1, 3, -2, -1, -2, 1], 4, {BELOW, "minor_gcd", "gcd"}),
+    ([2, -2, -2, -3, -3, 2, 1, 1], 4, {BELOW, "minor_gcd", "gcd"}),
     ([-1, -1, -2, -3, -2, -1, -1, 3, 1, -2, -3, -3, 1, 2, 3, 2], 4,
-     {"bareiss", "minor_gcd"}),
+     {BELOW, "minor_gcd"}),
     ([-1, -2, 1, 2, 1, 2], 3, {"minor_gcd", "gcd"}),
     ([-1, -1, -2, -1, 2, 1, -2, 1], 3, {"minor_gcd", "gcd"}),
     ([-3, -3, 2, 3, 4, 2, 4, 1], 5, {"minor_gcd", "gcd"}),
@@ -749,32 +820,142 @@ FALLBACK_WORDS = [
 ]
 
 
+def check_against_references(d):
+    """Each block's rank against Bareiss, and the Alexander data against
+    the unreduced Jacobian's."""
+    for block, bound in jacobian_blocks(d):
+        assert matrix_rank(block, bound, {}) == bareiss_rank(block), d.name
+    assert al.alexander_data(d) == unreduced_alexander_data(d), d.name
+
+
 class TestFallbackRoutes:
     """Mined closures that leave the certificates, each route against its
-    reference: the unreduced Jacobian for the Alexander data, and
-    reference_minor_gcd for each minor_gcd result."""
+    reference: Bareiss for the rank, the unreduced Jacobian for the
+    Alexander data, and reference_minor_gcd for each minor_gcd result."""
 
     @pytest.mark.parametrize("word, n, routes", FALLBACK_WORDS)
-    def test_route_runs_and_agrees(self, monkeypatch, bareiss_runs,
+    def test_route_runs_and_agrees(self, monkeypatch, below_bound,
                                    minor_gcd_calls, gcd_calls, word, n,
                                    routes):
         results = []
         counting = invariants.minor_gcd
 
-        def recording(rows, size, nvars):
-            results.append((rows, size, nvars, counting(rows, size, nvars)))
+        def recording(rows, size, nvars, memo):
+            results.append((rows, size, nvars,
+                            counting(rows, size, nvars, memo)))
             return results[-1][-1]
 
         monkeypatch.setattr(invariants, "minor_gcd", recording)
         d = braid_closure(word, n)
-        a = al.alexander_data(d)
-        reached = {"bareiss": bareiss_runs, "minor_gcd": minor_gcd_calls,
+        al.alexander_data(d)
+        reached = {BELOW: below_bound, "minor_gcd": minor_gcd_calls,
                    "gcd": gcd_calls}
         assert {r for r, calls in reached.items() if calls} == routes
         assert results
         for rows, size, nvars, g in results:
             assert g == reference_minor_gcd(rows, size, nvars), word
-        assert a == unreduced_alexander_data(d), word
+        check_against_references(d)
+
+    # the unreduced Jacobian's minor gcds take seconds past 12 crossings
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from([(word, n) for word, n, _ in FALLBACK_WORDS
+                            if len(word) <= 8]), st.data())
+    def test_moved_words_agree(self, case, data):
+        """The mined words of at most 8 letters after a mirror, a
+        conjugation or a stabilisation, which keep some of them below
+        the rank bound and take others there, each against the
+        references."""
+        word, n = case
+        move = data.draw(st.sampled_from(["mirror", "conjugate",
+                                          "stabilise"]))
+        sign = data.draw(st.sampled_from([1, -1]))
+        if move == "mirror":
+            word = [-g for g in word]
+        elif move == "conjugate":
+            g = sign * data.draw(st.integers(1, n - 1))
+            word = [g] + word + [-g]
+        else:
+            word, n = word + [sign * n], n + 1
+        check_against_references(braid_closure(word, n))
+
+
+class TestOneMemoPerBlock:
+    """Each block's rank and order read one _determinant memo, so no
+    minor is expanded twice."""
+
+    @staticmethod
+    def cases(corpus):
+        return corpus + split_unions() + random_braid_closures(
+            seeded(75), 300, strands=(3, 4, 5), length=(8, 16))
+
+    def test_certificate_minor_expanded_once(self, corpus, monkeypatch):
+        """A square corank-1 block's minor without row and column 0
+        certifies its rank and gives its order: one expansion."""
+        misses, squares = [], []
+        determinant = invariants._determinant
+        order = invariants._corank_one_order
+
+        def counting(rows, row_idx, col_idx, memo):
+            if (row_idx, col_idx) not in memo:
+                misses.append((rows, row_idx, col_idx))
+            return determinant(rows, row_idx, col_idx, memo)
+
+        def recording(rows, col_component, nvars, memo):
+            squares.append(rows)
+            return order(rows, col_component, nvars, memo)
+
+        monkeypatch.setattr(invariants, "_determinant", counting)
+        monkeypatch.setattr(invariants, "_corank_one_order", recording)
+        for d in self.cases(corpus):
+            al.alexander_data(d)
+            al.component_polynomials(d)
+        assert len(squares) >= 400
+        assert max(len(block) for block in squares) >= 4
+        for block in squares:
+            rest = tuple(range(1, len(block)))
+            assert sum(rows is block and ri == ci == rest
+                       for rows, ri, ci in misses) == 1
+
+    def test_one_rank_and_one_memo_per_block(self, corpus, monkeypatch):
+        blocks, ranked, ordered = [], [], []
+        real = {name: getattr(invariants, name) for name in
+                ("_blocks", "matrix_rank", "_corank_one_order",
+                 "minor_gcd")}
+
+        def split(rows, cols):
+            found = real["_blocks"](rows, cols)
+            blocks.extend(block for block, _ in found)
+            return found
+
+        def rank(rows, bound, memo):
+            ranked.append((rows, memo))
+            return real["matrix_rank"](rows, bound, memo)
+
+        def corank_one(rows, col_component, nvars, memo):
+            ordered.append((rows, memo, "corank one"))
+            return real["_corank_one_order"](rows, col_component, nvars,
+                                             memo)
+
+        def gcd_of_minors(rows, size, nvars, memo):
+            ordered.append((rows, memo, "minor gcd"))
+            return real["minor_gcd"](rows, size, nvars, memo)
+
+        for name, fn in (("_blocks", split), ("matrix_rank", rank),
+                         ("_corank_one_order", corank_one),
+                         ("minor_gcd", gcd_of_minors)):
+            monkeypatch.setattr(invariants, name, fn)
+        for d in self.cases(corpus):
+            al.alexander_data(d)
+            al.component_polynomials(d)
+        assert len(blocks) >= 400
+        assert {route for _, _, route in ordered} == {"corank one",
+                                                      "minor gcd"}
+        assert len(ranked) == len(ordered) == len(blocks)
+        for block, (r_rows, r_memo), (o_rows, o_memo, _) in zip(
+                blocks, ranked, ordered):
+            assert r_rows is block and o_rows is block
+            assert r_memo is o_memo
 
 
 class TestMetamorphic:

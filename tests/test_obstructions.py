@@ -352,9 +352,9 @@ class TestOneFactorizationMatchesThreeCalls:
         delta; the product of the component polynomials does not divide
         delta), both False when delta = 0.
         """
+        r = build_report(d)
         alex = al.alexander_data(d)
         comps = component_polynomials(d)
-        r = build_report(d, alex=alex, component_polys=comps)
         ref = three_call_bounds(alex, comps, d.ncomps)
         assert delta_bounds(alex, comps) == ref, d.name
         sp_bound, sp_reasons, _ = ref["splitting"]
@@ -424,7 +424,7 @@ class TestOneFactorizationMatchesThreeCalls:
             alex = al.alexander_data(d)
             comps = component_polynomials(d)
             factor_calls.clear()
-            build_report(d, alex=alex, component_polys=comps)
+            build_report(d)
             inputs = [unit_normal_form(p) for p in factor_calls]
             assert len(inputs) == len(set(inputs)), d.name
             if alex.delta.is_zero():
