@@ -394,11 +394,26 @@ def divide_exact(a, b):
     """Return q with a = b*q, or raise NotDivisible.
 
     The quotient is unique when it exists because the ring is a domain.
+    """
+    q = _quotient(a, b)
+    if q is None:
+        raise NotDivisible(f"{a} is not divisible by {b}")
+    return q
+
+
+def divides(b, a):
+    """True when b divides a exactly."""
+    return _quotient(a, b) is not None
+
+
+def _quotient(a, b):
+    """a / b when b divides a exactly, else None; no message is built.
+
     Long division takes leading terms in lex order, the largest keys.
-    Each variable's exponents in q must lie between the differences of
-    a's and b's least and greatest exponents; a quotient term outside
-    that box means b does not divide a, and keeping inside it ends the
-    loop.
+    Each variable's exponents in the quotient must lie between the
+    differences of a's and b's least and greatest exponents; a quotient
+    term outside that box means b does not divide a, and keeping inside
+    it ends the loop.
     """
     a._check(b)
     if b.is_zero():
@@ -422,7 +437,7 @@ def divide_exact(a, b):
         qe = lead_r - lead_b
         # every digit of qe - lo and of hi - qe must be nonnegative
         if (qe - lo + ones) & (hi - qe + ones) & ones != ones or cr % cb:
-            raise NotDivisible(f"{a} is not divisible by {b}")
+            return None
         qc = cr // cb
         quot[qe] = qc
         for eb, coeff in pb.items():
@@ -434,15 +449,6 @@ def divide_exact(a, b):
                 del rest[key]
     bound = max(map(abs, _unpack(lo, n) + _unpack(hi, n)))
     return _new(n, quot, _bounded(bound))
-
-
-def divides(b, a):
-    """True when b divides a exactly."""
-    try:
-        divide_exact(a, b)
-        return True
-    except NotDivisible:
-        return False
 
 
 # -- text syntax ----------------------------------------------------------

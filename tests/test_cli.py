@@ -397,7 +397,8 @@ def sympy_loaded(tmp_path, argv):
 
 
 class TestLazySympy:
-    """sympy is loaded only by a factorization with no certificate."""
+    """sympy is loaded only by a factorization that neither a certificate
+    nor a degree-one split settles."""
 
     def test_import_alone(self, tmp_path):
         assert sympy_loaded(tmp_path, None) == (0, False)
@@ -410,9 +411,15 @@ class TestLazySympy:
             == (0, False)
 
     def test_knotted_component_loads_sympy(self, tmp_path):
-        # t^2 - t + 1 is certified by its image, which sympy factors
+        # t^2 - t + 1 is certified by its discriminant, in pure Python
         assert sympy_loaded(tmp_path, ["obstruct", fx("trefoil")]) == \
-            (0, True)
+            (0, False)
+        # the granny knot, the closure of s1^3 s2^3: delta = (t^2 - t + 1)^2
+        # has no rational root and no certificate, so sympy factors it
+        granny = tmp_path / "granny.lnk"
+        granny.write_text(
+            f"name: granny\npd: {braid_closure_pd([1, 1, 1, 2, 2, 2], 3)}\n")
+        assert sympy_loaded(tmp_path, ["obstruct", str(granny)]) == (0, True)
 
 
 class TestOverBudget:

@@ -15,12 +15,27 @@ import alexlink as al
 from alexlink.factor import (factor_irreducible, gcd_many,
                              is_negligible_factor, norm_verdict, to_sympy,
                              from_sympy)
+from alexlink import factor
 from alexlink.laurent import LaurentPoly, ZeroInputError, unit_normal_form
 
-from conftest import (content, random_negligible, random_poly, random_unit,
-                      seeded)
+from conftest import (braid_closure, content, random_negligible, random_poly,
+                      random_unit, seeded)
 
 N_RANDOM = 1000
+
+# closures from tests/mine_fallback_words.py whose delta reaches sympy's
+# Poly.factor_list, with the variable count of each rest that does: the
+# last three are the only multivariate ones among its first 8000 words
+FACTOR_FALLBACK_WORDS = [
+    ([2, 1, 1, 1, 2, -2, 2, 2, 2, 2, 2, -1], 3, [1]),
+    ([1, -2, -1, 2, 1, -2, -2, -1, -1, 2, 2, -1, -1, -2, -2], 3, [1]),
+    ([-2, -1, -2, -2, 1, 2, -2, 2, 2, 2, -1, -1, 2, -1], 3, [1]),
+    ([-2, -1, -1, -2, -2, 2, -2, -1, -1, -2, -1, -1, -2, -2, -1, -2], 3,
+     [1]),
+    ([-3, -2, 3, 2, 2, 1, 1, 2, 3, -2, 2, -2, 1, 3], 4, [2]),
+    ([3, 1, 1, 1, -3, -1, 2, 2, 2, -2, 2, 1, -2, -2, -3, 1], 4, [2]),
+    ([-2, -2, -4, -1, -2, 3, -4, 2, 2, -4, 3, -4, 1, 1, -4], 5, [2]),
+]
 
 
 def P(text, nvars):
@@ -186,15 +201,35 @@ def sympy_factorization(p):
 @st.composite
 def certificate_products(draw):
     """A product in 1-4 variables of a unit, powers of 1 - t_i, an
-    integer content, a conjugate pair f * conj(f) and small factors."""
+    integer content, a conjugate pair f * conj(f) and small factors:
+    sparse ones, ones of degree 1 in some t_k whose two t_k-coefficients
+    are free of t_k and need not be monomials, and ones of degree 2-8 in
+    some t_k, whose images in Z[t_k] have that degree."""
     nvars = draw(st.integers(1, 4))
     exps = st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)
 
-    def small():
+    def small(free_of=None, max_size=3):
         terms = draw(st.dictionaries(exps.map(tuple), st.integers(-3, 3),
-                                     min_size=1, max_size=3))
+                                     min_size=1, max_size=max_size))
+        if free_of is not None:
+            terms = {e[:free_of] + (0,) + e[free_of + 1:]: c
+                     for e, c in terms.items()}
         p = LaurentPoly(nvars, terms)
         return LaurentPoly.one(nvars) if p.is_zero() else p
+
+    def linear():
+        k = draw(st.integers(0, nvars - 1))
+        return small(k, 2) * LaurentPoly.var(nvars, k) + small(k, 2)
+
+    def dense():
+        k = draw(st.integers(0, nvars - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=9))
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or -1
+        return sum((c * LaurentPoly.var(nvars, k, e)
+                    * LaurentPoly.monomial(nvars, draw(exps))
+                    for e, c in enumerate(coeffs)),
+                   LaurentPoly.zero(nvars))
 
     p = LaurentPoly.monomial(nvars, draw(exps), draw(st.sampled_from([1, -1])))
     for i in range(nvars):
@@ -204,8 +239,8 @@ def certificate_products(draw):
         f = small()
         p = p * f * f.involute()
     for _ in range(draw(st.integers(0, 2))):
-        p = p * small()
-    return p
+        p = p * draw(st.sampled_from([small, linear, dense]))()
+    return p if not p.is_zero() else LaurentPoly.one(nvars)
 
 
 @pytest.fixture
@@ -247,10 +282,12 @@ class TestCertificates:
     @pytest.mark.parametrize("text, nvars", [
         ("1 + t1*t2", 2), ("t1*t2*t3 - t1 + 1", 3),
         ("-t1*t2*t3 + t1*t2 + t1*t3 - t2 - t3 + 1", 3),
-        ("6*(t1-1)^2*(t2*t1 + 2*t2^-1 + 1)", 2)])
+        ("6*(t1-1)^2*(t2*t1 + 2*t2^-1 + 1)", 2),
+        # reducible: the degree-one split finds a factor, here t3 - t1*t2*t4,
+        # whose t3-free term is b = 1 shifted by t1*t2*t4
+        ("(t1*t2*t4 - t3)*(t1^2*t2^2*t4 - t3)", 4),
+        ("(t1*t2 - t1 + 1)*(t1*t2 - t2 + 1)", 2)])
     def test_linear_rule_asks_no_sympy(self, monkeypatch, text, nvars):
-        from alexlink import factor
-
         def refuse(p):
             raise AssertionError("sympy asked for a polynomial")
 
@@ -267,17 +304,91 @@ class TestCertificates:
         fact = al.factor_irreducible(p)
         (q, mult), = fact.factors
         assert mult == 1 and min(map(q.degree_span, q.variables_used())) >= 2
-        # one univariate image, no factorization of the whole polynomial
-        assert [x.nvars for x in sympy_polys] == [1]
+        # the image is certified in pure Python: no sympy call at all
+        assert sympy_polys == []
         assert fact == sympy_factorization(p)
 
-    def test_reducible_images_reach_sympy(self, sympy_polys):
+    def test_reducible_images_split_without_sympy(self, sympy_polys):
+        # each image, 1 - 9*t1^2 or 1 - 4*t2^2, has a square discriminant;
+        # the degree-one split finds 1 - t1*t2
         p = P("1 - t1^2*t2^2", 2)
         fact = al.factor_irreducible(p)
-        assert [x.nvars for x in sympy_polys] == [1, 2]
+        assert sympy_polys == []
         assert [q for q, _ in fact.factors] == \
             [P("1 - t1*t2", 2), P("1 + t1*t2", 2)]
         assert fact == sympy_factorization(p)
+
+    @pytest.mark.parametrize("text, nvars, reached, count", [
+        # irreducible, and reducible mod every prime: one call, one factor
+        ("t^4 + 1", 1, [1], 1),
+        # reducible into quadratics with no rational root
+        ("(t^2 - t + 1)^2", 1, [1], 1),
+        ("t1^4*t2^4 + t1^2*t2^2 + 1", 2, [2], 2)])
+    def test_no_certificate_reaches_sympy(self, sympy_polys, text, nvars,
+                                          reached, count):
+        p = P(text, nvars)
+        fact = al.factor_irreducible(p)
+        assert [x.nvars for x in sympy_polys] == reached
+        assert len(fact.factors) == count
+        assert fact == sympy_factorization(p)
+
+    def test_content_split_asks_no_sympy(self, sympy_polys):
+        # the t2-coefficients t1^3 - t1^2 + t1 and 1 - 2*t1 + 2*t1^2 - t1^3
+        # share t1^2 - t1 + 1, read off the first one's factorization
+        p = P("(t1^2 - t1 + 1)*(t1*t2 - t1 + 1)", 2)
+        fact = al.factor_irreducible(p)
+        assert sympy_polys == []
+        assert [q for q, _ in fact.factors] == \
+            [P("t1*t2 - t1 + 1", 2), P("t1^2 - t1 + 1", 2)]
+        assert fact == sympy_factorization(p)
+
+    def test_prime_dividing_the_leading_coefficient_is_skipped(self):
+        # (3t + 1)(t^2 + 1) is t^2 + 1 mod 3, which has no root there; with
+        # the degree dropped that would certify a reducible cubic
+        image = [1, 3, 1, 3]
+        assert all(factor._eval_mod([1, 0, 1], x, 3) for x in range(3))
+        assert not factor._image_irreducible(image)
+        # 3t^3 + t + 1 has no rational root: a prime above 3 certifies it
+        assert factor._image_irreducible([1, 1, 0, 3])
+        p = P("(3*t + 1)*(t^2 + 1)", 1)
+        assert al.factor_irreducible(p) == sympy_factorization(p)
+
+    def test_split_search_is_capped(self, monkeypatch, sympy_polys):
+        """A top coefficient with 2^10 divisors: the degree-one split stops
+        at its cap, and sympy factors the rest."""
+        p = P("((t2+1)*(t2+2)*(t2+3)*(t2+4)*(t2+5)*(t2+6)*(t2+7)*(t2+8)"
+              "*(t2+9)*(t2+10)*t1^2 + t1 + 1)*(t1^2*t2^2 + t1 + t2^2 + 1)", 2)
+        drawn, screened = [], []
+        divisors, screen = factor._divisors, factor._homogeneous_at
+
+        def counting_divisors(parts):
+            for d in divisors(parts):
+                drawn.append(d)
+                yield d
+
+        def counting_screen(*args):
+            screened.append(args)
+            return screen(*args)
+
+        monkeypatch.setattr(factor, "_divisors", counting_divisors)
+        monkeypatch.setattr(factor, "_homogeneous_at", counting_screen)
+        fact = al.factor_irreducible(p)
+        assert [x.nvars for x in sympy_polys] == [2]
+        assert len(drawn) < 2 ** 10
+        # the cap, plus the splits that factor the top coefficient itself
+        cap = factor._SPLIT_TRIES * len(p.terms)
+        assert cap <= len(screened) < cap + 100
+        assert fact == sympy_factorization(p)
+
+    @pytest.mark.parametrize("word, n, reached", FACTOR_FALLBACK_WORDS)
+    def test_mined_fallbacks_agree(self, sympy_polys, word, n, reached):
+        """Seeded closures whose delta reaches sympy (mined by
+        tests/mine_fallback_words.py), univariate and multivariate rests
+        alike, against the sympy-only route."""
+        delta = al.alexander_data(braid_closure(word, n)).delta
+        fact = al.factor_irreducible(delta)
+        assert [len(x.variables_used()) for x in sympy_polys] == reached
+        assert fact == sympy_factorization(delta)
 
     @pytest.mark.parametrize("text", [
         # no t_k-coefficient of these is a single term, and each has a
@@ -360,6 +471,40 @@ def _univariate_irreducible_by_brute_force(p):
             if al.divides(q, p):
                 return False
     return True
+
+
+def _divides_mod(g, f, p):
+    """Does g, monic, divide f over F_p?  Coefficients constant first."""
+    f = [c % p for c in f]
+    for top in range(len(f) - 1, len(g) - 2, -1):
+        c = f[top]
+        for i, gi in enumerate(g):
+            f[top - len(g) + 1 + i] = (f[top - len(g) + 1 + i] - c * gi) % p
+    return not any(f)
+
+
+class TestImageCertificates:
+    """The pure-Python certificates on univariate images."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_rabin_against_trial_division(self, p):
+        """Irreducible over F_p exactly when no monic polynomial of degree
+        1 to n/2 divides it, for every f of degree 4 to 6 drawn."""
+        rng = seeded(91)
+        for _ in range(150):
+            n = rng.randrange(4, 7)
+            f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+            irreducible = not any(
+                _divides_mod(list(low) + [1], f, p)
+                for d in range(1, n // 2 + 1)
+                for low in itertools.product(range(p), repeat=d))
+            assert factor._rabin(f, p) == irreducible, (f, p)
+
+    def test_quadratic_by_discriminant(self):
+        assert factor._image_irreducible([1, -1, 1])      # t^2 - t + 1
+        assert factor._image_irreducible([2, 0, 1])       # t^2 + 2
+        assert not factor._image_irreducible([-9, 0, 1])  # square
+        assert not factor._image_irreducible([1, 2, 1])   # disc 0
 
 
 class TestBruteForceIrreducibilityOracle:

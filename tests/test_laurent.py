@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alexlink as al
+from alexlink import laurent
 from alexlink.laurent import (EXPONENT_LIMIT, ExponentLimitExceeded,
                               LaurentPoly, NotDivisible,
                               VariableCountMismatch, ZeroInputError,
@@ -476,6 +477,18 @@ class TestDivision:
     def test_divides(self):
         assert al.divides(P("t-1", 1), P("t^2-1", 1))
         assert not al.divides(P("t^2-1", 1), P("t-1", 1))
+
+    def test_divides_formats_nothing(self, monkeypatch):
+        # a failed check builds no message; divide_exact still names both
+        def refuse(p):
+            raise AssertionError("a polynomial was formatted")
+
+        a, b = P("t1^2 + t2", 2), P("t1 - t2", 2)
+        monkeypatch.setattr(laurent, "format_poly", refuse)
+        assert not al.divides(b, a)
+        monkeypatch.undo()
+        with pytest.raises(al.NotDivisible, match=r"t1\^2 \+ t2 .* t1 - t2"):
+            al.divide_exact(a, b)
 
     def test_divide_product_random(self):
         rng = seeded(14)
