@@ -32,10 +32,10 @@ the link obstructions: whether p equals f * conj(f) times a unit of the
 localized ring (a negligible polynomial), with variants that ignore
 single-variable factors or compare two polynomials.
 
-sympy is imported only in the branches that call it, so that callers
-whose factorizations the pure-Python route settles, with an integer
-content of 1, and which take no gcd beyond exact division, never load
-it.
+Every gcd is read off one factorization as well (``_common_factors``).
+sympy is imported only by ``factorint`` on an integer content above 1
+and by ``Poly.factor_list`` on a rest that the pure-Python route does
+not settle, so callers that reach neither never load it.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import math
 from dataclasses import dataclass
 
 from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
-                      _quotient, _to_polynomial, divide_exact, divides,
-                      unit_equal, unit_normal_form)
+                      _quotient, _to_polynomial, divide_exact, unit_equal,
+                      unit_normal_form)
 
 
 # sympy's dense polynomials nest one list per variable and its routines
@@ -208,7 +208,8 @@ def _split(q, mult, factors):
     tried = []
     for span, k in sorted((q.degree_span(k), k) for k in q.variables_used()):
         coeffs = _coefficients(q, k)
-        common = _common_factors(coeffs.values())
+        _, common = _common_factors(sorted(coeffs.values(),
+                                           key=lambda c: len(c.terms)))
         if common:
             for f, e in common.items():
                 factors[f] = factors.get(f, 0) + mult * e
@@ -241,26 +242,27 @@ def _coefficients(q, k):
     return {e: LaurentPoly(q.nvars, t) for e, t in terms.items()}
 
 
-def _common_factors(coeffs):
-    """{irreducible: exponent} of the gcd of ``coeffs``, up to units.
+def _common_factors(polys):
+    """(content, {irreducible: exponent}) of the gcd of the nonzero
+    ``polys``, up to units.
 
-    The coefficients' joint content is 1.  Every common factor divides
-    the coefficient with fewest terms, so the gcd is read off that one's
-    factorization: each factor's exponent is the least with which the
-    other coefficients take it.
+    Every common factor divides the first member, so the gcd is read off
+    its factorization: each factor's exponent is the least with which
+    the later members take it, and the content is the gcd of theirs.
+    Members are drawn only while the gcd is not 1, so a lazy ``polys``
+    with the sparsest first is drawn little.
     """
-    low, *others = sorted(coeffs, key=lambda c: len(c.terms))
-    if low.is_monomial():
-        return {}
-    common = {}
-    for f, most in _primitive_factors(_primitive_part(low)[1]).items():
-        for c in others:
-            most, _ = _multiplicity(f, c, most)
-            if not most:
-                break
-        else:
-            common[f] = most
-    return common
+    polys = iter(polys)
+    content, prim = _primitive_part(next(polys))
+    common = {} if prim.is_unit() else _primitive_factors(prim)
+    while common or content > 1:
+        p = next(polys, None)
+        if p is None:
+            break
+        content = math.gcd(content, *p._d.values())
+        common = {f: e for f, most in common.items()
+                  if (e := _multiplicity(f, p, most)[0])}
+    return content, common
 
 
 def _multiplicity(f, p, most):
@@ -541,35 +543,18 @@ def _prime_powers(m):
 def gcd(a, b):
     """A greatest common divisor of a and b, in unit normal form."""
     a._check(b)
-    if a.is_zero() and b.is_zero():
-        raise ZeroInputError("gcd(0, 0) is undefined")
-    if a.is_zero():
-        return unit_normal_form(b)
-    if b.is_zero():
-        return unit_normal_form(a)
-    import sympy
-    return unit_normal_form(
-        from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), a.nvars))
+    return gcd_many((a, b))
 
 
 def gcd_many(polys):
-    """GCD of a sequence, short-circuiting once it collapses to 1.
-
-    Calls sympy only when the running gcd does not divide the next term.
-    """
-    acc = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        if acc is None:
-            acc = unit_normal_form(p)
-        elif not divides(acc, p):
-            acc = gcd(acc, p)
-        if acc.is_one():
-            return acc
-    if acc is None:
+    """GCD of a sequence, in unit normal form, drawing members only
+    until it is 1 (``_common_factors``); zero members are skipped."""
+    nonzero = (p for p in polys if not p.is_zero())
+    first = next(nonzero, None)
+    if first is None:
         raise ZeroInputError("gcd of all-zero family is undefined")
-    return acc
+    content, common = _common_factors(itertools.chain((first,), nonzero))
+    return unit_normal_form(_product(first.nvars, common.items()) * content)
 
 
 @dataclass(frozen=True)

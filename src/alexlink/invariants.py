@@ -39,9 +39,11 @@ has adjugate its minor gcd times units times w / gcd(w) (Torres,
 Crowell-Fox): ``_corank_one_order`` divides the certifying minor
 exactly by t_c(0) - 1, or by nothing when the block's columns belong to
 one component.  Any other block (a connected diagram of a split link, a
-component that never passes under) takes the gcd of its r_i-minors;
-factor.gcd_many stops at 1 and asks sympy only when the running gcd
-does not divide the next minor exactly.  Minors are determinants
+component that never passes under) takes the gcd of its r_i-minors:
+factor.gcd_many factors the first nonzero minor, lowers each factor's
+exponent on the later ones and stops once the gcd is 1; sympy is
+loaded only by a rest of that factorization which no certificate
+settles (``Poly.factor_list``).  Minors are determinants
 computed lazily by sparse cofactor expansion, through one memo per
 block that its rank and its order share.
 
@@ -212,7 +214,9 @@ def minor_gcd(rows, size, nvars, memo):
 
     Returns 1 for size 0, whatever the matrix, and the zero polynomial
     when every minor vanishes.  Minors are computed only as gcd_many
-    asks for them, through the ``_determinant`` memo ``memo``.
+    asks for them, through the ``_determinant`` memo ``memo``: it reads
+    the gcd off the first nonzero minor's factorization and draws no
+    minor once the gcd is 1.
     """
     if size == 0:
         return LaurentPoly.one(nvars)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .diagram import PDError
 from .factor import (NormVerdict, _pair_off, factor_irreducible,
                      is_norm_up_to_negligible, norm_classes, norm_equivalent,
                      norm_verdict, odd_multiplicity_divisor)
@@ -254,7 +255,8 @@ def build_report(d):
 
     Fixture annotations (``note_*`` lines) ride along; a fixture marked
     ``note_open`` gets its named quantities listed as inconclusive: the
-    bounds here cannot settle them.
+    bounds here cannot settle them.  A name that is not one of the
+    report's quantities raises PDError.
     """
     alex = alexander_data(d)
     component_polys = component_polynomials(d, alex)
@@ -268,6 +270,10 @@ def build_report(d):
     inconclusive = []
     if "note_open" in notes:
         inconclusive = [q.strip() for q in notes["note_open"].split(",")]
+        unknown = [q for q in inconclusive if q not in bounds]
+        if unknown:
+            raise PDError(f"note_open names {unknown}, which are not among "
+                          f"the quantities {', '.join(bounds)}")
     return ObstructionReport(
         link_name=d.name,
         m=d.ncomps,

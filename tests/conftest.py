@@ -204,15 +204,38 @@ def factor_calls(monkeypatch):
 
 
 @pytest.fixture
-def gcd_calls(monkeypatch):
-    """The argument pairs of every factor.gcd call (one sympy gcd each)."""
+def sympy_polys(monkeypatch):
+    """The polynomials factor.py hands to sympy through to_sympy: empty
+    when no gcd and no factorization asked sympy anything."""
     from alexlink import factor
     calls = []
-    real = factor.gcd
+    real = factor.to_sympy
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counting(p):
+        calls.append(p)
+        return real(p)
 
-    monkeypatch.setattr(factor, "gcd", counting)
+    monkeypatch.setattr(factor, "to_sympy", counting)
     return calls
+
+
+def sympy_gcd(a, b):
+    """gcd(a, b) in unit normal form by ``sympy.gcd``: the reference for
+    factor.gcd, through conversions of its own.  Each polynomial is
+    shifted to least exponents 0, a unit factor, before sympy sees it."""
+    import sympy
+    a._check(b)
+    n = a.nvars
+    symbols = sympy.symbols(f"t1:{n + 1}")
+
+    def to_sympy(p):
+        mins = [min(col) for col in zip(*p.terms)] if p.terms else [0] * n
+        return sympy.Poly.from_dict(
+            {tuple(e - m for e, m in zip(exps, mins)): c
+             for exps, c in p.terms.items()} or {(0,) * n: 0},
+            *symbols, domain=sympy.ZZ)
+
+    g = sympy.gcd(to_sympy(a), to_sympy(b))
+    return al.unit_normal_form(al.LaurentPoly(
+        n, {tuple(map(int, exps)): int(c)
+            for exps, c in g.as_dict().items()}))

@@ -1,14 +1,12 @@
 """Mine seeded braid closures for words that reach a fallback route.
 
-``alexander_data`` has three routes that its certificates leave only
-on some inputs, and ``factor_irreducible`` has one:
+``alexander_data`` has two routes that its certificates leave only on
+some inputs, and ``factor_irreducible`` has one:
 
   * rank below the bound: ``matrix_rank`` returns less than its bound,
     so every minor of the bound's size is 0 and smaller ones give the
     rank;
   * minor_gcd: a block that is not square of corank 1;
-  * gcd: sympy's gcd in ``factor.gcd_many``, where the running gcd of
-    the minors does not divide the next one;
   * factor: sympy's ``Poly.factor_list`` on a rest of ``delta`` that no
     certificate and no degree-one split settles.
 
@@ -40,15 +38,16 @@ FACTOR = "factor"
 # route -> (module, function, whether a call takes the route)
 ROUTES = {BELOW: (invariants, "matrix_rank",
                   lambda args, rank: rank < args[1]),
-          "minor_gcd": (invariants, "minor_gcd", lambda args, _: True),
-          "gcd": (factor, "gcd", lambda args, _: True)}
+          "minor_gcd": (invariants, "minor_gcd", lambda args, _: True)}
 
 
 def mine(count):
     """{route: [(word, strands, note), ...]} over the seeded words, in
     order; the note lists the variable counts of a factor word's rests
-    that reached sympy."""
+    that reached sympy.  Every function wrapped on the way is restored
+    before it returns."""
     calls = dict.fromkeys(ROUTES, 0)
+    rests = []
 
     def counting(route, real, taken):
         def wrapper(*args):
@@ -57,30 +56,36 @@ def mine(count):
             return result
         return wrapper
 
-    for route, (module, name, taken) in ROUTES.items():
-        setattr(module, name, counting(route, getattr(module, name), taken))
-    rests = []
-    to_sympy = factor.to_sympy
-
     def recording(p):
         rests.append(p)
         return to_sympy(p)
 
-    factor.to_sympy = recording
-    found = {route: [] for route in [*ROUTES, FACTOR]}
-    for word, n in random_braid_words(seeded(11), count, strands=(3, 4, 5),
-                                      length=(6, 16)):
-        before = dict(calls)
-        delta = al.alexander_data(braid_closure(word, n)).delta
-        for route in ROUTES:
-            if calls[route] > before[route]:
-                found[route].append((word, n, ""))
-        rests.clear()
-        if not delta.is_zero():
-            al.factor_irreducible(delta)
-        if rests:
-            note = [len(p.variables_used()) for p in rests]
-            found[FACTOR].append((word, n, f"  # {note}"))
+    to_sympy = factor.to_sympy
+    originals = [(module, name, getattr(module, name))
+                 for module, name, _ in ROUTES.values()]
+    try:
+        for route, (module, name, taken) in ROUTES.items():
+            setattr(module, name,
+                    counting(route, getattr(module, name), taken))
+        factor.to_sympy = recording
+        found = {route: [] for route in [*ROUTES, FACTOR]}
+        for word, n in random_braid_words(seeded(11), count,
+                                          strands=(3, 4, 5), length=(6, 16)):
+            before = dict(calls)
+            delta = al.alexander_data(braid_closure(word, n)).delta
+            for route in ROUTES:
+                if calls[route] > before[route]:
+                    found[route].append((word, n, ""))
+            rests.clear()
+            if not delta.is_zero():
+                al.factor_irreducible(delta)
+            if rests:
+                note = [len(p.variables_used()) for p in rests]
+                found[FACTOR].append((word, n, f"  # {note}"))
+    finally:
+        for module, name, real in originals:
+            setattr(module, name, real)
+        factor.to_sympy = to_sympy
     return found
 
 

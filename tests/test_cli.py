@@ -110,6 +110,24 @@ class TestObstruct:
         assert len(lines) == 3
         assert "inconclusive:unlinking" in lines[2]
 
+    def test_unknown_inconclusive_name_rejected(self, tmp_path):
+        text = Path(fx("L9a30")).read_text()
+        assert "note_open: unlinking\n" in text
+        bad = tmp_path / "bad.lnk"
+        bad.write_text(text.replace("note_open: unlinking",
+                                    "note_open: unlinkng, "))
+        both = tmp_path / "both.lnk"
+        both.write_text(text.replace("note_open: unlinking",
+                                     "note_open: splitting, weakSplitting"))
+        status, out, err = run(["obstruct", "--table", str(bad), str(both)])
+        assert status == 1
+        assert err == (f"error: {bad}: note_open names ['unlinkng', ''], "
+                       "which are not among the quantities unlinking, "
+                       "splitting, weakSplitting\n")
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert "inconclusive:splitting,weakSplitting" in lines[1]
+
     def test_search_depth_adds_intervals(self):
         _, out, _ = run(["obstruct", fx("hopf"), "--search-depth", "1"])
         (rec,) = records(out)

@@ -1,5 +1,6 @@
 """Factorization, gcd and the norm-pairing decision procedures."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -19,7 +20,7 @@ from alexlink import factor
 from alexlink.laurent import LaurentPoly, ZeroInputError, unit_normal_form
 
 from conftest import (braid_closure, content, random_negligible, random_poly,
-                      random_unit, seeded)
+                      random_unit, seeded, sympy_gcd)
 
 N_RANDOM = 1000
 
@@ -241,21 +242,6 @@ def certificate_products(draw):
     for _ in range(draw(st.integers(0, 2))):
         p = p * draw(st.sampled_from([small, linear, dense]))()
     return p if not p.is_zero() else LaurentPoly.one(nvars)
-
-
-@pytest.fixture
-def sympy_polys(monkeypatch):
-    """The polynomials factor.py hands to sympy through to_sympy."""
-    from alexlink import factor
-    calls = []
-    real = factor.to_sympy
-
-    def counting(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(factor, "to_sympy", counting)
-    return calls
 
 
 class TestCertificates:
@@ -568,18 +554,66 @@ class TestGcd:
         g = gcd_many([P("t1-1", 2), P("t2-1", 2), P("(t1-1)*(t2-1)", 2)])
         assert g.is_one()
 
-    def test_gcd_many_skips_sympy_on_exact_division(self, gcd_calls):
-        # 1 - t^-1 divides both later terms: no sympy gcd at all
+    def test_gcd_many_asks_no_sympy(self, sympy_polys):
+        # 1 - t^-1 divides both later terms
         g = gcd_many([P("1-t^-1", 1), P("(t-1)*(t+2)", 1),
                       LaurentPoly.zero(1), P("t^3-t^5", 1)])
-        assert g == unit_normal_form(P("t-1", 1)) and gcd_calls == []
-
-    def test_gcd_many_calls_sympy_when_no_division(self, gcd_calls):
+        assert g == unit_normal_form(P("t-1", 1))
+        # a does not divide b; their gcd t - 1 divides c
         a, b, c = P("(t-1)*(t+1)", 1), P("(t-1)*(t+2)", 1), P("t^2-1", 1)
         g = gcd_many([a, b, c])
-        assert g == al.gcd(a, b) == unit_normal_form(P("t-1", 1))
-        # a does not divide b; their gcd t - 1 divides c
-        assert gcd_calls == [(unit_normal_form(a), b)]
+        assert g == sympy_gcd(a, b) == unit_normal_form(P("t-1", 1))
+        assert sympy_polys == []
+
+    @pytest.mark.parametrize("drawn, expected", [
+        # a unit first: nothing more is drawn
+        (["t1^2*t2^-1"], "1"),
+        # the factors go on the second member, the content 2 on the fourth
+        (["2*(t1-1)*(t2+3)", "4*(t1-1)", "0", "6*(t1+1)", "3*t2"], "1"),
+        # the content alone keeps the gcd above 1 until the last member
+        (["4*t1", "6*(t2-1)", "2*(t1+t2)", "5"], "1"),
+        (["2*(t1-1)^2*t2", "(t1-1)^3", "(1-t1^-1)*(t2+1)"], "t1-1")])
+    def test_gcd_many_stops_drawing_at_one(self, drawn, expected):
+        def members():
+            for text in drawn:
+                yield P(text, 2)
+            if not P(expected, 2).is_one():
+                return
+            raise AssertionError("a member drawn after the gcd reached 1")
+
+        assert gcd_many(members()) == unit_normal_form(P(expected, 2))
+
+    def test_matches_sympy_gcd(self):
+        """gcd and gcd_many against sympy's gcd on seeded members in one
+        to three variables, with negative exponents, contents above 1 and
+        zero members."""
+        rng = seeded(27)
+        seen = {"zero member": 0, "content": 0, "all zero": 0}
+        for _ in range(300):
+            nvars = rng.choice([1, 2, 3])
+            common = random_poly(rng, nvars, max_exp=2) * rng.choice([1, 2, 6])
+            members = [LaurentPoly.zero(nvars) if rng.random() < 0.2 else
+                       common * random_poly(rng, nvars, max_exp=2)
+                       * rng.choice([1, 2, 3, 4])
+                       for _ in range(rng.randrange(2, 5))]
+            seen["zero member"] += any(p.is_zero() for p in members)
+            if all(p.is_zero() for p in members):
+                seen["all zero"] += 1
+                with pytest.raises(ZeroInputError):
+                    gcd_many(iter(members))
+                continue
+            expected = functools.reduce(
+                sympy_gcd, [p for p in members if not p.is_zero()],
+                LaurentPoly.zero(nvars))
+            seen["content"] += content(expected) > 1
+            assert gcd_many(iter(members)) == expected
+            a, b = members[0], members[-1]
+            if a.is_zero() and b.is_zero():
+                with pytest.raises(ZeroInputError):
+                    al.gcd(a, b)
+            else:
+                assert al.gcd(a, b) == sympy_gcd(a, b)
+        assert min(seen.values()) >= 3, seen
 
     def test_gcd_divides_random(self):
         rng = seeded(24)

@@ -25,7 +25,7 @@ from alexlink.laurent import LaurentPoly, embed_univariate, unit_normal_form
 
 from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
                       load_fixture, random_braid_closures, random_braid_words,
-                      seeded, shift)
+                      seeded, shift, sympy_gcd)
 from test_diagram import reference_delete_components
 
 
@@ -165,8 +165,9 @@ def minor_gcd_alexander_data(d):
 def reference_minor_gcd(rows, size, nvars):
     """minor_gcd with an accumulation loop of its own.
 
-    Asks sympy (factor.gcd) on every nonzero minor after the first
-    until the running gcd is 1; minor_gcd must agree with it exactly.
+    Asks sympy's gcd (conftest.sympy_gcd) on every nonzero minor after
+    the first until the running gcd is 1; minor_gcd must agree with it
+    exactly.
     """
     if size == 0:
         return LaurentPoly.one(nvars)
@@ -180,7 +181,7 @@ def reference_minor_gcd(rows, size, nvars):
             if det.is_zero():
                 continue
             acc = unit_normal_form(det) if acc is None else \
-                factor.gcd(acc, det)
+                sympy_gcd(acc, det)
             if acc.is_one():
                 return acc
     return acc if acc is not None else LaurentPoly.zero(nvars)
@@ -361,15 +362,24 @@ class TestMinorGcdThroughGcdMany:
                     reference_minor_gcd(reduced, size, d.ncomps), \
                     (d.name, size)
 
-    def test_three_split_trefoils_ask_sympy_less(self, gcd_calls):
+    def test_three_split_trefoils_ask_sympy_less(self, monkeypatch,
+                                                 sympy_polys):
+        import sympy
         d = al.parse_pd(split_trefoils(3))
         reduced, rank = reduced_jacobian(d)
         g = minor_gcd(reduced, rank, 3, {})
-        calls = len(gcd_calls)
+        assert sympy_polys == []
+        sympy_gcds = []
+        real = sympy.gcd
+
+        def counting(*args, **kwargs):
+            sympy_gcds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sympy, "gcd", counting)
         assert g == reference_minor_gcd(reduced, rank, 3)
         # the reference asks sympy on every minor: 63 calls
-        assert len(gcd_calls) - calls == 63
-        assert calls < 63
+        assert len(sympy_gcds) == 63
 
 
 def split_union(*texts, nfree=0):
@@ -461,18 +471,18 @@ class TestCorankOneRoute:
             assert al.alexander_data(d) == unreduced_alexander_data(d), \
                 d.name
 
-    def test_no_sympy_gcd_when_beta_is_zero(self, gcd_calls,
+    def test_no_sympy_gcd_when_beta_is_zero(self, sympy_polys,
                                             minor_gcd_calls):
         links = [load_fixture(name)
                  for name in ("hopf", "whitehead", "L6a4", "L9a54")]
         data = [al.alexander_data(d) for d in links]
-        assert gcd_calls == []
+        assert sympy_polys == []
         assert minor_gcd_calls == []
         for d, a in zip(links, data):
             assert a.beta == 0 and d.ncomps >= 2, d.name
             assert a == minor_gcd_alexander_data(d), d.name
 
-    def test_minor_gcd_only_on_blocks_of_higher_corank(self, gcd_calls,
+    def test_minor_gcd_only_on_blocks_of_higher_corank(self, sympy_polys,
                                                        minor_gcd_calls):
         # pieces with beta = 0 give one corank-1 block each
         unions = 0
@@ -481,11 +491,11 @@ class TestCorankOneRoute:
                       for p in d.split_partition()]
             if any(al.alexander_data(p).beta for p in pieces):
                 continue
-            del gcd_calls[:]
+            del sympy_polys[:]
             del minor_gcd_calls[:]
             a = al.alexander_data(d)
             assert a.beta == len(pieces) - 1 > 0, d.name
-            assert gcd_calls == [] and minor_gcd_calls == [], d.name
+            assert sympy_polys == [] and minor_gcd_calls == [], d.name
             assert a == minor_gcd_alexander_data(d), d.name
             unions += 1
         assert unions >= 10
@@ -804,18 +814,18 @@ class TestCertifiedRank:
 
 # Words of random_braid_words(seeded(11), 3000, (3, 4, 5), (6, 16)) whose
 # Alexander data reaches fallback routes, as tests/mine_fallback_words.py
-# finds them: a block's rank below its bound, minor_gcd on a block that
-# is not square of corank 1, and sympy's gcd inside gcd_many
+# finds them: a block's rank below its bound and minor_gcd on a block
+# that is not square of corank 1
 BELOW = "rank below the bound"
 FALLBACK_WORDS = [
-    ([4, 4, 3, -2, -2, -3, -1], 5, {BELOW, "minor_gcd", "gcd"}),
-    ([2, -1, 3, -2, -1, -2, 1], 4, {BELOW, "minor_gcd", "gcd"}),
-    ([2, -2, -2, -3, -3, 2, 1, 1], 4, {BELOW, "minor_gcd", "gcd"}),
+    ([4, 4, 3, -2, -2, -3, -1], 5, {BELOW, "minor_gcd"}),
+    ([2, -1, 3, -2, -1, -2, 1], 4, {BELOW, "minor_gcd"}),
+    ([2, -2, -2, -3, -3, 2, 1, 1], 4, {BELOW, "minor_gcd"}),
     ([-1, -1, -2, -3, -2, -1, -1, 3, 1, -2, -3, -3, 1, 2, 3, 2], 4,
      {BELOW, "minor_gcd"}),
-    ([-1, -2, 1, 2, 1, 2], 3, {"minor_gcd", "gcd"}),
-    ([-1, -1, -2, -1, 2, 1, -2, 1], 3, {"minor_gcd", "gcd"}),
-    ([-3, -3, 2, 3, 4, 2, 4, 1], 5, {"minor_gcd", "gcd"}),
+    ([-1, -2, 1, 2, 1, 2], 3, {"minor_gcd"}),
+    ([-1, -1, -2, -1, 2, 1, -2, 1], 3, {"minor_gcd"}),
+    ([-3, -3, 2, 3, 4, 2, 4, 1], 5, {"minor_gcd"}),
     ([-2, -2, -1, -2, -1, -2, 2, 1, 1, -1, -1, 2, 1], 3, {"minor_gcd"}),
 ]
 
@@ -835,7 +845,7 @@ class TestFallbackRoutes:
 
     @pytest.mark.parametrize("word, n, routes", FALLBACK_WORDS)
     def test_route_runs_and_agrees(self, monkeypatch, below_bound,
-                                   minor_gcd_calls, gcd_calls, word, n,
+                                   minor_gcd_calls, sympy_polys, word, n,
                                    routes):
         results = []
         counting = invariants.minor_gcd
@@ -848,9 +858,10 @@ class TestFallbackRoutes:
         monkeypatch.setattr(invariants, "minor_gcd", recording)
         d = braid_closure(word, n)
         al.alexander_data(d)
-        reached = {BELOW: below_bound, "minor_gcd": minor_gcd_calls,
-                   "gcd": gcd_calls}
+        reached = {BELOW: below_bound, "minor_gcd": minor_gcd_calls}
         assert {r for r, calls in reached.items() if calls} == routes
+        # every first minor's factorization is settled without sympy
+        assert sympy_polys == []
         assert results
         for rows, size, nvars, g in results:
             assert g == reference_minor_gcd(rows, size, nvars), word
@@ -878,6 +889,19 @@ class TestFallbackRoutes:
         else:
             word, n = word + [sign * n], n + 1
         check_against_references(braid_closure(word, n))
+
+
+def test_mining_script_restores_what_it_wraps():
+    """tests/mine_fallback_words.py on its first 400 words reaches every
+    route it counts, and leaves no function wrapped."""
+    import mine_fallback_words
+    wrapped = [(invariants, "matrix_rank"), (invariants, "minor_gcd"),
+               (factor, "to_sympy")]
+    before = [getattr(module, name) for module, name in wrapped]
+    found = mine_fallback_words.mine(400)
+    assert set(found) == {BELOW, "minor_gcd", mine_fallback_words.FACTOR}
+    assert all(found.values()), {r: len(w) for r, w in found.items()}
+    assert [getattr(module, name) for module, name in wrapped] == before
 
 
 class TestOneMemoPerBlock:
