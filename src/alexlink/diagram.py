@@ -30,6 +30,7 @@ Components, arcs and pieces are numbered by ``_classes``.
 
 from __future__ import annotations
 
+from .factor import MAX_FACTOR_VARS
 from .laurent import LaurentPoly
 
 
@@ -298,21 +299,14 @@ class LinkDiagram:
 # PD text parsing and orientation inference
 
 def _parse_crossing_list(text):
-    text = text.strip()
-    if not text:
-        return []
     crossings = []
-    rest = text
+    rest = text.strip().lstrip(", \t")
     while rest:
-        rest = rest.lstrip(", \t")
-        if not rest:
-            break
         if not rest.startswith("X["):
             raise PDError(f"expected X[a,b,c,d] near {rest[:20]!r}")
-        end = rest.find("]")
-        if end < 0:
+        body, closed, rest = rest[2:].partition("]")
+        if not closed:
             raise PDError("unterminated crossing tuple")
-        body = rest[2:end]
         try:
             nums = tuple(int(x) for x in body.split(","))
         except ValueError:
@@ -320,7 +314,7 @@ def _parse_crossing_list(text):
         if len(nums) != 4 or any(n < 1 for n in nums):
             raise PDError(f"crossing X[{body}] needs 4 positive edge labels")
         crossings.append(nums)
-        rest = rest[end + 1:]
+        rest = rest.lstrip(", \t")
     return crossings
 
 
@@ -374,17 +368,22 @@ def parse_pd(text, nfree=0, name="", notes=None):
     """Parse a comma-separated list of X[a,b,c,d] crossings.
 
     ``nfree`` extra crossing-free components are appended after the
-    PD components.  A PD code that is not planar is rejected.  ``name``
-    and ``notes`` are carried into the diagram.
+    PD components.  A diagram with more than MAX_FACTOR_VARS components,
+    free loops included, is rejected before any per-component work: the
+    Laurent ring has one variable per component.  A PD code that is not
+    planar is rejected.  ``name`` and ``notes`` are carried into the
+    diagram.
     """
     if nfree < 0:
         raise PDError(f"negative free loop count {nfree}")
     crossings = _parse_crossing_list(text)
-    if not crossings:
-        if nfree == 0:
-            raise PDError("empty diagram: need crossings or free loops")
-        return LinkDiagram([], [], {}, nfree, nfree, name, notes)
     signs, comp_of_edge, ncomps = _orient(crossings)
+    if ncomps + nfree == 0:
+        raise PDError("empty diagram: need crossings or free loops")
+    if ncomps + nfree > MAX_FACTOR_VARS:
+        raise PDError(f"{ncomps + nfree} components exceed the budget of "
+                      f"{MAX_FACTOR_VARS}: the Laurent ring has one variable "
+                      "per component")
     d = LinkDiagram(crossings, signs, comp_of_edge,
                     ncomps + nfree, nfree, name, notes)
     if not is_planar(d):

@@ -34,6 +34,7 @@ its input, while arithmetic builds its already clean results directly.
 from __future__ import annotations
 
 import math
+import re
 
 EXPONENT_LIMIT = 1 << 60
 
@@ -479,6 +480,12 @@ class DegreeSpanExceeded(ValueError):
     """A polynomial's summed degree span is over FACTOR_DEGREE_BUDGET."""
 
 
+_SPACES = re.compile(r"\s*")
+_DIGITS = re.compile(r"[0-9]*")
+# the characters that start an atom, where juxtaposition multiplies
+_ATOM_START = frozenset("(t0123456789")
+
+
 def _summed_span(p):
     """The degree spans of p's variables, added up."""
     return sum(p.degree_span(i) for i in range(p.nvars))
@@ -487,8 +494,20 @@ def _summed_span(p):
 class _Parser:
     """Recursive-descent parser for the polynomial text syntax.
 
-    Grammar: integer coefficients, variables t1..tm, ^ with possibly
-    negative integer exponents, *, +, -, parentheses.
+    Grammar, with whitespace allowed between tokens but not inside a
+    variable or a number; a number is ASCII digits only::
+
+        expr   := signs? term (signs term)*
+        term   := power ("*"? power)*          (2t1(t2-1) multiplies)
+        power  := atom ("^" ("+" | "-")? digits)?
+        atom   := "(" expr ")" | "t" digits? | digits
+        signs  := ("+" | "-")+                 (an odd count of "-" negates)
+        digits := [0-9]+
+
+    A bare "t" is t1, and only in the one-variable ring; a negative
+    exponent needs a unit monomial base.  Characters are read only
+    through the cursor helpers ``peek``, ``take``, ``digits`` and
+    ``signs``.
 
     The summed degree span of the result, and of every product and
     power before it is expanded, must stay within FACTOR_DEGREE_BUDGET.
@@ -505,22 +524,38 @@ class _Parser:
     def error(self, message):
         raise PolyParseError(self.text, self.pos, message)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self):
-        self.skip_ws()
-        # the sentinel is never a member of any character-class test below
-        return self.text[self.pos] if self.pos < len(self.text) else "\0"
+        """Skip whitespace; the next character, or "" at the end."""
+        self.pos = _SPACES.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
+
+    def take(self, chars):
+        """Consume the next character if it is in ``chars``; it, or ""."""
+        ch = self.peek()
+        if ch and ch in chars:
+            self.pos += 1
+            return ch
+        return ""
+
+    def digits(self):
+        """Consume the ASCII digits at the cursor, or "", skipping no space."""
+        match = _DIGITS.match(self.text, self.pos)
+        self.pos = match.end()
+        return match.group()
+
+    def signs(self):
+        """Consume a run of "+" and "-": its sign, or 0 when it is empty."""
+        sign = 0
+        while ch := self.take("+-"):
+            sign = (sign or 1) * (-1 if ch == "-" else 1)
+        return sign
 
     def parse(self):
         try:
             p = self.expr()
         except ExponentLimitExceeded as exc:
             self.error(str(exc))
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.peek():
             self.error("unexpected trailing input")
         self.within_budget(p)
         return p
@@ -536,43 +571,23 @@ class _Parser:
                 f"degree span {span} exceeds the factor budget of "
                 f"{FACTOR_DEGREE_BUDGET}")
 
-    def product(self, p, q):
-        self.within_budget(p, q)
-        return p * q
-
     def expr(self):
-        sign = 1
-        while self.peek() in "+-":
-            if self.text[self.pos] == "-":
-                sign = -sign
-            self.pos += 1
-        p = self.term() * sign
-        while self.peek() in "+-":
-            sign = 1
-            while self.peek() in "+-":
-                if self.text[self.pos] == "-":
-                    sign = -sign
-                self.pos += 1
-            p = p + self.term() * sign
+        p = (self.signs() or 1) * self.term()
+        while sign := self.signs():
+            p = p + sign * self.term()
         return p
 
     def term(self):
         p = self.power()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                p = self.product(p, self.power())
-            elif ch == "(" or ch == "t" or ch.isdigit():
-                # implicit multiplication, e.g. 2t1 or (t1-1)(t2-1)
-                p = self.product(p, self.power())
-            else:
-                return p
+        while self.take("*") or self.peek() in _ATOM_START:
+            q = self.power()
+            self.within_budget(p, q)
+            p = p * q
+        return p
 
     def power(self):
         p = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
+        if self.take("^"):
             e = self.integer()
             if e < 0:
                 if not p.is_monomial():
@@ -593,51 +608,33 @@ class _Parser:
         return p
 
     def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        if self.take("("):
             p = self.expr()
-            if self.peek() != ")":
+            if not self.take(")"):
                 self.error("expected ')'")
-            self.pos += 1
             return p
-        if ch == "t":
-            start = self.pos
-            self.pos += 1
-            idx = 0
-            ndigits = 0
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                idx = idx * 10 + int(self.text[self.pos])
-                self.pos += 1
-                ndigits += 1
-            if ndigits == 0:
-                if self.nvars == 1:
-                    idx = 1  # bare 't' allowed in the one-variable ring
-                else:
-                    self.pos = start
-                    self.error("variable needs an index, e.g. t1")
+        start = self.pos
+        if self.take("t"):
+            index = self.digits()
+            if not index and self.nvars != 1:
+                self.pos = start
+                self.error("variable needs an index, e.g. t1")
+            idx = int(index or 1)  # bare 't' in the one-variable ring
             if not 1 <= idx <= self.nvars:
                 self.pos = start
                 self.error(f"variable t{idx} outside ring with {self.nvars} variables")
             return LaurentPoly.var(self.nvars, idx - 1)
-        if ch.isdigit():
-            return LaurentPoly.const(self.nvars, self.integer())
+        if number := self.digits():
+            return LaurentPoly.const(self.nvars, int(number))
         self.error("expected a coefficient, variable or '('")
 
     def integer(self):
-        self.skip_ws()
-        sign = 1
-        if self.peek() in "+-":
-            if self.text[self.pos] == "-":
-                sign = -1
-            self.pos += 1
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        sign = -1 if self.take("+-") == "-" else 1
+        self.peek()
+        number = self.digits()
+        if not number:
             self.error("expected an integer")
-        return sign * int(self.text[start:self.pos])
+        return sign * int(number)
 
 
 def parse_poly(text, nvars):

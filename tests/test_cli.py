@@ -157,6 +157,26 @@ class TestFactor:
         status, out, err = run(["factor", "t1+%%", "--vars", "1"])
         assert status == 1 and out == "" and "error" in err
 
+    @pytest.mark.parametrize("text", ["t²+1", "٣*t", "t^٣", "t³"])
+    def test_non_ascii_digit_is_a_parse_error(self, factor_calls, text):
+        # str.isdigit holds for all four, but only ASCII digits are numbers
+        status, out, err = run(["factor", text])
+        assert status == 1 and out == "" and factor_calls == []
+        assert err.startswith("error: ") and "at position" in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+    def test_non_ascii_digit_in_a_subprocess(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "alexlink.cli", "factor", "t²+1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(al.__file__).parents[1]),
+                 "PYTHONIOENCODING": "utf-8"})
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: unexpected trailing input at "
+                                      "position 1\n")
+        assert proc.stderr.count("error:") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_zero_rejected(self):
         status, _, err = run(["factor", "0", "--vars", "1"])
         assert status == 1 and "zero" in err
@@ -645,6 +665,41 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}:") and err.count("\n") == 1
         (rec,) = records(out)
         assert rec["name"] == load_fixture("hopf").name
+
+    @pytest.mark.parametrize("command", ["invariants", "obstruct"])
+    def test_component_budget_is_inclusive(self, tmp_path, command):
+        # one Laurent variable per component, as for factor --vars
+        trefoil = (FIXTURE_DIR / "trefoil.lnk").read_text()
+        ok = tmp_path / "ok.lnk"
+        ok.write_text(trefoil.replace(
+            "components: 1\n",
+            f"components: {MAX_FACTOR_VARS}\n"
+            f"freeloops: {MAX_FACTOR_VARS - 1}\n"))
+        over = tmp_path / "over.lnk"
+        over.write_text(trefoil.replace(
+            "components: 1\n", f"freeloops: {MAX_FACTOR_VARS}\n"))
+        status, out, err = run([command, str(ok)])
+        assert status == 0 and err == ""
+        (rec,) = records(out)
+        assert rec["m"] == MAX_FACTOR_VARS
+        status, out, err = run([command, str(over)])
+        assert status == 1 and out == ""
+        assert err == (f"error: {over}: {MAX_FACTOR_VARS + 1} components "
+                       f"exceed the budget of {MAX_FACTOR_VARS}: the Laurent "
+                       "ring has one variable per component\n")
+
+    def test_huge_free_loop_count_refused_at_once(self, tmp_path):
+        # every pair's linking number rescans the crossings, so without
+        # the bound the time grows with the square of the loop count
+        p = tmp_path / "loops.lnk"
+        p.write_text("name: loops\nfreeloops: 100000000\n"
+                     "pd: X[4,2,5,1], X[2,6,3,5], X[6,4,1,3]\n")
+        start = time.perf_counter()
+        status, out, err = run(["obstruct", str(p)])
+        assert time.perf_counter() - start < 1
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {p}: 100000001 components exceed ")
+        assert err.count("\n") == 1
 
     def test_bad_file_does_not_stop_good_ones(self, tmp_path):
         p = tmp_path / "bad.lnk"

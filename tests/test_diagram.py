@@ -55,6 +55,24 @@ class TestParsing:
         with pytest.raises(PDError):
             al.parse_pd("Y[1,2,3,4]")
 
+    @pytest.mark.parametrize("text, message", [
+        ("Y[1,2,3,4]", "expected X[a,b,c,d] near 'Y[1,2,3,4]'"),
+        (f"{HOPF},\n{HOPF}",
+         "expected X[a,b,c,d] near '\\nX[4,2,1,3], X[2,4,3'"),
+        ("X[4,2,1,3] X[2,4,3,1", "unterminated crossing tuple"),
+        ("X[4,2,1,3], X[2,4,3,1)", "unterminated crossing tuple"),
+        ("X[4,2,1,3],, X[2,a,3,1]", "non-integer edge label in X[2,a,3,1]"),
+        ("X[1,2,3,]", "non-integer edge label in X[1,2,3,]"),
+        ("X[1,2,3]", "crossing X[1,2,3] needs 4 positive edge labels"),
+        ("X[1,2,3,4,5]",
+         "crossing X[1,2,3,4,5] needs 4 positive edge labels"),
+        ("X[1,2,0,4]", "crossing X[1,2,0,4] needs 4 positive edge labels"),
+    ])
+    def test_crossing_list_errors(self, text, message):
+        with pytest.raises(PDError) as exc:
+            al.parse_pd(text)
+        assert str(exc.value) == message
+
     def test_edge_count_validation(self):
         # an edge appearing once (or three times) cannot close up
         with pytest.raises(PDError):

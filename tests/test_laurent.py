@@ -395,6 +395,57 @@ class TestParserFormatter:
             P("t1 + %", 2)
         assert "^" in str(exc.value)
 
+    LIMIT_MESSAGE = (f"an exponent could reach {EXPONENT_LIMIT}, beyond the "
+                     f"limit of ±{EXPONENT_LIMIT - 1}")
+
+    @pytest.mark.parametrize("text, nvars, message, pos", [
+        ("t+1)", 1, "unexpected trailing input", 3),
+        ("t1 t2 3 )", 2, "unexpected trailing input", 8),
+        ("(t+1", 1, "expected ')'", 4),
+        ("( t + 1 ", 1, "expected ')'", 8),
+        ("t1 + t", 2, "variable needs an index, e.g. t1", 5),
+        ("t 1", 2, "variable needs an index, e.g. t1", 0),
+        ("t1*t3", 2, "variable t3 outside ring with 2 variables", 3),
+        ("t0", 1, "variable t0 outside ring with 1 variables", 0),
+        ("t1 + %", 2, "expected a coefficient, variable or '('", 5),
+        ("", 1, "expected a coefficient, variable or '('", 0),
+        ("2* ", 1, "expected a coefficient, variable or '('", 3),
+        ("--t+ -", 1, "expected a coefficient, variable or '('", 6),
+        ("t^x", 1, "expected an integer", 2),
+        ("t^ - x", 1, "expected an integer", 5),
+        ("t^--2", 1, "expected an integer", 3),
+        ("t1 t2 ^", 2, "expected an integer", 7),
+        ("(t+1)^-1", 1, "negative exponents only allowed on monomials", 8),
+        ("(2t)^-1", 1, "negative exponents only allowed on unit monomials",
+         7),
+        ("(-2*t1)^ -3", 2,
+         "negative exponents only allowed on unit monomials", 11),
+        ("7^3000000", 1, "power with coefficients of up to 8422065 bits "
+         "exceeds the bound of 4096 bits", 9),
+        ("(9999999*t+1)^ 250", 1, "power with coefficients of up to 5813 "
+         "bits exceeds the bound of 4096 bits", 18),
+        ("t^1152921504606846976", 1, LIMIT_MESSAGE, 21),
+        ("t1^1152921504606846975*t1 + t2", 2, LIMIT_MESSAGE, 26),
+        ("(t^1073741824)^1073741824", 1, LIMIT_MESSAGE, 25),
+    ])
+    def test_error_message_and_position(self, text, nvars, message, pos):
+        with pytest.raises(al.PolyParseError) as exc:
+            P(text, nvars)
+        assert exc.value.pos == pos
+        assert str(exc.value) == (f"{message} at position {pos}\n"
+                                  f"  {text}\n  {' ' * pos}^")
+
+    @pytest.mark.parametrize("text, pos", [
+        ("t²+1", 1), ("٣*t", 0), ("t^٣", 2), ("t³", 1), ("2٣", 1),
+        ("t + ٣", 4),
+    ])
+    def test_only_ascii_digits_are_numbers(self, text, pos):
+        # str.isdigit holds for '²' (int() rejects it) and for '٣'
+        # (int() reads it as 3); neither is a digit of the syntax
+        with pytest.raises(al.PolyParseError) as exc:
+            P(text, 1)
+        assert exc.value.pos == pos
+
     def test_roundtrip_random(self):
         rng = seeded(11)
         for _ in range(N_RANDOM):
