@@ -134,8 +134,8 @@ def _invariants_record(d, path, args):
         **_orders(alex, component_polynomials(d, alex)),
         "crossings": d.ncrossings,
         "linkingNumbers": {
-            f"{i + 1},{j + 1}": d.linking_number(i, j)
-            for i in range(d.ncomps) for j in range(i)},
+            f"{i + 1},{j + 1}": row[j]
+            for i, row in enumerate(d.linking_matrix()) for j in range(i)},
         "conway": _conway_str(conway_polynomial(d, alex)),
     }
 

@@ -221,6 +221,19 @@ class LinkDiagram:
 
     # -- linking numbers --------------------------------------------------
 
+    def linking_matrix(self):
+        """lk(i,j) for every pair of components, 0 on the diagonal: half
+        the signed count of crossings between i and j, in one pass."""
+        total = [[0] * self.ncomps for _ in range(self.ncomps)]
+        for idx, sign in enumerate(self.signs):
+            cu, co = self.crossing_components(idx)
+            if cu != co:
+                total[cu][co] += sign
+                total[co][cu] += sign
+        if any(x % 2 for row in total for x in row):
+            raise PDError("odd inter-component crossing sum; diagram invalid")
+        return [[x // 2 for x in row] for row in total]
+
     def linking_number(self, i, j):
         """lk(L_i, L_j): half the signed count of crossings between i and j."""
         if i == j:
@@ -228,18 +241,10 @@ class LinkDiagram:
         for k in (i, j):
             if not 0 <= k < self.ncomps:
                 raise PDError(f"component {k} out of range")
-        total = 0
-        for idx in range(self.ncrossings):
-            cu, co = self.crossing_components(idx)
-            if {cu, co} == {i, j}:
-                total += self.signs[idx]
-        if total % 2 != 0:
-            raise PDError("odd inter-component crossing sum; diagram invalid")
-        return total // 2
+        return self.linking_matrix()[i][j]
 
     def total_linking_number(self):
-        return sum(self.linking_number(i, j)
-                   for i in range(self.ncomps) for j in range(i))
+        return sum(sum(row) for row in self.linking_matrix()) // 2
 
     # -- moves ------------------------------------------------------------
 
@@ -298,6 +303,15 @@ class LinkDiagram:
 # ---------------------------------------------------------------------------
 # PD text parsing and orientation inference
 
+def _integer(text):
+    """int(text) for ASCII digits after an optional '-', spaces around;
+    ValueError otherwise, where int() would read '٣', '+' or '_'."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_crossing_list(text):
     crossings = []
     rest = text.strip().lstrip(", \t")
@@ -308,7 +322,7 @@ def _parse_crossing_list(text):
         if not closed:
             raise PDError("unterminated crossing tuple")
         try:
-            nums = tuple(int(x) for x in body.split(","))
+            nums = tuple(map(_integer, body.split(",")))
         except ValueError:
             raise PDError(f"non-integer edge label in X[{body}]")
         if len(nums) != 4 or any(n < 1 for n in nums):
@@ -399,7 +413,7 @@ def serialize_pd(d):
 
 def _fixture_int(key, val):
     try:
-        return int(val)
+        return _integer(val)
     except ValueError:
         raise PDError(f"{key}: needs an integer, got {val!r}") from None
 

@@ -33,9 +33,10 @@ localized ring (a negligible polynomial), with variants that ignore
 single-variable factors or compare two polynomials.
 
 Every gcd is read off one factorization as well (``_common_factors``).
-sympy is imported only by ``factorint`` on an integer content above 1
-and by ``Poly.factor_list`` on a rest that the pure-Python route does
-not settle, so callers that reach neither never load it.
+sympy is imported only by ``factorint`` on a part of an integer content
+that trial division up to 1000 leaves unproved, at least 1000^2, and by
+``Poly.factor_list`` on a rest that the pure-Python route does not
+settle, so callers that reach neither never load it.
 """
 
 from __future__ import annotations
@@ -122,16 +123,19 @@ def factor_irreducible(p):
 def _irreducible_factors(p):
     """{irreducible in unit normal form: multiplicity} of a nonzero p.
 
-    The integer content goes to sympy's ``factorint`` only when it is
-    above 1; the primitive rest goes through ``_primitive_factors``.
+    The primes of the integer content come from ``_prime_powers``, and
+    sympy's ``factorint`` splits a cofactor that it leaves unproved; the
+    primitive rest goes through ``_primitive_factors``.
     """
-    n = p.nvars
     content, rest = _primitive_part(p)
     factors = {}
-    if content > 1:
-        from sympy import factorint
-        for prime, mult in factorint(content).items():
-            factors[LaurentPoly.const(n, int(prime))] = mult
+    for m, e in _prime_powers(content):
+        if m >= 1000 ** 2:
+            from sympy import factorint
+            factors.update((LaurentPoly.const(p.nvars, int(prime)), mult)
+                           for prime, mult in factorint(m).items())
+        else:
+            factors[LaurentPoly.const(p.nvars, m)] = e
     factors.update(_primitive_factors(rest))
     return factors
 
@@ -486,7 +490,8 @@ def _least(p):
 
 def _divisor_parts(c):
     """[(factor, multiplicity, value at the image point)] of the nonzero c:
-    the primes of its content, then its irreducible factors."""
+    the primes of its content, then its irreducible factors.  An unproved
+    content cofactor stays whole: factorint can take minutes on it."""
     content, prim = _primitive_part(c)
     parts = [(LaurentPoly.const(c.nvars, prime), e)
              for prime, e in _prime_powers(content)]
@@ -522,9 +527,9 @@ def _homogeneous_at(f, x, y):
 
 
 def _prime_powers(m):
-    """[(prime, exponent)] of m >= 1 by trial division up to 1000.  A
-    cofactor left over counts as one prime: the products of the list
-    still divide m, though some divisors may be missed."""
+    """[(prime, exponent)] of m >= 1 by trial division up to 1000, the
+    primes ascending.  A cofactor left over is prime below 1000^2; a
+    larger one is listed whole, last, so the list's products divide m."""
     out = []
     d = 2
     while d * d <= m and d < 1000:

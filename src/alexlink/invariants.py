@@ -36,16 +36,17 @@ first, so one minor certifies a block at its bound and a block below it
 (a connected diagram of a split link) walks the smaller minors.  A
 square block of corank 1, one per piece of the diagram with beta = 0,
 has adjugate its minor gcd times units times w / gcd(w) (Torres,
-Crowell-Fox): ``_corank_one_order`` divides the certifying minor
-exactly by t_c(0) - 1, or by nothing when the block's columns belong to
-one component.  Any other block (a connected diagram of a split link, a
-component that never passes under) takes the gcd of its r_i-minors:
+Crowell-Fox), so its order is the certifying minor, read again from the
+memo, divided exactly by t_c(0) - 1, or by nothing when the block's
+columns belong to one component.  Any other block (a connected diagram
+of a split link, a component that never passes under) takes the gcd of
+its r_i-minors, one of which is nonzero since r_i is proved:
 factor.gcd_many factors the first nonzero minor, lowers each factor's
 exponent on the later ones and stops once the gcd is 1; sympy is
 loaded only by a rest of that factorization which no certificate
-settles (``Poly.factor_list``).  Minors are determinants
-computed lazily by sparse cofactor expansion, through one memo per
-block that its rank and its order share.
+settles (``Poly.factor_list``).  Minors are determinants computed
+lazily by sparse cofactor expansion, through one memo per block that
+its rank fills and its order reads.
 
 Crossing-free components contribute through the split-union rules: each
 one raises beta by 1, kills the multivariable polynomial (for links with
@@ -77,8 +78,7 @@ from math import comb
 
 from .diagram import PDError, _classes, fox_jacobian
 from .factor import gcd_many
-from .laurent import (LaurentPoly, NotDivisible, ZeroInputError,
-                      divide_exact, unit_normal_form)
+from .laurent import LaurentPoly, _quotient, unit_normal_form
 
 CONWAY_CROSSING_BUDGET = 16
 
@@ -209,27 +209,6 @@ def _determinant(rows, row_idx, col_idx, memo):
     return result
 
 
-def minor_gcd(rows, size, nvars, memo):
-    """GCD of all size x size minors of a matrix over nvars variables.
-
-    Returns 1 for size 0, whatever the matrix, and the zero polynomial
-    when every minor vanishes.  Minors are computed only as gcd_many
-    asks for them, through the ``_determinant`` memo ``memo``: it reads
-    the gcd off the first nonzero minor's factorization and draws no
-    minor once the gcd is 1.
-    """
-    if size == 0:
-        return LaurentPoly.one(nvars)
-    if size > len(rows) or size > len(rows[0]):
-        return LaurentPoly.zero(nvars)
-    try:
-        return gcd_many(_determinant(rows, ri, ci, memo)
-                        for ri in combinations(range(len(rows)), size)
-                        for ci in combinations(range(len(rows[0])), size))
-    except ZeroInputError:
-        return LaurentPoly.zero(nvars)
-
-
 # ---------------------------------------------------------------------------
 # Alexander data
 
@@ -268,41 +247,18 @@ def _blocks(rows, cols):
     return out
 
 
-def _corank_one_order(rows, col_component, nvars, memo):
-    """The gcd of the corank-1 minors of a square block of corank 1.
-
-    w_j = t_c(j) - 1 is a kernel vector of the block, and it has a left
-    kernel vector of units, so its adjugate is the gcd times an outer
-    product of units and w / gcd(w) (Torres).  The minor without row 0
-    and column 0 is therefore the gcd times t_c(0) - 1 when the columns
-    hold two or more components, and the gcd itself when they hold one.
-    ``memo``, the block's, holds that minor from the rank's certificate.
-    Returned up to a unit.  A zero minor or a failed division means the
-    rank and the minors disagree.
-    """
-    rest = tuple(range(1, len(rows)))
-    minor = _determinant(rows, rest, rest, memo)
-    if len(set(col_component)) > 1 and not minor.is_zero():
-        w = LaurentPoly.var(nvars, col_component[0]) - LaurentPoly.one(nvars)
-        try:
-            minor = divide_exact(minor, w)
-        except NotDivisible:
-            raise PDError("rank/minor inconsistency in torsion order") \
-                from None
-    return minor
-
-
 def _rank_and_order(rows, col_component, nvars):
     """The rank of a Fox Jacobian and its torsion order in unit normal form.
 
     The reduced matrix M' is taken block by block: the rank is the
     number of pivots plus the sum of the blocks' ranks and the torsion
-    order the product of their orders.  Each block's rank is bounded by
-    min(rows, columns - 1), and ``matrix_rank`` walks its minors down
-    from that bound.  A square block of corank 1 gives its order from
-    the minor that certified its rank and at most one exact division;
-    any other block gives the gcd of its rank-sized minors.  One
-    ``_determinant`` memo per block serves its rank and its order.
+    order the product of their orders.  ``matrix_rank`` walks a block's
+    minors down from min(rows, columns - 1) to its rank r, filling the
+    block's ``_determinant`` memo, which its order reads: a square block
+    of corank 1 takes the minor that certified r, divided by t_c(0) - 1
+    when its columns hold two or more components; any other block the
+    gcd of its r-minors.  A zero minor or a failed division means the
+    rank and the minors disagree.
     """
     reduced, rank, cols = reduce_unit_pivots(rows)
     order = LaurentPoly.one(nvars)
@@ -311,12 +267,19 @@ def _rank_and_order(rows, col_component, nvars):
         r = matrix_rank(block, min(len(block), len(block_cols) - 1), memo)
         rank += r
         if len(block) == len(block_cols) == r + 1:
-            order = order * _corank_one_order(
-                block, [col_component[c] for c in block_cols], nvars, memo)
+            rest = tuple(range(1, r + 1))
+            minor = _determinant(block, rest, rest, memo)
+            if len({col_component[c] for c in block_cols}) > 1:
+                w = LaurentPoly.var(nvars, col_component[block_cols[0]]) \
+                    - LaurentPoly.one(nvars)
+                minor = _quotient(minor, w)
         else:
-            order = order * minor_gcd(block, r, nvars, memo)
-    if order.is_zero():
-        raise PDError("rank/minor inconsistency in torsion order")
+            minor = gcd_many(_determinant(block, ri, ci, memo)
+                             for ri in combinations(range(len(block)), r)
+                             for ci in combinations(range(len(block_cols)), r))
+        if minor is None or minor.is_zero():
+            raise PDError("rank/minor inconsistency in torsion order")
+        order = order * minor
     return rank, unit_normal_form(order)
 
 
@@ -350,12 +313,6 @@ def _check_budget(d):
             f"of {CONWAY_CROSSING_BUDGET}")
 
 
-def _linking_matrix(d):
-    """lk(i,j) for every pair of d's components, 0 on the diagonal."""
-    return [[d.linking_number(i, j) if i != j else 0 for j in range(d.ncomps)]
-            for i in range(d.ncomps)]
-
-
 def _linking_cofactor(d, lk=None, switched=()):
     """A cofactor of the linking-number Laplacian: lk(1,2) when m = 2.
 
@@ -365,7 +322,7 @@ def _linking_cofactor(d, lk=None, switched=()):
     every cofactor equals the z^(m-1) coefficient of the Conway polynomial.
     """
     m = d.ncomps
-    lk = [list(row) for row in lk or _linking_matrix(d)]
+    lk = [list(row) for row in lk or d.linking_matrix()]
     for v in switched:
         for u, o in permutations(d.crossing_components(v)):
             lk[u][o] -= d.signs[v]
@@ -420,7 +377,7 @@ def conway_polynomial(d, alex=None):
         one = one * (LaurentPoly.var(1, 0) - LaurentPoly.one(1))
     if one.is_zero():
         return {}  # delta = 0 (split, beta > 0) or delta(t,...,t) = 0
-    lk = _linking_matrix(d)
+    lk = d.linking_matrix()
     anchor = 1 if m == 1 else _linking_cofactor(d, lk)
     if anchor == 0:
         return _chain_step(d, lk)

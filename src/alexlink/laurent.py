@@ -470,10 +470,12 @@ class PolyParseError(ValueError):
 FACTOR_DEGREE_BUDGET = 256
 
 # largest e * log2(sum |c|) over the coefficients c of p that ``parse_poly``
-# allows for a power p^e, a bound on the bits of its coefficients: the
-# degree span cannot see a constant's power, and 7^999999999 has 845
-# million digits
+# allows for a power p^e, or sum over the factors of a product, a bound on
+# the bits of its coefficients: the degree span cannot see a constant's
+# power, and 7^999999999 has 845 million digits
 COEFFICIENT_BIT_BUDGET = 4096
+# the digits of 2^COEFFICIENT_BIT_BUDGET; int() refuses past 4,300
+_MAX_DIGITS = len(str(2 ** COEFFICIENT_BIT_BUDGET))
 
 
 class DegreeSpanExceeded(ValueError):
@@ -511,9 +513,9 @@ class _Parser:
 
     The summed degree span of the result, and of every product and
     power before it is expanded, must stay within FACTOR_DEGREE_BUDGET.
-    Spans add under multiplication, so the check costs no expansion.  A
-    power p^e must also keep e * log2(sum |c|), c over p's coefficients,
-    within COEFFICIENT_BIT_BUDGET.
+    Spans add under multiplication, so the check costs no expansion, and
+    so do the bounds log2(sum |c|) on each factor's coefficient bits, whose
+    sum must stay within COEFFICIENT_BIT_BUDGET, as must a digit run's.
     """
 
     def __init__(self, text, nvars):
@@ -538,10 +540,14 @@ class _Parser:
         return ""
 
     def digits(self):
-        """Consume the ASCII digits at the cursor, or "", skipping no space."""
-        match = _DIGITS.match(self.text, self.pos)
-        self.pos = match.end()
-        return match.group()
+        """Consume the ASCII digits at the cursor, or "", skipping no
+        space; a run longer than _MAX_DIGITS is refused unread."""
+        run = _DIGITS.match(self.text, self.pos).group()
+        if len(run) > _MAX_DIGITS:
+            self.error(f"a number of {len(run)} digits exceeds the bound "
+                       f"of {COEFFICIENT_BIT_BUDGET} bits")
+        self.pos += len(run)
+        return run
 
     def signs(self):
         """Consume a run of "+" and "-": its sign, or 0 when it is empty."""
@@ -571,6 +577,15 @@ class _Parser:
                 f"degree span {span} exceeds the factor budget of "
                 f"{FACTOR_DEGREE_BUDGET}")
 
+    def within_bits(self, what, *factors, power=1):
+        """Refuse ``what``, the product of ``factors`` to ``power``, past
+        COEFFICIENT_BIT_BUDGET bits."""
+        bits = power * sum(math.log2(max(1, sum(map(abs, f._d.values()))))
+                           for f in factors)
+        if bits > COEFFICIENT_BIT_BUDGET:
+            self.error(f"{what} with coefficients of up to {bits:.0f} bits "
+                       f"exceeds the bound of {COEFFICIENT_BIT_BUDGET} bits")
+
     def expr(self):
         p = (self.signs() or 1) * self.term()
         while sign := self.signs():
@@ -582,6 +597,7 @@ class _Parser:
         while self.take("*") or self.peek() in _ATOM_START:
             q = self.power()
             self.within_budget(p, q)
+            self.within_bits("product", p, q)
             p = p * q
         return p
 
@@ -599,11 +615,7 @@ class _Parser:
                                             tuple(x * e for x in exps),
                                             c if e % 2 else abs(c))
             self.within_budget(p, power=e)
-            bits = e * math.log2(max(1, sum(map(abs, p._d.values()))))
-            if bits > COEFFICIENT_BIT_BUDGET:
-                self.error(f"power with coefficients of up to {bits:.0f} "
-                           f"bits exceeds the bound of "
-                           f"{COEFFICIENT_BIT_BUDGET} bits")
+            self.within_bits("power", p, power=e)
             return p ** e
         return p
 

@@ -69,8 +69,8 @@ def bounded_split_search(d, max_depth, mode="inter"):
             f"{d.ncrossings} crossings exceed the budget "
             f"of {SEARCH_CROSSING_BUDGET}")
 
-    lk = {(i, j): d.linking_number(i, j)
-          for i in range(d.ncomps) for j in range(i)}
+    lk = {(i, j): row[j]
+          for i, row in enumerate(d.linking_matrix()) for j in range(i)}
     # (component pair, sign) of each crossing between two components
     mixed = {}
     for c in range(d.ncrossings):

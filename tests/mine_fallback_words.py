@@ -6,7 +6,8 @@ some inputs, and ``factor_irreducible`` has one:
   * rank below the bound: ``matrix_rank`` returns less than its bound,
     so every minor of the bound's size is 0 and smaller ones give the
     rank;
-  * minor_gcd: a block that is not square of corank 1;
+  * minor_gcd: a block that is not square of corank 1, whose order is
+    the gcd of its rank-sized minors (``gcd_many``);
   * factor: sympy's ``Poly.factor_list`` on a rest of ``delta`` that no
     certificate and no degree-one split settles.
 
@@ -38,7 +39,7 @@ FACTOR = "factor"
 # route -> (module, function, whether a call takes the route)
 ROUTES = {BELOW: (invariants, "matrix_rank",
                   lambda args, rank: rank < args[1]),
-          "minor_gcd": (invariants, "minor_gcd", lambda args, _: True)}
+          "minor_gcd": (invariants, "gcd_many", lambda args, _: True)}
 
 
 def mine(count):

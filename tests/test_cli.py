@@ -165,6 +165,22 @@ class TestFactor:
         assert err.startswith("error: ") and "at position" in err
         assert err.count("error:") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["1" * 5000 + "*t"], id="literal"),
+        pytest.param(["t^" + "1" * 5000], id="exponent"),
+        pytest.param(["t" + "1" * 5000, "--vars", "2"], id="index"),
+        pytest.param(["2^4000*2^4000*2^4000*2^4000*2^4000*t"], id="product"),
+    ])
+    def test_long_number_or_big_product_is_a_parse_error(self, factor_calls,
+                                                          argv):
+        # past 4,300 digits int() and str() raise ValueError: each is
+        # refused by the parser, before it is read or multiplied out
+        status, out, err = run(["factor"] + argv)
+        assert status == 1 and out == "" and factor_calls == []
+        assert err.startswith("error: ") and "at position" in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert f"the bound of {COEFFICIENT_BIT_BUDGET} bits" in err
+
     def test_non_ascii_digit_in_a_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "alexlink.cli", "factor", "t²+1"],
@@ -447,6 +463,21 @@ class TestLazySympy:
         assert sympy_loaded(tmp_path, ["obstruct", path]) == (0, False)
         assert sympy_loaded(tmp_path, ["factor", "t1*t2+1", "--vars", "2"]) \
             == (0, False)
+
+    def test_content_primes_by_trial_division(self, tmp_path):
+        # 6 = 2 * 3 and t^2 - t + 1 is certified by its discriminant
+        assert sympy_loaded(tmp_path, ["factor", "6*(t^2-t+1)"]) == \
+            (0, False)
+        # 1000003 * 1000033 is past 1000^2, so factorint splits it
+        assert sympy_loaded(tmp_path, ["factor", "1000003*1000033*(t-2)"]) \
+            == (0, True)
+        status, out, _ = run(["factor", "1000003*1000033*(t-2)"])
+        (rec,) = records(out)
+        assert status == 0 and rec["unit"] == "-1"
+        assert rec["factors"] == [
+            {"factor": "-t + 2", "multiplicity": 1},
+            {"factor": "1000003", "multiplicity": 1},
+            {"factor": "1000033", "multiplicity": 1}]
 
     def test_knotted_component_loads_sympy(self, tmp_path):
         # t^2 - t + 1 is certified by its discriminant, in pure Python

@@ -67,6 +67,12 @@ class TestParsing:
         ("X[1,2,3,4,5]",
          "crossing X[1,2,3,4,5] needs 4 positive edge labels"),
         ("X[1,2,0,4]", "crossing X[1,2,0,4] needs 4 positive edge labels"),
+        # int() reads each of these; only ASCII digits are labels
+        ("X[6,4,1,٣]", "non-integer edge label in X[6,4,1,٣]"),
+        ("X[4,+2,5_0,1]", "non-integer edge label in X[4,+2,5_0,1]"),
+        ("X[4,2,5,1²]", "non-integer edge label in X[4,2,5,1²]"),
+        ("X[4,2,5,- 1]", "non-integer edge label in X[4,2,5,- 1]"),
+        ("X[1,2,-3,4]", "crossing X[1,2,-3,4] needs 4 positive edge labels"),
     ])
     def test_crossing_list_errors(self, text, message):
         with pytest.raises(PDError) as exc:
@@ -105,10 +111,16 @@ class TestParsing:
             al.parse_fixture(f"components: 1\nfreeloops: -1\npd: {HOPF}\n")
 
     @pytest.mark.parametrize("key", ["components", "freeloops"])
-    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    @pytest.mark.parametrize("value", ["two", "1.5", "", "٢", "+1_0", "+0",
+                                       "1_0", "²"])
     def test_fixture_count_must_be_an_integer(self, key, value):
-        with pytest.raises(PDError, match=key):
+        with pytest.raises(PDError) as exc:
             al.parse_fixture(f"{key}: {value}\npd: {HOPF}\n")
+        assert str(exc.value) == f"{key}: needs an integer, got {value!r}"
+
+    def test_whitespace_around_labels_accepted(self):
+        spaced = "X[ 4, 2 ,1,\t3 ], X[2 ,4,3 , 1]"
+        assert al.parse_pd(spaced).crossings == al.parse_pd(HOPF).crossings
 
     def test_fixture_unknown_key(self):
         with pytest.raises(PDError):
@@ -157,7 +169,46 @@ class TestOrientationInference:
         assert al.parse_pd(backward).signs == (-1, 1, -1, 1)
 
 
+def per_pair_linking_number(d, i, j):
+    """lk(i,j) as half the signed count of the crossings between i and j,
+    one pair at a time."""
+    total = sum(sign for k, sign in enumerate(d.signs)
+                if set(d.crossing_components(k)) == {i, j})
+    assert total % 2 == 0, (d, i, j)
+    return total // 2
+
+
 class TestLinkingNumbers:
+    def test_matrix_matches_per_pair_sums(self):
+        closures = random_braid_closures(seeded(76), 120,
+                                         strands=(2, 3, 4, 5))
+        diagrams = corpus_diagrams() + closures
+        assert max(d.ncomps for d in diagrams) >= 4
+        for d in diagrams:
+            m = d.ncomps
+            lk = d.linking_matrix()
+            assert lk == [[per_pair_linking_number(d, i, j) if i != j else 0
+                           for j in range(m)] for i in range(m)], d
+            assert all(d.linking_number(i, j) == lk[i][j]
+                       for i in range(m) for j in range(m) if i != j), d
+            assert d.total_linking_number() == sum(
+                lk[i][j] for i in range(m) for j in range(i)), d
+
+    def test_odd_crossing_sum_rejected(self):
+        # one crossing between two components cannot close up: built
+        # directly, since parse_pd refuses it
+        d = LinkDiagram([(1, 2, 1, 2)], [1], {1: 0, 2: 1}, 2)
+        for query in (d.linking_matrix, lambda: d.linking_number(0, 1),
+                      d.total_linking_number):
+            with pytest.raises(PDError, match="odd inter-component"):
+                query()
+
+    def test_out_of_range_rejected(self):
+        d = al.parse_pd(HOPF)
+        for i, j in ((0, 2), (-1, 0)):
+            with pytest.raises(PDError, match="out of range"):
+                d.linking_number(i, j)
+
     def test_total(self):
         d = load_fixture("L6a4")
         assert d.linking_number(0, 1) == 0

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -150,6 +151,65 @@ def _expression_path_factorization(p):
     for f, mult in ordered:
         prod = prod * f ** mult
     return al.Factorization(unit=al.divide_exact(p, prod), factors=ordered)
+
+
+class TestContentPrimes:
+    """An integer content's primes: trial division up to 1000, and
+    sympy's factorint only on a cofactor from 1000^2 up that the
+    factorization must split."""
+
+    CONTENTS = [1, 2, 6, 997, 997 ** 2, 991 * 997, 999983, 1009 * 1013,
+                1000003 * 1000033, 2 ** 10 * 3 * 1000003 ** 2]
+
+    def test_trial_division(self):
+        import sympy
+        rng = seeded(77)
+        for m in self.CONTENTS + [rng.randrange(1, 10 ** rng.randrange(2, 16))
+                                  for _ in range(200)]:
+            powers = factor._prime_powers(m)
+            assert math.prod(q ** e for q, e in powers) == m, m
+            assert [q for q, _ in powers] == sorted({q for q, _ in powers})
+            proved = [(q, e) for q, e in powers if q < 1000 ** 2]
+            assert all(sympy.isprime(q) and m % q ** e == 0
+                       and m % q ** (e + 1) for q, e in proved), m
+            unproved = powers[len(proved):]
+            assert len(unproved) <= 1 and all(e == 1 for _, e in unproved), m
+
+    def test_content_factors_match_factorint(self):
+        import sympy
+        rng = seeded(78)
+        for m in self.CONTENTS + [rng.randrange(1, 10 ** rng.randrange(2, 16))
+                                  for _ in range(100)]:
+            f = factor_irreducible(P(f"{m}*(t-2)", 1))
+            assert {int(q.terms[(0,)]): e for q, e in f.factors
+                    if not q.variables_used()} == sympy.factorint(m), m
+
+    def test_unproved_cofactor_split(self):
+        f = factor_irreducible(P("1000003*1000033*(t-2)", 1))
+        assert f.unit == P("-1", 1)
+        assert dict(f.factors) == {P("1000003", 1): 1, P("1000033", 1): 1,
+                                   P("2-t", 1): 1}
+
+    def test_content_six_asks_no_sympy(self, monkeypatch):
+        import sympy
+        monkeypatch.setattr(sympy, "factorint", None)
+        f = factor_irreducible(P("6*(t^2-t+1)", 1))
+        assert dict(f.factors) == {P("2", 1): 1, P("3", 1): 1,
+                                   P("t^2-t+1", 1): 1}
+
+    def test_degree_one_split_keeps_a_coefficient_cofactor_whole(
+            self, monkeypatch):
+        # the split reads the content of the top t1-coefficient, a
+        # 150-bit semiprime that factorint took minutes to split; the
+        # candidates need only divisors, so it is kept whole
+        import sympy
+        n = (2 ** 61 - 1) * (2 ** 89 - 1)
+        monkeypatch.setattr(sympy, "factorint", None)
+        left, right = P(f"{n}*t1*t2 + t2^2 + 1", 2), \
+            P("t1^2*t2^2 + t1 + t2 + 1", 2)
+        f = factor_irreducible(left * right)
+        assert dict(f.factors) == {unit_normal_form(left): 1,
+                                   unit_normal_form(right): 1}
 
 
 class TestPolyPathMatchesExpressionPath:

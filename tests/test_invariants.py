@@ -19,9 +19,10 @@ from alexlink.diagram import PDError
 from alexlink.invariants import (CONWAY_CROSSING_BUDGET, AlexanderData,
                                  _conway_skein, _determinant,
                                  _linking_cofactor, conway_polynomial,
-                                 matrix_rank, minor_gcd,
-                                 one_variable_alexander, reduce_unit_pivots)
-from alexlink.laurent import LaurentPoly, embed_univariate, unit_normal_form
+                                 matrix_rank, one_variable_alexander,
+                                 reduce_unit_pivots)
+from alexlink.laurent import (LaurentPoly, ZeroInputError, embed_univariate,
+                              unit_normal_form)
 
 from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
                       load_fixture, random_braid_closures, random_braid_words,
@@ -113,6 +114,29 @@ def bareiss_rank(rows):
     return rank
 
 
+def minor_gcd(rows, size, nvars):
+    """GCD of all size x size minors of a matrix over nvars variables.
+
+    Returns 1 for size 0, whatever the matrix, and the zero polynomial
+    when every minor vanishes.  factor.gcd_many draws the minors, each
+    computed only when it asks for it through one ``_determinant`` memo,
+    as alexander_data draws a block's; here the whole matrix is taken
+    at once, so it is the reference for the block route.
+    """
+    if size == 0:
+        return LaurentPoly.one(nvars)
+    if size > len(rows) or size > len(rows[0]):
+        return LaurentPoly.zero(nvars)
+    memo = {}
+    try:
+        return factor.gcd_many(_determinant(rows, ri, ci, memo)
+                               for ri in combinations(range(len(rows)), size)
+                               for ci in combinations(range(len(rows[0])),
+                                                      size))
+    except ZeroInputError:
+        return LaurentPoly.zero(nvars)
+
+
 def deleted_column_minor_gcd(d, col):
     """The raw deleted-column minor gcd A_col of the full Jacobian.
 
@@ -121,7 +145,7 @@ def deleted_column_minor_gcd(d, col):
     """
     rows, arc_component = al.fox_jacobian(d)
     kept = [[x for c, x in enumerate(row) if c != col] for row in rows]
-    a = minor_gcd(kept, len(arc_component) - 1, d.ncomps, {})
+    a = minor_gcd(kept, len(arc_component) - 1, d.ncomps)
     return a if a.is_zero() else unit_normal_form(a)
 
 
@@ -138,7 +162,7 @@ def unreduced_alexander_data(d):
     beta = (len(arc_component) - r - 1) + d.nfree
     if beta > 0:
         return AlexanderData(m=m, beta=beta, delta=LaurentPoly.zero(m),
-                             delta_tor=minor_gcd(rows, r, m, {}))
+                             delta_tor=minor_gcd(rows, r, m))
     delta = deleted_column_minor_gcd(d, 0)
     if m > 1:
         tj = LaurentPoly.var(m, arc_component[0]) - LaurentPoly.one(m)
@@ -157,7 +181,7 @@ def minor_gcd_alexander_data(d):
     reduced, k, _ = reduce_unit_pivots(rows)
     rank = bareiss_rank(reduced)
     beta = (len(arc_component) - k - rank - 1) + d.nfree
-    delta_tor = minor_gcd(reduced, rank, m, {})
+    delta_tor = minor_gcd(reduced, rank, m)
     delta = delta_tor if beta == 0 else LaurentPoly.zero(m)
     return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor)
 
@@ -296,8 +320,8 @@ class TestUnitPivotReduction:
         assert (k, cols) == (1, [0, 2])
         assert reduced == [[P("1-4*t^-1", 1), P("3", 1)],
                            [P("3-10*t^-1", 1), P("7", 1)]]
-        assert al.unit_equal(minor_gcd(rows, 3, 1, {}),
-                             minor_gcd(reduced, 2, 1, {}))
+        assert al.unit_equal(minor_gcd(rows, 3, 1),
+                             minor_gcd(reduced, 2, 1))
 
     def test_markowitz_ties_go_to_lower_row_then_column(self):
         one, two, three, t = (P(x, 1) for x in ("1", "2", "3", "t"))
@@ -312,8 +336,8 @@ class TestUnitPivotReduction:
         assert reduce_unit_pivots([[one], [-t]]) == ([[]], 1, [])
         for empty in ([], [[]]):
             assert bareiss_rank(empty) == 0
-            assert minor_gcd(empty, 0, 2, {}).is_one()
-            assert minor_gcd(empty, 1, 2, {}).is_zero()
+            assert minor_gcd(empty, 0, 2).is_one()
+            assert minor_gcd(empty, 1, 2).is_zero()
 
     def test_sparse_loop_matches_dense_reference(self, corpus):
         closures = random_braid_closures(seeded(68), 150,
@@ -358,7 +382,7 @@ class TestMinorGcdThroughGcdMany:
             reduced, rank = reduced_jacobian(d)
             # rank + 1: every minor vanishes and both return zero
             for size in range(rank + 2):
-                assert minor_gcd(reduced, size, d.ncomps, {}) == \
+                assert minor_gcd(reduced, size, d.ncomps) == \
                     reference_minor_gcd(reduced, size, d.ncomps), \
                     (d.name, size)
 
@@ -367,7 +391,7 @@ class TestMinorGcdThroughGcdMany:
         import sympy
         d = al.parse_pd(split_trefoils(3))
         reduced, rank = reduced_jacobian(d)
-        g = minor_gcd(reduced, rank, 3, {})
+        g = minor_gcd(reduced, rank, 3)
         assert sympy_polys == []
         sympy_gcds = []
         real = sympy.gcd
@@ -421,16 +445,47 @@ def split_unions():
 
 @pytest.fixture
 def minor_gcd_calls(monkeypatch):
-    """Every invariants.minor_gcd call, as (size, nvars)."""
-    calls = []
-    real = invariants.minor_gcd
+    """Every block whose order alexander_data takes as the gcd of its
+    rank-sized minors, as (block, size, nvars, gcd): the invariants.gcd_many
+    calls, each with the block and the rank that invariants.matrix_rank
+    has just found, since the order is taken right after the rank."""
+    calls, ranked = [], []
+    rank, gcd = invariants.matrix_rank, invariants.gcd_many
 
-    def counting(rows, size, nvars, memo):
-        calls.append((size, nvars))
-        return real(rows, size, nvars, memo)
+    def ranking(rows, bound, memo):
+        ranked.append((rows, rank(rows, bound, memo)))
+        return ranked[-1][1]
 
-    monkeypatch.setattr(invariants, "minor_gcd", counting)
+    def counting(minors):
+        block, size = ranked[-1]
+        calls.append((block, size, block[0][0].nvars, gcd(minors)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(invariants, "matrix_rank", ranking)
+    monkeypatch.setattr(invariants, "gcd_many", counting)
     return calls
+
+
+def sizes(minor_gcd_calls):
+    """(size, nvars) of each call that the minor_gcd_calls fixture saw."""
+    return [(size, nvars) for _, size, nvars, _ in minor_gcd_calls]
+
+
+@pytest.fixture
+def corank_one_blocks(monkeypatch):
+    """Every block that invariants.matrix_rank finds square of corank 1,
+    whose order alexander_data reads off the minor that certified it."""
+    blocks = []
+    real = invariants.matrix_rank
+
+    def recording(rows, bound, memo):
+        rank = real(rows, bound, memo)
+        if len(rows) == len(rows[0]) == rank + 1:
+            blocks.append(rows)
+        return rank
+
+    monkeypatch.setattr(invariants, "matrix_rank", recording)
+    return blocks
 
 
 class TestCorankOneRoute:
@@ -508,7 +563,7 @@ class TestCorankOneRoute:
             del minor_gcd_calls[:]
             a = al.alexander_data(d)
             assert len(d.split_partition()) == 1 and a.beta == 1, word
-            assert minor_gcd_calls == [(size, d.ncomps)], word
+            assert sizes(minor_gcd_calls) == [(size, d.ncomps)], word
             assert a == minor_gcd_alexander_data(d), word
         # connected diagrams of the 2- and 3-component unlinks: M'
         # reduces to zero, so there is no block and no minor
@@ -555,10 +610,10 @@ class TestBlockRoute:
         ranks = [bareiss_rank(b) for b, _ in found]
         order = LaurentPoly.one(2)
         for (b, _), r in zip(found, ranks):
-            order = order * minor_gcd(b, r, 2, {})
+            order = order * minor_gcd(b, r, 2)
         rank = bareiss_rank(rows)
         assert sum(ranks) == rank == 5
-        assert unit_normal_form(order) == minor_gcd(rows, rank, 2, {}) == \
+        assert unit_normal_form(order) == minor_gcd(rows, rank, 2) == \
             unit_normal_form(P("(2*t1-2-t1*t2-t2)*(t1+2)^2*(t2^2+1)", 2))
 
     def test_one_block_is_the_matrix_itself(self):
@@ -599,21 +654,14 @@ class TestBlockRoute:
         assert {len(d.split_partition()) - d.nfree for d in cases} == \
             {2, 3, 4}
 
-    def test_one_block_per_route(self, monkeypatch, minor_gcd_calls):
-        corank_one = []
-        real = invariants._corank_one_order
-
-        def counting(rows, col_component, nvars, memo):
-            corank_one.append(len(rows))
-            return real(rows, col_component, nvars, memo)
-
-        monkeypatch.setattr(invariants, "_corank_one_order", counting)
+    def test_one_block_per_route(self, minor_gcd_calls, corank_one_blocks):
         # the trefoil's 2 x 2 block has corank 1; the other piece, a
         # connected diagram with beta = 1, gives a 2 x 3 block of rank 1
         d = split_union(split_trefoils(1),
                         braid_closure_pd([1, 2, -1, -2, -1, -2], 3))
         a = al.alexander_data(d)
-        assert corank_one == [2] and minor_gcd_calls == [(1, 4)]
+        assert [len(b) for b in corank_one_blocks] == [2]
+        assert sizes(minor_gcd_calls) == [(1, 4)]
         assert a == minor_gcd_alexander_data(d) == unreduced_alexander_data(d)
         assert a.beta == 2
 
@@ -844,26 +892,16 @@ class TestFallbackRoutes:
     Alexander data, and reference_minor_gcd for each minor_gcd result."""
 
     @pytest.mark.parametrize("word, n, routes", FALLBACK_WORDS)
-    def test_route_runs_and_agrees(self, monkeypatch, below_bound,
-                                   minor_gcd_calls, sympy_polys, word, n,
-                                   routes):
-        results = []
-        counting = invariants.minor_gcd
-
-        def recording(rows, size, nvars, memo):
-            results.append((rows, size, nvars,
-                            counting(rows, size, nvars, memo)))
-            return results[-1][-1]
-
-        monkeypatch.setattr(invariants, "minor_gcd", recording)
+    def test_route_runs_and_agrees(self, below_bound, minor_gcd_calls,
+                                   sympy_polys, word, n, routes):
         d = braid_closure(word, n)
         al.alexander_data(d)
         reached = {BELOW: below_bound, "minor_gcd": minor_gcd_calls}
         assert {r for r, calls in reached.items() if calls} == routes
         # every first minor's factorization is settled without sympy
         assert sympy_polys == []
-        assert results
-        for rows, size, nvars, g in results:
+        assert minor_gcd_calls
+        for rows, size, nvars, g in minor_gcd_calls:
             assert g == reference_minor_gcd(rows, size, nvars), word
         check_against_references(d)
 
@@ -895,7 +933,7 @@ def test_mining_script_restores_what_it_wraps():
     """tests/mine_fallback_words.py on its first 400 words reaches every
     route it counts, and leaves no function wrapped."""
     import mine_fallback_words
-    wrapped = [(invariants, "matrix_rank"), (invariants, "minor_gcd"),
+    wrapped = [(invariants, "matrix_rank"), (invariants, "gcd_many"),
                (factor, "to_sympy")]
     before = [getattr(module, name) for module, name in wrapped]
     found = mine_fallback_words.mine(400)
@@ -913,39 +951,37 @@ class TestOneMemoPerBlock:
         return corpus + split_unions() + random_braid_closures(
             seeded(75), 300, strands=(3, 4, 5), length=(8, 16))
 
-    def test_certificate_minor_expanded_once(self, corpus, monkeypatch):
+    def test_certificate_minor_expanded_once(self, corpus, monkeypatch,
+                                             corank_one_blocks):
         """A square corank-1 block's minor without row and column 0
-        certifies its rank and gives its order: one expansion."""
-        misses, squares = [], []
+        certifies its rank and gives its order: one expansion, then a
+        memo hit."""
+        misses, hits = [], []
         determinant = invariants._determinant
-        order = invariants._corank_one_order
 
         def counting(rows, row_idx, col_idx, memo):
-            if (row_idx, col_idx) not in memo:
-                misses.append((rows, row_idx, col_idx))
+            seen = misses if (row_idx, col_idx) not in memo else hits
+            seen.append((rows, row_idx, col_idx))
             return determinant(rows, row_idx, col_idx, memo)
 
-        def recording(rows, col_component, nvars, memo):
-            squares.append(rows)
-            return order(rows, col_component, nvars, memo)
-
         monkeypatch.setattr(invariants, "_determinant", counting)
-        monkeypatch.setattr(invariants, "_corank_one_order", recording)
         for d in self.cases(corpus):
             al.alexander_data(d)
             al.component_polynomials(d)
-        assert len(squares) >= 400
-        assert max(len(block) for block in squares) >= 4
-        for block in squares:
+        assert len(corank_one_blocks) >= 400
+        assert max(len(block) for block in corank_one_blocks) >= 4
+        for block in corank_one_blocks:
             rest = tuple(range(1, len(block)))
-            assert sum(rows is block and ri == ci == rest
-                       for rows, ri, ci in misses) == 1
+            for seen in (misses, hits):
+                assert sum(rows is block and ri == ci == rest
+                           for rows, ri, ci in seen) == 1
 
     def test_one_rank_and_one_memo_per_block(self, corpus, monkeypatch):
-        blocks, ranked, ordered = [], [], []
+        """Each block is ranked once, on a memo of its own, and its
+        order reads minors of that block through that memo only."""
+        blocks, ranked, gcds = [], [], []
         real = {name: getattr(invariants, name) for name in
-                ("_blocks", "matrix_rank", "_corank_one_order",
-                 "minor_gcd")}
+                ("_blocks", "matrix_rank", "_determinant", "gcd_many")}
 
         def split(rows, cols):
             found = real["_blocks"](rows, cols)
@@ -953,33 +989,42 @@ class TestOneMemoPerBlock:
             return found
 
         def rank(rows, bound, memo):
-            ranked.append((rows, memo))
-            return real["matrix_rank"](rows, bound, memo)
+            # the minors this block's order reads, and its route
+            ranked.append({"rows": rows, "memo": memo, "reads": [],
+                           "route": "corank one"})
+            r = real["matrix_rank"](rows, bound, memo)
+            ranked[-1]["rank"] = r
+            return r
 
-        def corank_one(rows, col_component, nvars, memo):
-            ordered.append((rows, memo, "corank one"))
-            return real["_corank_one_order"](rows, col_component, nvars,
-                                             memo)
+        def minor(rows, row_idx, col_idx, memo):
+            if "rank" in ranked[-1]:
+                ranked[-1]["reads"].append((rows, memo))
+            return real["_determinant"](rows, row_idx, col_idx, memo)
 
-        def gcd_of_minors(rows, size, nvars, memo):
-            ordered.append((rows, memo, "minor gcd"))
-            return real["minor_gcd"](rows, size, nvars, memo)
+        def gcd_of_minors(minors):
+            gcds.append(ranked[-1]["rows"])
+            ranked[-1]["route"] = "minor gcd"
+            return real["gcd_many"](minors)
 
         for name, fn in (("_blocks", split), ("matrix_rank", rank),
-                         ("_corank_one_order", corank_one),
-                         ("minor_gcd", gcd_of_minors)):
+                         ("_determinant", minor),
+                         ("gcd_many", gcd_of_minors)):
             monkeypatch.setattr(invariants, name, fn)
         for d in self.cases(corpus):
             al.alexander_data(d)
             al.component_polynomials(d)
         assert len(blocks) >= 400
-        assert {route for _, _, route in ordered} == {"corank one",
-                                                      "minor gcd"}
-        assert len(ranked) == len(ordered) == len(blocks)
-        for block, (r_rows, r_memo), (o_rows, o_memo, _) in zip(
-                blocks, ranked, ordered):
-            assert r_rows is block and o_rows is block
-            assert r_memo is o_memo
+        assert {b["route"] for b in ranked} == {"corank one", "minor gcd"}
+        assert len(ranked) == len(blocks)
+        assert len(gcds) == sum(b["route"] == "minor gcd" for b in ranked)
+        memos = [b["memo"] for b in ranked]
+        assert len({id(memo) for memo in memos}) == len(memos)
+        for block, b in zip(blocks, ranked):
+            assert b["rows"] is block and b["reads"]
+            assert all(rows is block and memo is b["memo"]
+                       for rows, memo in b["reads"])
+            square = len(block) == len(block[0]) == b["rank"] + 1
+            assert (b["route"] == "corank one") == square
 
 
 class TestMetamorphic:
@@ -1587,7 +1632,7 @@ def first_switch_chain(d):
     """The first of the smallest sets of crossings between two components
     whose switching makes d's linking cofactor nonzero, searched over
     every such crossing."""
-    lk = invariants._linking_matrix(d)
+    lk = d.linking_matrix()
     between = [v for v in range(d.ncrossings)
                if len(set(d.crossing_components(v))) == 2]
     return next(s for size in range(1, len(between) + 1)
@@ -1668,7 +1713,7 @@ class TestAnchoredStep:
         ]
         for n, syllables, expected in cases:
             d = braid_closure(pure_braid_word(syllables), n)
-            lk = invariants._linking_matrix(d)
+            lk = d.linking_matrix()
             assert d.ncomps == n and d.ncrossings > CONWAY_CROSSING_BUDGET
             assert _linking_cofactor(d, lk) == 0
             assert [lk[i - 1][j - 1] for i, j, _ in syllables] == \

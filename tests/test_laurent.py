@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 import alexlink as al
 from alexlink import laurent
-from alexlink.laurent import (EXPONENT_LIMIT, ExponentLimitExceeded,
-                              LaurentPoly, NotDivisible,
-                              VariableCountMismatch, ZeroInputError,
-                              embed_univariate, unit_normal_form)
+from alexlink.laurent import (COEFFICIENT_BIT_BUDGET, EXPONENT_LIMIT,
+                              ExponentLimitExceeded, LaurentPoly,
+                              NotDivisible, VariableCountMismatch,
+                              ZeroInputError, embed_univariate,
+                              unit_normal_form)
 
 from conftest import (content, evaluate, is_negligible, negligible_decompose,
                       random_negligible, random_poly, random_unit, seeded,
@@ -397,6 +398,7 @@ class TestParserFormatter:
 
     LIMIT_MESSAGE = (f"an exponent could reach {EXPONENT_LIMIT}, beyond the "
                      f"limit of ±{EXPONENT_LIMIT - 1}")
+    DIGITS_MESSAGE = "a number of 5000 digits exceeds the bound of 4096 bits"
 
     @pytest.mark.parametrize("text, nvars, message, pos", [
         ("t+1)", 1, "unexpected trailing input", 3),
@@ -427,6 +429,19 @@ class TestParserFormatter:
         ("t^1152921504606846976", 1, LIMIT_MESSAGE, 21),
         ("t1^1152921504606846975*t1 + t2", 2, LIMIT_MESSAGE, 26),
         ("(t^1073741824)^1073741824", 1, LIMIT_MESSAGE, 25),
+        # int() and str() refuse past 4,300 digits: each is refused
+        # before it is read or multiplied out
+        pytest.param("1" * 5000 + "*t", 1, DIGITS_MESSAGE, 0, id="literal"),
+        pytest.param("t^" + "1" * 5000, 1, DIGITS_MESSAGE, 2, id="exponent"),
+        pytest.param("t^-" + "1" * 5000, 1, DIGITS_MESSAGE, 3,
+                     id="negative-exponent"),
+        pytest.param("t" + "1" * 5000, 2, DIGITS_MESSAGE, 1, id="index"),
+        pytest.param("2^4000*2^4000*2^4000*2^4000*2^4000*t", 1,
+                     "product with coefficients of up to 8000 bits exceeds "
+                     "the bound of 4096 bits", 13, id="product"),
+        pytest.param("(2^2048+2^2040)(2^2048)", 1,
+                     "product with coefficients of up to 4096 bits exceeds "
+                     "the bound of 4096 bits", 23, id="juxtaposed-product"),
     ])
     def test_error_message_and_position(self, text, nvars, message, pos):
         with pytest.raises(al.PolyParseError) as exc:
@@ -434,6 +449,16 @@ class TestParserFormatter:
         assert exc.value.pos == pos
         assert str(exc.value) == (f"{message} at position {pos}\n"
                                   f"  {text}\n  {' ' * pos}^")
+
+    def test_digit_and_product_bounds_are_the_bit_budget(self):
+        most = len(str(2 ** COEFFICIENT_BIT_BUDGET))
+        assert P("9" * most, 1) == LaurentPoly.const(1, int("9" * most))
+        with pytest.raises(al.PolyParseError, match=f"{most + 1} digits"):
+            P("9" * (most + 1), 1)
+        assert P("2^2048*2^2048*t", 1) == \
+            LaurentPoly.monomial(1, (1,), 2 ** COEFFICIENT_BIT_BUDGET)
+        with pytest.raises(al.PolyParseError, match="4097 bits"):
+            P("2^2048*2^2049", 1)
 
     @pytest.mark.parametrize("text, pos", [
         ("t²+1", 1), ("٣*t", 0), ("t^٣", 2), ("t³", 1), ("2٣", 1),
