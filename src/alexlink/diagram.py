@@ -31,7 +31,7 @@ Components, arcs and pieces are numbered by ``_classes``.
 from __future__ import annotations
 
 from .factor import MAX_FACTOR_VARS
-from .laurent import LaurentPoly
+from .laurent import _MAX_DIGITS, LaurentPoly
 
 
 class PDError(ValueError):
@@ -303,12 +303,26 @@ class LinkDiagram:
 # ---------------------------------------------------------------------------
 # PD text parsing and orientation inference
 
+# the most characters of a bad input that an error message quotes
+_EXCERPT = 40
+
+
+def _excerpt(text):
+    """text, or its first _EXCERPT characters and "..." when longer."""
+    return text if len(text) <= _EXCERPT else text[:_EXCERPT] + "..."
+
+
 def _integer(text):
     """int(text) for ASCII digits after an optional '-', spaces around;
-    ValueError otherwise, where int() would read '٣', '+' or '_'."""
+    ValueError otherwise, where int() would read '٣', '+' or '_'.  A run
+    of more than _MAX_DIGITS digits is refused before int() reads it,
+    by a PDError that names the run's length."""
     digits = text.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError("not an integer")
+    if len(digits) > _MAX_DIGITS:
+        raise PDError(f"a number of {len(digits)} digits exceeds the bound "
+                      f"of {_MAX_DIGITS} digits")
     return int(text)
 
 
@@ -323,10 +337,14 @@ def _parse_crossing_list(text):
             raise PDError("unterminated crossing tuple")
         try:
             nums = tuple(map(_integer, body.split(",")))
+        except PDError as exc:
+            raise PDError(f"{exc} in X[{_excerpt(body)}]") from None
         except ValueError:
-            raise PDError(f"non-integer edge label in X[{body}]")
+            raise PDError(
+                f"non-integer edge label in X[{_excerpt(body)}]") from None
         if len(nums) != 4 or any(n < 1 for n in nums):
-            raise PDError(f"crossing X[{body}] needs 4 positive edge labels")
+            raise PDError(f"crossing X[{_excerpt(body)}] needs 4 positive "
+                          "edge labels")
         crossings.append(nums)
         rest = rest.lstrip(", \t")
     return crossings
@@ -414,8 +432,11 @@ def serialize_pd(d):
 def _fixture_int(key, val):
     try:
         return _integer(val)
+    except PDError as exc:
+        raise PDError(f"{key}: {exc}") from None
     except ValueError:
-        raise PDError(f"{key}: needs an integer, got {val!r}") from None
+        raise PDError(
+            f"{key}: needs an integer, got {_excerpt(val)!r}") from None
 
 
 def parse_fixture(text, name_hint=""):

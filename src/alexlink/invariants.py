@@ -54,7 +54,13 @@ more than one component) and leaves the torsion polynomial unchanged.
 
 Each component's Alexander polynomial is the torsion order of its own
 Jacobian, read off the link's crossings with the other components'
-arcs killed, through the same reduction and blocks.  The Conway
+arcs killed, through the same reduction and blocks.  A component that
+crosses no other is a split piece: its rows and columns of the link's
+Jacobian meet no other component's, and a pivot combines only rows that
+share a column, so its blocks of M' are its own reduced Jacobian in
+t_c.  Its polynomial is the product of those blocks' orders sent to t,
+kept on AlexanderData, and only a component that crosses another takes
+a Jacobian of its own.  The Conway
 polynomial is read off delta: by Torres, nabla(t^(1/2) - t^(-1/2)) is
 delta(t) for a knot and (t-1) * delta(t,...,t) for a link, up to ±t^k.
 Centring fixes t^k; the sign comes from nabla(0) = 1 for a knot and,
@@ -72,7 +78,7 @@ route independent of the Fox Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, combinations, permutations
 from math import comb
 
@@ -214,11 +220,19 @@ def _determinant(rows, row_idx, col_idx, memo):
 
 @dataclass(frozen=True)
 class AlexanderData:
-    """beta, the Alexander polynomial and its torsion counterpart."""
+    """beta, the Alexander polynomial and its torsion counterpart.
+
+    ``isolated`` maps each component that crosses no other component
+    to its one-variable polynomial, read off the link's own blocks; it
+    takes no part in equality, and a hand-built AlexanderData leaves it
+    empty, so ``component_polynomials`` takes each component's own
+    Jacobian.
+    """
     m: int
     beta: int
     delta: LaurentPoly
     delta_tor: LaurentPoly
+    isolated: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _blocks(rows, cols):
@@ -248,7 +262,8 @@ def _blocks(rows, cols):
 
 
 def _rank_and_order(rows, col_component, nvars):
-    """The rank of a Fox Jacobian and its torsion order in unit normal form.
+    """The rank of a Fox Jacobian, its torsion order in unit normal form
+    and each block's order with the components of its columns.
 
     The reduced matrix M' is taken block by block: the rank is the
     number of pivots plus the sum of the blocks' ranks and the torsion
@@ -258,18 +273,22 @@ def _rank_and_order(rows, col_component, nvars):
     of corank 1 takes the minor that certified r, divided by t_c(0) - 1
     when its columns hold two or more components; any other block the
     gcd of its r-minors.  A zero minor or a failed division means the
-    rank and the minors disagree.
+    rank and the minors disagree.  The blocks come back as a list of
+    (order, frozenset of components), so a component that crosses no
+    other reads its own order off the blocks whose columns are all its.
     """
     reduced, rank, cols = reduce_unit_pivots(rows)
     order = LaurentPoly.one(nvars)
+    block_orders = []
     for block, block_cols in _blocks(reduced, cols):
         memo = {}
         r = matrix_rank(block, min(len(block), len(block_cols) - 1), memo)
         rank += r
+        owners = frozenset(col_component[c] for c in block_cols)
         if len(block) == len(block_cols) == r + 1:
             rest = tuple(range(1, r + 1))
             minor = _determinant(block, rest, rest, memo)
-            if len({col_component[c] for c in block_cols}) > 1:
+            if len(owners) > 1:
                 w = LaurentPoly.var(nvars, col_component[block_cols[0]]) \
                     - LaurentPoly.one(nvars)
                 minor = _quotient(minor, w)
@@ -280,7 +299,29 @@ def _rank_and_order(rows, col_component, nvars):
         if minor is None or minor.is_zero():
             raise PDError("rank/minor inconsistency in torsion order")
         order = order * minor
-    return rank, unit_normal_form(order)
+        block_orders.append((minor, owners))
+    return rank, unit_normal_form(order), block_orders
+
+
+def _isolated_orders(d, block_orders):
+    """{c: one-variable order} for each component c that crosses no other.
+
+    Such a component is a split piece: its rows and columns of the
+    link's Jacobian are its own Jacobian in t_c, and no pivot mixes them
+    with another component's, so its order is the product of the blocks
+    whose columns are all its, sent to t by ``eval_diagonal``.  A free
+    loop has no block and gets 1.
+    """
+    linked = {k for u, o in map(d.crossing_components, range(d.ncrossings))
+              if u != o for k in (u, o)}
+    orders = dict.fromkeys(c for c in range(d.ncomps) if c not in linked)
+    for order, owners in block_orders:
+        if len(owners) == 1 and owners <= orders.keys():
+            (c,) = owners
+            orders[c] = order if orders[c] is None else orders[c] * order
+    return {c: LaurentPoly.one(1) if p is None
+            else unit_normal_form(p.eval_diagonal())
+            for c, p in orders.items()}
 
 
 def alexander_data(d):
@@ -291,12 +332,14 @@ def alexander_data(d):
         beta = m - 1
         delta = LaurentPoly.one(m) if m == 1 else LaurentPoly.zero(m)
         return AlexanderData(m=m, beta=beta, delta=delta,
-                             delta_tor=LaurentPoly.one(m))
+                             delta_tor=LaurentPoly.one(m),
+                             isolated=_isolated_orders(d, []))
     rows, arc_component = fox_jacobian(d)
-    rank, delta_tor = _rank_and_order(rows, arc_component, m)
+    rank, delta_tor, block_orders = _rank_and_order(rows, arc_component, m)
     beta = (len(arc_component) - rank - 1) + d.nfree
     delta = delta_tor if beta == 0 else LaurentPoly.zero(m)
-    return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor)
+    return AlexanderData(m=m, beta=beta, delta=delta, delta_tor=delta_tor,
+                         isolated=_isolated_orders(d, block_orders))
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +591,22 @@ def component_polynomials(d, alex=None):
 
     Component c's polynomial is the torsion order of its own Jacobian,
     ``fox_jacobian(d, c)`` (a knot has beta = 0), or 1 where c has no
-    crossing with itself.  A knot is its own component, so its
-    polynomial is the delta of ``alex``, d's AlexanderData, when given.
-    Returns a list of one-variable polynomials in the link's component
-    order.
+    crossing with itself.  A component that crosses no other is a split
+    piece whose Jacobian is already a set of blocks of the link's, so
+    with ``alex``, d's AlexanderData, its polynomial is read off
+    ``alex.isolated`` and only the components that cross another take a
+    Jacobian of their own; a knot takes none.  Returns a list of
+    one-variable polynomials in the link's component order.
     """
-    if d.ncomps == 1 and alex is not None:
-        return [alex.delta]
+    isolated = alex.isolated if alex is not None else {}
     crossed = {u for u, o in map(d.crossing_components,
                                  range(d.ncrossings)) if u == o}
-    return [_rank_and_order(*fox_jacobian(d, c), 1)[1] if c in crossed
-            else LaurentPoly.one(1) for c in range(d.ncomps)]
+
+    def own(c):
+        if c in isolated:
+            return isolated[c]
+        if c in crossed:
+            return _rank_and_order(*fox_jacobian(d, c), 1)[1]
+        return LaurentPoly.one(1)
+
+    return [own(c) for c in range(d.ncomps)]

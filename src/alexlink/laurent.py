@@ -331,9 +331,12 @@ class LaurentPoly:
     def eval_diagonal(self):
         """Send every variable to the single variable t.
 
-        Each key becomes the sum of its digits.
+        Each key becomes the sum of its digits, and a one-variable
+        polynomial is already in t.
         """
         n = self.nvars
+        if n == 1:
+            return self
         d = _collect((sum(_unpack(k, n)), c) for k, c in self._d.items())
         return _new(1, d, _bounded(max(map(abs, d), default=0)))
 

@@ -656,6 +656,19 @@ class TestExitCodes:
         assert status == 1 and out == ""
         assert err == f"error: {p}: repeated fixture key 'pd'\n"
 
+    @pytest.mark.parametrize("line", [
+        "components: 2\npd: X[" + "1" * 5000 + ",2,3,4]",
+        "components: " + "1" * 5000 + "\npd: X[4,2,1,3], X[2,4,3,1]",
+    ], ids=["edge-label", "components"])
+    def test_long_number_in_fixture_is_one_error_line(self, tmp_path, line):
+        p = tmp_path / "long.lnk"
+        p.write_text(f"name: long\n{line}\n")
+        status, out, err = run(["obstruct", str(p)])
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+        assert "5000 digits exceeds the bound of 1234 digits" in err
+        assert len(err) < 200
+
     def test_non_planar_rejected(self, tmp_path):
         p = tmp_path / "nonplanar.lnk"
         p.write_text("name: nonplanar\npd: X[1,3,2,4], X[2,4,3,1]\n")

@@ -118,6 +118,45 @@ class TestParsing:
             al.parse_fixture(f"{key}: {value}\npd: {HOPF}\n")
         assert str(exc.value) == f"{key}: needs an integer, got {value!r}"
 
+    @pytest.mark.parametrize("text, message", [
+        ("X[" + "1" * 5000 + ",2,3,4]",
+         "a number of 5000 digits exceeds the bound of 1234 digits in X["
+         + "1" * 40 + "...]"),
+        ("X[1,2,3,-" + "7" * 1235 + "]",
+         "a number of 1235 digits exceeds the bound of 1234 digits in "
+         "X[1,2,3,-" + "7" * 33 + "...]"),
+        ("X[1,2,x" + "y" * 100 + ",4]",
+         "non-integer edge label in X[1,2,x" + "y" * 35 + "...]"),
+        ("X[" + "1," * 100 + "1]",
+         "crossing X[" + "1," * 20 + "...] needs 4 positive edge labels"),
+    ], ids=["long-label", "long-negative-label", "long-word", "many-labels"])
+    def test_long_labels_give_a_bounded_error(self, text, message):
+        """A long run of digits is refused by its length before int()
+        reads it, and a message quotes at most 40 characters of the
+        crossing."""
+        with pytest.raises(PDError) as exc:
+            al.parse_pd(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("key", ["components", "freeloops"])
+    def test_long_fixture_count_gives_a_bounded_error(self, key):
+        with pytest.raises(PDError) as exc:
+            al.parse_fixture(f"{key}: {'1' * 5000}\npd: {HOPF}\n")
+        assert str(exc.value) == (f"{key}: a number of 5000 digits exceeds "
+                                  "the bound of 1234 digits")
+        with pytest.raises(PDError) as exc:
+            al.parse_fixture(f"{key}: {'x' * 5000}\npd: {HOPF}\n")
+        assert str(exc.value) == (f"{key}: needs an integer, got "
+                                  f"{'x' * 40 + '...'!r}")
+
+    def test_digit_bound_is_the_polynomial_parsers(self):
+        # the longest accepted label is one digit under the refused run
+        from alexlink.laurent import _MAX_DIGITS
+        assert _MAX_DIGITS == 1234
+        big = "9" * _MAX_DIGITS
+        with pytest.raises(PDError, match="appears 1 times"):
+            al.parse_pd(f"X[{big},2,3,4]")
+
     def test_whitespace_around_labels_accepted(self):
         spaced = "X[ 4, 2 ,1,\t3 ], X[2 ,4,3 , 1]"
         assert al.parse_pd(spaced).crossings == al.parse_pd(HOPF).crossings

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import alexlink as al
 from alexlink import factor
 from alexlink import invariants
-from alexlink.diagram import PDError
+from alexlink.diagram import PDError, serialize_pd
 from alexlink.invariants import (CONWAY_CROSSING_BUDGET, AlexanderData,
                                  _conway_skein, _determinant,
                                  _linking_cofactor, conway_polynomial,
@@ -1086,10 +1086,13 @@ class TestMetamorphic:
         """The split union of two closures, each a knot or a 2-component
         link, has beta = 1 + beta1 + beta2, delta = 0, delta_tor ≐ the
         product of the pieces' orders, each in its own variables, and
-        Conway polynomial 0 at any size."""
+        Conway polynomial 0 at any size.  Its component polynomials are
+        the pieces' own, in order, both read off the link's blocks (a
+        knot piece's component) and off each component's own Jacobian."""
         d = split_union(braid_closure_pd(u, n), braid_closure_pd(v, k))
         beta, expected, offset = 1, LaurentPoly.one(d.ncomps), 0
-        for piece in (braid_closure(u, n), braid_closure(v, k)):
+        pieces = [braid_closure(u, n), braid_closure(v, k)]
+        for piece in pieces:
             pa = al.alexander_data(piece)
             beta += pa.beta
             expected = expected * in_union(pa.delta_tor, piece, d, offset)
@@ -1098,6 +1101,10 @@ class TestMetamorphic:
         assert a.beta == beta and a.delta.is_zero(), (u, v)
         assert al.unit_equal(a.delta_tor, expected), (u, v)
         assert conway_polynomial(d, a) == {}, (u, v)
+        polys = al.component_polynomials(d, a)
+        assert polys == al.component_polynomials(d), (u, v)
+        assert polys == [p for piece in pieces
+                         for p in al.component_polynomials(piece)], (u, v)
 
     def test_split_union_multiplies_delta_tor(self):
         words = knot_words(seeded(70), 24)
@@ -1360,8 +1367,10 @@ class TestComponentPolynomials:
         assert {d.ncomps for d in links} >= {2, 3, 4, 5}
         assert sum(d.nfree > 0 for d in cases) >= 20
         for d in cases:
-            assert al.component_polynomials(d) == \
-                reference_component_polynomials(d), d.name
+            expected = reference_component_polynomials(d)
+            assert al.component_polynomials(d) == expected, d.name
+            assert al.component_polynomials(d, al.alexander_data(d)) == \
+                expected, d.name
 
     @pytest.mark.parametrize("word, crossings, polys", [
         # component 1 runs over the trefoil twice and never under
@@ -1568,6 +1577,42 @@ class TestConwayFoxRoute:
         # themselves, so they take no Jacobian of their own
         assert len(calls) == 1
         assert jacobians == [None]
+
+    @pytest.mark.parametrize("name, expected", [
+        ("trefoil_trefoil", [None]),
+        ("trefoil_unknot", [None]),
+        # Whitehead's components are 1 and 2 here, and 2 crosses itself
+        ("trefoil u whitehead", [None, 2]),
+    ])
+    def test_isolated_components_take_no_jacobian(self, name, expected,
+                                                  monkeypatch):
+        """One Jacobian for the link, and one of its own only for a
+        component that crosses another component and itself: a
+        component that crosses no other reads its polynomial off the
+        link's blocks, in the record and in the obstruction report."""
+        from alexlink import cli, obstructions
+        if name == "trefoil u whitehead":
+            d = split_union(*(serialize_pd(load_fixture(f))
+                              for f in ("trefoil", "whitehead")))
+        else:
+            d = load_fixture(name)
+        jacobians = []
+        real_fox = invariants.fox_jacobian
+
+        def counting_fox(d, c=None):
+            jacobians.append(c)
+            return real_fox(d, c)
+
+        monkeypatch.setattr(invariants, "fox_jacobian", counting_fox)
+        rec = cli._invariants_record(d, f"{name}.lnk", None)
+        assert jacobians == expected
+        jacobians.clear()
+        report = obstructions.build_report(d)
+        assert jacobians == expected
+        polys = al.component_polynomials(d)
+        assert polys[0] == unit_normal_form(P("t^2-t+1", 1))
+        assert report.component_polys == polys
+        assert rec["componentPolys"] == [al.format_poly(p) for p in polys]
 
     def test_asymmetric_input_rejected(self):
         d = load_fixture("trefoil")
