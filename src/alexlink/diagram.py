@@ -19,11 +19,13 @@ The module also derives the Wirtinger presentation and its Fox Jacobian,
 the link's or one component's, and implements the diagram moves the
 obstruction machinery quantifies over: crossing changes, oriented
 smoothing, and a small bigon-reduction pass used by the split search.
-Every move that drops crossings splices its strands through ``_splice``,
-naming each spliced strand by its smallest edge; bigon reduction loops
-over its moves on a flat list in ``_reduced``, shared with the search.
-``_traced`` builds each diagram a move makes: it renumbers the strands
-1..N once and traces the components.  The moves compare labels only by
+Every move that drops crossings splices its strands by ``_strands``,
+naming each spliced strand by its smallest edge.  Bigon reduction runs
+on a flat list in ``_reduce``, shared with the search: it keeps an index
+from each edge to its crossings and looks for moves only at the
+crossings that a crossing change or a splice touched.  ``_traced``
+builds each diagram a move makes: it renumbers the strands 1..N once
+and traces the components.  The moves compare labels only by
 ``==`` and ``<``, which renumbering keeps, so they pick the same moves.
 Components, arcs and pieces are numbered by ``_classes``.
 """
@@ -73,6 +75,22 @@ def _strand_pairs(crossings):
     return [p for a, b, c, d in crossings for p in ((a, c), (b, d))]
 
 
+def _strands(splices):
+    """{edge: the smallest edge of its strand} for each edge in
+    ``splices``, whose edge pairs join edges into strands."""
+    strand = {}
+    name = strand.setdefault
+    for x, y in splices:
+        x, y = name(x, x), name(y, y)
+        if x != y:
+            if y < x:
+                x, y = y, x
+            for e, s in strand.items():
+                if s == y:
+                    strand[e] = x
+    return strand
+
+
 def _splice(crossings, drop, splices):
     """Drop the crossings at the indices in ``drop``, splicing ``splices``.
 
@@ -82,14 +100,7 @@ def _splice(crossings, drop, splices):
     spliced strands left with no crossing: each closes up into a free
     loop.
     """
-    strand = {}   # spliced edge -> the smallest edge of its strand
-    for x, y in splices:
-        x, y = strand.setdefault(x, x), strand.setdefault(y, y)
-        if x != y:
-            x, y = min(x, y), max(x, y)
-            for e, s in strand.items():
-                if s == y:
-                    strand[e] = x
+    strand = _strands(splices)
     get = strand.get
     kept = [(get(a, a), get(b, b), get(c, c), get(d, d))
             for k, (a, b, c, d) in enumerate(crossings) if k not in drop]
@@ -105,47 +116,94 @@ def _switched(crossing, sign):
     return (b, c, d, a), -sign
 
 
-def _next_move(crossings, signs):
-    """The crossings of the first curl, (i,), or else of the first
-    cancelling bigon, (i, j) with i < j: two crossings of opposite signs
-    where one edge runs over at both and some edge runs under at both.
+def _edge_index(crossings):
+    """{edge: the indices of the two crossings at its ends}; an edge from
+    a crossing back to itself lists that crossing twice."""
+    where = {}
+    for k, crossing in enumerate(crossings):
+        for e in crossing:
+            where.setdefault(e, []).append(k)
+    return where
 
-    One pass over the crossings.  Bigons are taken by their first
-    crossing i, and where both over-edges at i start one, by the smaller
-    edge label.
+
+def _moves_at(crossings, signs, where, at, curls, bigons):
+    """Add the moves at the crossings in ``at``: each curl's crossing to
+    ``curls``, and each cancelling bigon to ``bigons`` as (i, e, k), its
+    crossings i < k and the edge e that runs over at both.
+
+    A cancelling bigon is two crossings of opposite signs where one edge
+    runs over at both and some edge runs under at both.  ``where`` is the
+    ``_edge_index`` of ``crossings``.
     """
-    over = {}   # over-edge -> the crossing where it was first met
-    move = None
-    for k, (a, b, c, d) in enumerate(crossings):
+    for x in at:
+        a, b, c, d = crossings[x]
         if a == b or b == c or c == d or d == a:
-            return (k,)
+            curls.add(x)
+            continue
+        sign = signs[x]
         for e in (b, d):
-            i = over.setdefault(e, k)
-            if signs[i] == signs[k]:
+            y, z = where[e]
+            if y == x:
+                y = z
+            if y == x or signs[y] == sign:
                 continue
-            ai, _, ci, _ = crossings[i]
-            if not (ai == a or ai == c or ci == a or ci == c):
-                continue
-            if move is None or i < move[0] or (i == move[0] and e < move[2]):
-                move = (i, k, e)
-    return move[:2] if move else None
+            ya, yb, yc, yd = crossings[y]
+            if (e == yb or e == yd) and (
+                    ya == a or ya == c or yc == a or yc == c):
+                bigons.add((x, e, y) if x < y else (y, e, x))
 
 
-def _reduced(crossings, signs):
-    """Make the moves ``_next_move`` finds until none is left; ``signs``
-    loses the removed crossings' signs in place.  Returns the crossings
-    left, on the labels they came with, and the number of loops closed.
+def _reduce(crossings, signs, dirty, where, watch):
+    """Remove curls and cancelling bigons from ``crossings`` in place,
+    setting each removed crossing to None, until no move is left or no
+    crossing in ``watch`` is.  Returns the number of loops closed and the
+    number of crossings in ``watch`` left.
+
+    The move taken is the first curl, or else the bigon with the least
+    first crossing and then the least over-edge.  Moves are looked for
+    only at the crossings in ``dirty`` and, after each move, at the
+    crossings whose labels its splice renames; a move found earlier is
+    kept until one of its crossings is removed or renamed, since a move
+    depends only on its crossings' labels and signs.  So every move of
+    the given list must meet ``dirty``.  ``where`` is the
+    ``_edge_index`` of ``crossings``, and is kept up to date in place.
     """
-    closed = 0
-    move = _next_move(crossings, signs)
-    while move is not None:
-        crossings, k = _splice(crossings, move,
-                               _strand_pairs(crossings[i] for i in move))
-        closed += k
-        for i in move[::-1]:
-            del signs[i]
-        move = _next_move(crossings, signs)
-    return crossings, closed
+    curls, bigons = set(), set()
+    closed, left = 0, len(watch)
+    while left:
+        _moves_at(crossings, signs, where, dirty, curls, bigons)
+        if curls:
+            move = (min(curls),)
+        elif bigons:
+            i, _, k = min(bigons)
+            move = (i, k)
+        else:
+            break
+        strand = _strands(_strand_pairs([crossings[i] for i in move]))
+        for i in move:
+            crossings[i] = None
+            left -= i in watch
+        ends = {}   # strand name -> the crossings left at its ends
+        dirty = set()   # the crossings whose labels are renamed
+        for e, s in strand.items():
+            for k in where.pop(e):
+                if crossings[k] is not None:
+                    ends.setdefault(s, []).append(k)
+                    if e != s:
+                        dirty.add(k)
+        closed += len(set(strand.values())) - len(ends)
+        where.update(ends)
+        get = strand.get
+        for k in dirty:
+            a, b, c, d = crossings[k]
+            crossings[k] = (get(a, a), get(b, b), get(c, c), get(d, d))
+        if curls:
+            curls.difference_update(move, dirty)
+        if bigons:
+            gone = dirty.union(move)
+            bigons = {m for m in bigons
+                      if m[0] not in gone and m[2] not in gone}
+    return closed, left
 
 
 def _traced(crossings, signs, nfree, name):
@@ -289,15 +347,21 @@ class LinkDiagram:
     def reduce_bigons(self):
         """Greedy removal of curls and cancelling bigons.
 
-        Used only to make diagrammatic splitness visible after crossing
-        changes; invariant computations never rely on it.  The moves run
-        on a flat list, and one diagram is built at the end.
+        ``_reduce`` looks for moves at every crossing of a flat list, and
+        one diagram is built at the end.  Only the Conway skein, the
+        route the Fox polynomials are checked against, and the tests call
+        it; the search calls ``_reduce`` on its own lists.
         """
-        signs = list(self.signs)
-        crossings, closed = _reduced(self.crossings, signs)
-        if len(crossings) == self.ncrossings:
+        crossings = list(self.crossings)
+        every = range(self.ncrossings)
+        closed, left = _reduce(crossings, self.signs, every,
+                               _edge_index(crossings), every)
+        if left == self.ncrossings:
             return self
-        return _traced(crossings, signs, self.nfree + closed, self.name)
+        kept = [k for k in every if crossings[k] is not None]
+        return _traced([crossings[k] for k in kept],
+                       [self.signs[k] for k in kept],
+                       self.nfree + closed, self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,25 @@ that can be sandwiched against the algebraic lower bounds; both count
 changes to a completely split link, as does the rank bound.
 
 A completely split diagram has every lk(i,j) = 0, and changing crossing
-c between components i and j moves lk(i,j) by -sign(c).  So a set is
-skipped, before it is reduced, unless for every pair the signs of
-its changed (i,j) crossings sum to lk(i,j), and the search starts at
-depth sum |lk(i,j)|.  Bigon reduction keeps linking numbers, so neither
-step changes the reported set.  A set left is reduced as a flat list,
-the diagram's crossings with the set's switched, and splits when every
-crossing left joins a component to itself by the given ``comp_of_edge``:
-a label left is one of the diagram's own edges, and curl and bigon moves
-are isotopies, so it keeps its component.
+c between components i and j moves lk(i,j) by -sign(c).  So only a set
+whose changed (i,j) crossings have signs summing to lk(i,j), for every
+pair, can split, and ``_change_sets`` generates just those: n+ positive
+and n- negative crossings of each pair with n+ - n- = lk(i,j), and any
+self-crossings in any-crossing mode, in the lexicographic order of
+``combinations``.  The search starts at depth sum |lk(i,j)|.  Bigon
+reduction keeps linking numbers, so the first set that splits is the
+one a walk over every set would find.
+
+Each set is reduced by ``_reduce`` as a flat list, the diagram's
+crossings with the set's switched.  A curl or bigon among crossings the
+set left alone would be a move of the given diagram, so the reduction
+looks for moves only at the set's crossings and where its splices
+relabel, unless the given diagram has a move of its own.  The set
+splits once no crossing joining two components by the given
+``comp_of_edge`` is left, and the reduction stops there: a label left
+is one of the diagram's own edges, and curl and bigon moves are
+isotopies, so it keeps its component, and later moves only remove
+crossings.
 
 Splitness is only certified at the diagram level, so a genuinely split
 link can be missed on an unhelpful diagram: the upper bounds are
@@ -29,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import _reduced, _switched
+from .diagram import _edge_index, _moves_at, _reduce, _switched
 
 MAX_SEARCH_DEPTH = 4
 SEARCH_CROSSING_BUDGET = 20
@@ -71,35 +81,67 @@ def bounded_split_search(d, max_depth, mode="inter"):
 
     lk = {(i, j): row[j]
           for i, row in enumerate(d.linking_matrix()) for j in range(i)}
-    # (component pair, sign) of each crossing between two components
-    mixed = {}
+    # the crossings between each pair of components, by sign
+    pairs = {}
     for c in range(d.ncrossings):
         cu, co = d.crossing_components(c)
         if cu != co:
-            mixed[c] = ((max(cu, co), min(cu, co)), d.signs[c])
-    candidates = list(mixed) if mode == "inter" else range(d.ncrossings)
-    switched = list(map(_switched, d.crossings, d.signs))
-    comp = d.comp_of_edge
+            pos, neg = pairs.setdefault((max(cu, co), min(cu, co)), ([], []))
+            (pos if d.signs[c] > 0 else neg).append(c)
+    groups = [(pos, neg, lk[pair]) for pair, (pos, neg) in pairs.items()]
+    mixed = frozenset(c for pos, neg, _ in groups for c in pos + neg)
+    every = range(d.ncrossings)
+    free = [c for c in every if c not in mixed] if mode == "any" else []
+
+    base, base_signs = list(d.crossings), list(d.signs)
+    switched = list(map(_switched, base, base_signs))
+    where = _edge_index(base)
+    # where the given diagram has a move of its own, a set's reduction
+    # must look for moves at every crossing, not only at those it changed
+    curls, bigons = set(), set()
+    _moves_at(base, base_signs, where, every, curls, bigons)
+    everywhere = every if curls or bigons else ()
 
     for depth in range(sum(map(abs, lk.values())), max_depth + 1):
-        for changes in combinations(candidates, depth):
-            moved = dict.fromkeys(lk, 0)
-            for c in changes:
-                if c in mixed:
-                    pair, sign = mixed[c]
-                    moved[pair] += sign
-            if moved != lk:
-                continue
-            crossings, signs = list(d.crossings), list(d.signs)
+        for changes in _change_sets(groups, free, depth):
+            crossings, signs = list(base), list(base_signs)
             for c in changes:
                 crossings[c], signs[c] = switched[c]
-            crossings, _ = _reduced(crossings, signs)
-            if all(comp[a] == comp[b] for a, b, _, _ in crossings):
+            _, left = _reduce(crossings, signs, everywhere or changes,
+                              dict(where), mixed)
+            if not left:
                 partition = tuple((i,) for i in range(d.ncomps))
                 return SearchResult(found=True, sequence=changes, depth=depth,
                                     partition=partition, mode=mode)
     return SearchResult(found=False, sequence=(), partition=None,
                         depth=max_depth, mode=mode)
+
+
+def _change_sets(groups, free, depth):
+    """The sets of ``depth`` crossings that change every lk(i,j) to 0,
+    as sorted tuples in lexicographic order.
+
+    Each group (pos, neg, lk) holds the positive and the negative
+    crossings between one pair of components; a set takes n+ of pos and
+    n- of neg with n+ - n- = lk, and any crossings of ``free`` besides.
+    """
+    need = sum(abs(target) for _, _, target in groups)
+    partial = {0: [()]}   # size -> the sets taken from the groups so far
+    for pos, neg, target in groups:
+        need -= abs(target)
+        grown = {}
+        for size, heads in partial.items():
+            for k in range(abs(target), depth - size - need + 1, 2):
+                tails = [p + q
+                         for p in combinations(pos, (k + target) // 2)
+                         for q in combinations(neg, (k - target) // 2)]
+                if tails:
+                    grown.setdefault(size + k, []).extend(
+                        h + t for h in heads for t in tails)
+        partial = grown
+    return sorted(tuple(sorted(h + t))
+                  for size, heads in partial.items() for h in heads
+                  for t in combinations(free, depth - size))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ from alexlink.search import (MAX_SEARCH_DEPTH, SEARCH_CROSSING_BUDGET,
                              bounded_split_search, certify_gap)
 
 from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
-                      load_fixture, random_braid_closures, seeded)
+                      load_fixture, random_braid_closures, random_braid_words,
+                      seeded)
+from test_diagram import reference_reduce_bigons, reference_split_partition
 from test_invariants import braid_words
 
 
@@ -71,24 +73,65 @@ def reference_split_search(d, max_depth, mode="inter"):
                         depth=max_depth, mode=mode)
 
 
+def reference_change_sets(d, max_depth, mode):
+    """The walk the generated sets replaced: every combination of the
+    candidates, depth by depth, kept when the signs of its crossings
+    between each pair of components sum to that pair's lk."""
+    lk = {(i, j): row[j]
+          for i, row in enumerate(d.linking_matrix()) for j in range(i)}
+    mixed = {}
+    for c in range(d.ncrossings):
+        cu, co = d.crossing_components(c)
+        if cu != co:
+            mixed[c] = ((max(cu, co), min(cu, co)), d.signs[c])
+    candidates = list(mixed) if mode == "inter" else range(d.ncrossings)
+    for depth in range(max_depth + 1):
+        for changes in combinations(candidates, depth):
+            moved = dict.fromkeys(lk, 0)
+            for c in changes:
+                if c in mixed:
+                    pair, sign = mixed[c]
+                    moved[pair] += sign
+            if moved == lk:
+                yield changes
+
+
 @pytest.fixture
 def reduced_states(monkeypatch):
     """The crossing list of every state reduced, one per change set: the
-    search's through ``search._reduced``, the reference's through
+    search's through ``search._reduce``, the reference's through
     ``LinkDiagram.reduce_bigons``."""
     states = []
-    real_reduced, real_reduce = search._reduced, LinkDiagram.reduce_bigons
+    real_reduce_flat, real_reduce = search._reduce, LinkDiagram.reduce_bigons
 
-    def reduced(crossings, signs):
+    def reduce_flat(crossings, signs, dirty, where, watch):
         states.append(list(crossings))
-        return real_reduced(crossings, signs)
+        return real_reduce_flat(crossings, signs, dirty, where, watch)
 
     def reduce_bigons(self):
         states.append(list(self.crossings))
         return real_reduce(self)
 
-    monkeypatch.setattr(search, "_reduced", reduced)
+    monkeypatch.setattr(search, "_reduce", reduce_flat)
     monkeypatch.setattr(LinkDiagram, "reduce_bigons", reduce_bigons)
+    return states
+
+
+@pytest.fixture
+def every_state(monkeypatch):
+    """Lets the search reduce every set it generates: each reduction is
+    recorded as (the crossing list it starts from, whether it split) and
+    reported to the search as not split."""
+    states = []
+    real = search._reduce
+
+    def reduce_flat(crossings, signs, dirty, where, watch):
+        start = list(crossings)
+        closed, left = real(crossings, signs, dirty, where, watch)
+        states.append((start, not left))
+        return closed, 1
+
+    monkeypatch.setattr(search, "_reduce", reduce_flat)
     return states
 
 
@@ -217,6 +260,96 @@ class TestLinkingNumberPrune:
         r = bounded_split_search(d, 4, mode="inter")
         assert r.found and r.depth == 4
         assert changed(d, reduced_states[0]) == [0, 1, 2, 3]
+
+
+class TestGeneratedChangeSets:
+    """The generated change sets against the filtered walk they replaced,
+    and each set's split decision against the rebuild-per-move reference
+    reduction."""
+
+    @pytest.mark.parametrize("mode", ["inter", "any"])
+    def test_sets_and_order_match_the_filtered_walk(self, every_state, mode):
+        closures = random_braid_closures(seeded(808), 12,
+                                         strands=(2, 3, 4, 5), length=(4, 16))
+        diagrams = [d for d in corpus_diagrams()
+                    if d.ncrossings <= SEARCH_CROSSING_BUDGET] + closures
+        # a pair sharing no crossing, and pairs with lk != 0
+        tt = load_fixture("trefoil_trefoil")
+        assert tt.ncomps == 2 and tt.ncrossings > 0
+        assert all(len(set(tt.crossing_components(i))) == 1
+                   for i in range(tt.ncrossings))
+        assert tt.crossings in [d.crossings for d in diagrams]
+        assert sum(d.ncomps > 1 and d.total_linking_number() != 0
+                   for d in closures) >= 3
+        for d in diagrams:
+            del every_state[:]
+            assert not bounded_split_search(d, 4, mode).found
+            assert [tuple(changed(d, state)) for state, _ in every_state] == \
+                list(reference_change_sets(d, 4, mode)), (d.name, mode)
+
+    def test_split_decisions_match_reference_reduction(self, every_state):
+        rng = seeded(909)
+        # one sign per generator, so that no bigon cancels
+        plain = []
+        for word, n in random_braid_words(rng, 30, strands=(2, 3, 4, 5),
+                                          length=(6, 10)):
+            sign = {g: rng.choice([1, -1]) for g in range(1, n)}
+            plain.append(([sign[abs(g)] * abs(g) for g in word], n))
+        plain = [(word, n) for word, n in plain
+                 if braid_closure(word, n).ncomps > 1][:6]
+        # a free cancellation g g^-1 between two components is a bigon of
+        # the given diagram that a set must remove to split, though it
+        # changes neither crossing
+        cancelled = []
+        for word, n in plain:
+            while True:
+                k, g = rng.randrange(len(word) + 1), rng.randrange(1, n)
+                d = braid_closure(word[:k] + [g, -g] + word[k:], n)
+                if len(set(d.crossing_components(k))) == 2:
+                    break
+            cancelled.append(d)
+        cases = [braid_closure(word, n) for word, n in plain] + cancelled
+        assert [d.reduce_bigons() is d for d in cases] == [True] * 6 + \
+            [False] * 6
+        outcomes, checked = set(), 0
+        for d in cases:
+            del every_state[:]
+            bounded_split_search(d, 4, "any")
+            split = {tuple(changed(d, state)): found
+                     for state, found in every_state}
+            sets = list(reference_change_sets(d, 3, "any"))
+            fours = [s for s in split if len(s) == 4]
+            sets += rng.sample(fours, min(4, len(fours)))
+            for changes in sets:
+                c = d
+                for i in changes:
+                    c = c.crossing_change(i)
+                parts = reference_split_partition(reference_reduce_bigons(c))
+                expected = all(len(p) == 1 for p in parts)
+                assert split[changes] == expected, (d.name, changes)
+                outcomes.add((expected, d.reduce_bigons() is not d))
+                checked += 1
+        assert outcomes == {(True, True), (True, False), (False, True),
+                            (False, False)}
+        assert checked >= 400
+
+    # hopf_big's crossings 0 and 3 form a bigon; trefoil_big's crossing 3
+    # is a curl
+    @pytest.mark.parametrize("name, move", [("hopf_big", (0, 3)),
+                                            ("trefoil_big", (3,))])
+    @pytest.mark.parametrize("mode", ["inter", "any"])
+    def test_given_diagram_with_a_move(self, name, move, mode):
+        d = load_fixture(name)
+        assert d.reduce_bigons().ncrossings == d.ncrossings - len(move)
+        for depth in range(5):
+            assert bounded_split_search(d, depth, mode) == \
+                reference_split_search(d, depth, mode), (depth, mode)
+
+    def test_unlink_drawn_with_a_bigon_splits_unchanged(self):
+        d = braid_closure([1, -1], 2)
+        assert d.ncomps == 2 and d.reduce_bigons().ncrossings == 0
+        r = bounded_split_search(d, 0, mode="inter")
+        assert r.found and r.sequence == ()
 
 
 class TestCertifyGap:
