@@ -633,7 +633,8 @@ def fox_jacobian(d, c=None):
     With a component ``c``, c's own Jacobian over one variable: deleting
     the other components kills their arcs (Dehn filling along their
     meridians), so the columns are ``wirtinger_arcs(d, c)`` and the rows
-    are c's crossings with itself.
+    are c's crossings with itself.  With no crossing to read, the
+    presentation is empty: it has no rows.
 
     Returns (matrix, arc_component) with matrix a list of rows of
     LaurentPoly entries and arc_component the component index of each
@@ -642,10 +643,6 @@ def fox_jacobian(d, c=None):
     m = d.ncomps if c is None else 1
     at = [i for i in range(d.ncrossings)
           if c is None or d.crossing_components(i) == (c, c)]
-    if not at:
-        raise PDError("crossing-free diagram has no Wirtinger relations"
-                      if c is None else
-                      f"component {c} has no crossing with itself")
     arc_of_edge, arcs = wirtinger_arcs(d, c)
     arc_component = [d.comp_of_edge[a] for a in arcs]
     var = d.comp_of_edge if c is None else dict.fromkeys(arc_of_edge, 0)

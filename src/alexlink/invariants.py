@@ -48,9 +48,9 @@ settles (``Poly.factor_list``).  Minors are determinants computed
 lazily by sparse cofactor expansion, through one memo per block that
 its rank fills and its order reads.
 
-Crossing-free components contribute through the split-union rules: each
-one raises beta by 1, kills the multivariable polynomial (for links with
-more than one component) and leaves the torsion polynomial unchanged.
+A diagram with no crossings has the empty presentation: rank 0, no
+blocks, order 1.  Each free loop adds a generator and no relation, so
+it raises beta by 1 and leaves the torsion polynomial unchanged.
 
 Each component's Alexander polynomial is the torsion order of its own
 Jacobian, read off the link's crossings with the other components'
@@ -58,14 +58,14 @@ arcs killed, through the same reduction and blocks.  A component that
 crosses no other is a split piece: its rows and columns of the link's
 Jacobian meet no other component's, and a pivot combines only rows that
 share a column, so its blocks of M' are its own reduced Jacobian in
-t_c.  Its polynomial is the product of those blocks' orders sent to t,
-kept on AlexanderData, and only a component that crosses another takes
-a Jacobian of its own.  The Conway
-polynomial is read off delta: by Torres, nabla(t^(1/2) - t^(-1/2)) is
-delta(t) for a knot and (t-1) * delta(t,...,t) for a link, up to ±t^k.
-Centring fixes t^k; the sign comes from nabla(0) = 1 for a knot and,
-for m components, from the z^(m-1) coefficient, which equals any
-cofactor of the linking-number Laplacian (Hoste).  On a connected
+t_c.  AlexanderData keeps the product of those blocks' orders in t_c,
+``component_polynomials`` sends it to t, and only a component that
+crosses another takes a Jacobian of its own.  The Conway polynomial is
+read off delta: by Torres, nabla(t^(1/2) - t^(-1/2)) is delta(t) for a
+knot and (t-1) * delta(t,...,t) for a link, up to ±t^k.  Centring fixes
+t^k; the sign comes from the z^(m-1) coefficient, which equals any
+cofactor of the linking-number Laplacian (Hoste): nabla(0) = 1 for a
+knot, whose cofactor is the empty determinant.  On a connected
 diagram that cofactor is a nonzero multiaffine polynomial in the
 lk(i,j) (matrix-tree theorem), so where it is 0, switching a chain of
 crossings between components makes it nonzero (Alon, Combinatorial
@@ -223,10 +223,11 @@ class AlexanderData:
     """beta, the Alexander polynomial and its torsion counterpart.
 
     ``isolated`` maps each component that crosses no other component
-    to its one-variable polynomial, read off the link's own blocks; it
-    takes no part in equality, and a hand-built AlexanderData leaves it
-    empty, so ``component_polynomials`` takes each component's own
-    Jacobian.
+    to its order, the product of the link's blocks whose columns are
+    all its: a polynomial in t_c over the link's m variables, which
+    ``component_polynomials`` sends to t.  It takes no part in
+    equality, and a hand-built AlexanderData leaves it empty, so
+    ``component_polynomials`` takes each component's own Jacobian.
     """
     m: int
     beta: int
@@ -239,17 +240,13 @@ def _blocks(rows, cols):
     """The blocks of M' = ``rows``: its rows and columns joined by nonzeros.
 
     Returns (block, the columns of M it keeps) for each block; all-zero
-    rows and columns belong to no block, so a zero M' has none.  A
-    block that takes every row and column is M' as it is, with ``cols``.
+    rows and columns belong to no block, so a zero or empty M' has none.
     """
     nrows = len(rows)
     pairs = [(r, nrows + c) for r, row in enumerate(rows)
              for c, x in enumerate(row) if not x.is_zero()]
     label = _classes({x for pair in pairs for x in pair}, pairs)
-    nblocks = len(set(label.values()))
-    if nblocks == 1 and len(label) == nrows + len(cols):
-        return [(rows, cols)]
-    members = [[] for _ in range(nblocks)]
+    members = [[] for _ in set(label.values())]
     for x in sorted(label):
         members[label[x]].append(x)
     out = []
@@ -304,36 +301,27 @@ def _rank_and_order(rows, col_component, nvars):
 
 
 def _isolated_orders(d, block_orders):
-    """{c: one-variable order} for each component c that crosses no other.
+    """{c: order in t_c} for each component c that crosses no other.
 
     Such a component is a split piece: its rows and columns of the
     link's Jacobian are its own Jacobian in t_c, and no pivot mixes them
     with another component's, so its order is the product of the blocks
-    whose columns are all its, sent to t by ``eval_diagonal``.  A free
-    loop has no block and gets 1.
+    whose columns are all its, 1 when it has none.
     """
     linked = {k for u, o in map(d.crossing_components, range(d.ncrossings))
               if u != o for k in (u, o)}
-    orders = dict.fromkeys(c for c in range(d.ncomps) if c not in linked)
+    orders = {c: LaurentPoly.one(d.ncomps) for c in range(d.ncomps)
+              if c not in linked}
     for order, owners in block_orders:
         if len(owners) == 1 and owners <= orders.keys():
             (c,) = owners
-            orders[c] = order if orders[c] is None else orders[c] * order
-    return {c: LaurentPoly.one(1) if p is None
-            else unit_normal_form(p.eval_diagonal())
-            for c, p in orders.items()}
+            orders[c] = orders[c] * order
+    return orders
 
 
 def alexander_data(d):
     """Compute AlexanderData for a link diagram (free loops included)."""
     m = d.ncomps
-    if d.ncrossings == 0:
-        # a disjoint union of round circles
-        beta = m - 1
-        delta = LaurentPoly.one(m) if m == 1 else LaurentPoly.zero(m)
-        return AlexanderData(m=m, beta=beta, delta=delta,
-                             delta_tor=LaurentPoly.one(m),
-                             isolated=_isolated_orders(d, []))
     rows, arc_component = fox_jacobian(d)
     rank, delta_tor, block_orders = _rank_and_order(rows, arc_component, m)
     beta = (len(arc_component) - rank - 1) + d.nfree
@@ -357,7 +345,7 @@ def _check_budget(d):
 
 
 def _linking_cofactor(d, lk=None, switched=()):
-    """A cofactor of the linking-number Laplacian: lk(1,2) when m = 2.
+    """A cofactor of the linking Laplacian: lk(1,2) when m = 2, 1 if m = 1.
 
     L[i][i] = sum_j lk(i,j) and L[i][j] = -lk(i,j), where ``lk`` is d's
     linking matrix (computed when not given) after the crossings in
@@ -407,10 +395,9 @@ def conway_polynomial(d, alex=None):
     """The Conway polynomial as a dict {z-degree: coefficient}.
 
     ``_peel_z`` reads nabla off delta up to sign (Torres).  The sign is
-    fixed by nabla(0) = 1 for a knot and, for m components, by the
-    linking cofactor, the z^(m-1) coefficient (Hoste); where that
-    cofactor is 0, ``_chain_step`` gives nabla.  ``alex`` is d's
-    AlexanderData, computed when not given.
+    fixed by the linking cofactor, the z^(m-1) coefficient (Hoste), 1
+    for a knot; where that cofactor is 0, ``_chain_step`` gives nabla.
+    ``alex`` is d's AlexanderData, computed when not given.
     """
     if alex is None:
         alex = alexander_data(d)
@@ -421,7 +408,7 @@ def conway_polynomial(d, alex=None):
     if one.is_zero():
         return {}  # delta = 0 (split, beta > 0) or delta(t,...,t) = 0
     lk = d.linking_matrix()
-    anchor = 1 if m == 1 else _linking_cofactor(d, lk)
+    anchor = _linking_cofactor(d, lk)
     if anchor == 0:
         return _chain_step(d, lk)
     nabla = _peel_z(one)
@@ -532,16 +519,12 @@ def _conway_skein(d, memo=None):
         return memo[key]
     if len(d.split_partition()) > 1:
         result = {}
-    elif d.ncrossings == 0:
+    elif (v := _first_violation(d)) is None:
         result = {0: 1} if d.ncomps == 1 else {}
     else:
-        v = _first_violation(d)
-        if v is None:
-            result = {0: 1} if d.ncomps == 1 else {}
-        else:
-            result = _skein_sum(_conway_skein(d.crossing_change(v), memo),
-                                d.signs[v],
-                                _conway_skein(d.smooth_crossing(v), memo))
+        result = _skein_sum(_conway_skein(d.crossing_change(v), memo),
+                            d.signs[v],
+                            _conway_skein(d.smooth_crossing(v), memo))
     memo[key] = result
     return result
 
@@ -590,13 +573,14 @@ def component_polynomials(d, alex=None):
     """One-variable Alexander polynomial of each component on its own.
 
     Component c's polynomial is the torsion order of its own Jacobian,
-    ``fox_jacobian(d, c)`` (a knot has beta = 0), or 1 where c has no
-    crossing with itself.  A component that crosses no other is a split
-    piece whose Jacobian is already a set of blocks of the link's, so
-    with ``alex``, d's AlexanderData, its polynomial is read off
-    ``alex.isolated`` and only the components that cross another take a
-    Jacobian of their own; a knot takes none.  Returns a list of
-    one-variable polynomials in the link's component order.
+    ``fox_jacobian(d, c)`` (a knot has beta = 0); where c has no
+    crossing with itself that Jacobian is empty and the order 1.  A
+    component that crosses no other is a split piece whose Jacobian is
+    already a set of blocks of the link's, so with ``alex``, d's
+    AlexanderData, its polynomial is ``alex.isolated`` sent to t, and
+    only the components that cross another take a Jacobian of their
+    own; a knot takes none.  Returns a list of one-variable polynomials
+    in the link's component order.
     """
     isolated = alex.isolated if alex is not None else {}
     crossed = {u for u, o in map(d.crossing_components,
@@ -604,7 +588,7 @@ def component_polynomials(d, alex=None):
 
     def own(c):
         if c in isolated:
-            return isolated[c]
+            return unit_normal_form(isolated[c].eval_diagonal())
         if c in crossed:
             return _rank_and_order(*fox_jacobian(d, c), 1)[1]
         return LaurentPoly.one(1)

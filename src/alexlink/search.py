@@ -153,22 +153,20 @@ class GapSummary:
 def certify_gap(report, search_result):
     """Sandwich the algebraic lower bounds with the search upper bound.
 
-    An inter-component search bounds the splitting number, an
-    any-crossing search the weak splitting number.  A found depth below
-    a lower bound means a bug somewhere and raises instead of reporting.
+    An inter-component search bounds the splitting and the weak
+    splitting number, an any-crossing search only the weak splitting
+    number.  A found depth below a lower bound means a bug somewhere
+    and raises instead of reporting.
     """
-    quantity = "splitting" if search_result.mode == "inter" else "weakSplitting"
+    # inter-component changes are also admissible for the weak
+    # splitting number
+    admissible = {"inter": ("splitting", "weakSplitting"),
+                  "any": ("weakSplitting",)}[search_result.mode]
     intervals = {}
     exact = {}
     for q, (lower, _) in report.bounds.items():
-        upper = None
-        if q == quantity and search_result.found:
-            upper = search_result.depth
-        elif (q == "weakSplitting" and quantity == "splitting"
-              and search_result.found):
-            # inter-component changes are also admissible for the weak
-            # splitting number
-            upper = search_result.depth
+        upper = (search_result.depth
+                 if search_result.found and q in admissible else None)
         if upper is not None and upper < lower:
             raise AssertionError(
                 f"search found depth {upper} below lower bound {lower} "

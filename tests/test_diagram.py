@@ -8,6 +8,7 @@ import alexlink as al
 from alexlink.diagram import (LinkDiagram, PDError, _classes, _orient,
                               _strand_pairs, is_planar, planar_face_count,
                               serialize_pd, wirtinger_arcs)
+from alexlink.invariants import _rank_and_order
 from alexlink.laurent import LaurentPoly
 
 from conftest import (braid_closure_pd, corpus_diagrams, load_fixture,
@@ -398,11 +399,15 @@ class TestFoxJacobian:
         ("X[3,2,4,1], X[4,2,3,1]", 0, 0),
     ])
     def test_component_without_self_crossing_rejected(self, pd, nfree, c):
+        """No crossing with itself: no relation, so c's presentation is
+        empty, of rank 0 and order 1, the unknot's."""
         d = al.parse_pd(pd, nfree=nfree)
         assert all(d.crossing_components(i) != (c, c)
                    for i in range(d.ncrossings))
-        with pytest.raises(PDError, match="no crossing with itself"):
-            al.fox_jacobian(d, c)
+        rows, arc_comp = al.fox_jacobian(d, c)
+        assert rows == []
+        assert _rank_and_order(rows, arc_comp, 1)[:2] == \
+            (0, LaurentPoly.one(1))
 
     def test_arc_count(self):
         d = al.parse_pd(TREFOIL)

@@ -578,6 +578,29 @@ class TestCorankOneRoute:
             assert a == minor_gcd_alexander_data(d), word
 
 
+class TestEmptyPresentation:
+    """A crossing-free diagram takes the general route: its Wirtinger
+    presentation has no relation, so rank 0, no blocks and order 1."""
+
+    @pytest.mark.parametrize("k, name", [
+        (1, None), (2, None), (3, None), (4, None),
+        (2, "unlink2"), (3, "unlink3"), (4, "unlink4"),
+    ])
+    def test_unlink_of_k_circles(self, k, name):
+        d = load_fixture(name) if name else al.parse_pd("", nfree=k)
+        assert (d.ncomps, d.nfree, d.ncrossings) == (k, k, 0)
+        assert al.fox_jacobian(d) == ([], [])
+        alex = al.alexander_data(d)
+        assert alex == AlexanderData(
+            m=k, beta=k - 1,
+            delta=LaurentPoly.one(k) if k == 1 else LaurentPoly.zero(k),
+            delta_tor=LaurentPoly.one(k))
+        assert al.component_polynomials(d) == \
+            al.component_polynomials(d, alex) == [LaurentPoly.one(1)] * k
+        assert conway_polynomial(d, alex) == conway_polynomial(d) == \
+            ({0: 1} if k == 1 else {})
+
+
 class TestBlockRoute:
     """Rank and torsion order of M' block by block.
 
@@ -619,7 +642,7 @@ class TestBlockRoute:
     def test_one_block_is_the_matrix_itself(self):
         reduced, _ = reduced_jacobian(load_fixture("whitehead"))
         (block, cols), = invariants._blocks(reduced, [7, 8])
-        assert block is reduced and cols == [7, 8]
+        assert block == reduced and cols == [7, 8]
 
     def test_seeded_split_unions(self):
         rng = seeded(73)
