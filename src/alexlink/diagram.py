@@ -627,8 +627,10 @@ def fox_jacobian(d, c=None):
     sign eps comes from the relation x_c = x_o^eps x_a x_o^-eps; its Fox
     derivatives map under the abelianization (arc of component i -> t_i)
     to v, 1-u, -1 (eps=+1) or 1/v, (u-1)/v, -1 (eps=-1), where u and v
-    are the under- and over-component variables.  Coincident columns
-    accumulate.
+    are the under- and over-component variables.  Those entries depend
+    only on the crossing's class (u, v, eps), so each class builds them
+    once and its rows share them, with one -1 for every row.
+    Coincident columns accumulate.
 
     With a component ``c``, c's own Jacobian over one variable: deleting
     the other components kills their arcs (Dehn filling along their
@@ -646,22 +648,26 @@ def fox_jacobian(d, c=None):
     arc_of_edge, arcs = wirtinger_arcs(d, c)
     arc_component = [d.comp_of_edge[a] for a in arcs]
     var = d.comp_of_edge if c is None else dict.fromkeys(arc_of_edge, 0)
+    zero, one = LaurentPoly.zero(m), LaurentPoly.one(m)
+    minus_one = -one
+    entries = {}
     rows = []
-    zero = LaurentPoly.zero(m)
     for i in at:
         a, b, cc, dd = d.crossings[i]
-        g_a, g_c = arc_of_edge[a], arc_of_edge[cc]
-        g_o = arc_of_edge[b]
-        u = LaurentPoly.var(m, var[a])
-        v = LaurentPoly.var(m, var[b])
+        g_a, g_o, g_c = arc_of_edge[a], arc_of_edge[b], arc_of_edge[cc]
+        cls = (var[a], var[b], d.signs[i])
+        if cls not in entries:
+            u = LaurentPoly.var(m, var[a])
+            if d.signs[i] > 0:
+                v = LaurentPoly.var(m, var[b])
+                entries[cls] = (v, one - u)
+            else:
+                vinv = LaurentPoly.var(m, var[b], -1)
+                entries[cls] = (vinv, vinv * (u - one))
+        under, over = entries[cls]
         row = [zero] * len(arcs)
-        if d.signs[i] > 0:
-            row[g_a] = row[g_a] + v
-            row[g_o] = row[g_o] + (LaurentPoly.one(m) - u)
-        else:
-            vinv = LaurentPoly.var(m, var[b], -1)
-            row[g_a] = row[g_a] + vinv
-            row[g_o] = row[g_o] + vinv * (u - LaurentPoly.one(m))
-        row[g_c] = row[g_c] - LaurentPoly.one(m)
+        row[g_a] = under
+        row[g_o] = under + over if g_o == g_a else over
+        row[g_c] = row[g_c] + minus_one if g_c in (g_a, g_o) else minus_one
         rows.append(row)
     return rows, arc_component

@@ -16,7 +16,9 @@ one size smaller of M'.  A Wirtinger row has such an entry, the -1 of
 its outgoing under-arc, unless that arc is also the incoming one (a
 component with a single under-crossing), so a diagram's n x n Jacobian
 usually shrinks to a few rows.  Pivots are taken in Markowitz order,
-least fill first.
+least fill first.  The elimination works on LaurentPoly's packed keys
+and exponent bounds, not on polynomial objects, and builds polynomials
+only for the entries of what is left.
 
 After k pivots the rank is k plus the rank of M', and the torsion order
 is the gcd of the rank-sized minors, that is of the (rank - k)-minors of
@@ -84,7 +86,8 @@ from math import comb
 
 from .diagram import PDError, _classes, fox_jacobian
 from .factor import gcd_many
-from .laurent import LaurentPoly, _quotient, unit_normal_form
+from .laurent import (LaurentPoly, _bounded, _is_unit, _new, _quotient,
+                      unit_normal_form)
 
 CONWAY_CROSSING_BUDGET = 16
 
@@ -101,59 +104,83 @@ def reduce_unit_pivots(rows):
     entry of least Markowitz cost (row nonzeros - 1) * (column nonzeros
     - 1), ties broken by row and then column index.  The nonzero
     entries of each row and column and the positions of the unit
-    entries are kept up to date as entries change, so no step rescans
-    the matrix.  M' keeps every elementary ideal one size down per
-    pivot, so rank(M) = k + rank(M') and the j-minors of M have the gcd
-    of the (j - k)-minors of M'.  ``cols`` lists the columns of M that M'
-    keeps, in order.
+    entries are kept up to date as entries change, so a step reads the
+    costs of the unit entries, a ``min`` over them, and scans nothing
+    else.  Entries are kept as LaurentPoly's packed keys, each with its
+    exponent bound under LaurentPoly's rules: a fill step
+    ``old - f * x`` runs in one loop into a copy of old, its bound is
+    f's plus x's, checked against EXPONENT_LIMIT, or old's if larger,
+    and only the entries of M' become polynomials again.  M' keeps
+    every elementary ideal one size down per pivot, so rank(M) =
+    k + rank(M') and the j-minors of M have the gcd of the
+    (j - k)-minors of M'.  ``cols`` lists the columns of M that M' keeps,
+    in order.
     """
     zero = LaurentPoly.zero(rows[0][0].nvars) if rows and rows[0] else None
-    # live[r] holds row r's nonzero entries by column, cols[c] the rows
-    # with a nonzero entry in column c, and units the positions of the
-    # unit entries, all over the live rows and columns
-    live = {r: {c: x for c, x in enumerate(row) if not x.is_zero()}
+    # live[r] holds row r's nonzero entries by column as (keys, bound),
+    # cols[c] the rows with a nonzero entry in column c, and units the
+    # positions of the unit entries, all over the live rows and columns
+    live = {r: {c: (x._d, x._bound) for c, x in enumerate(row) if x._d}
             for r, row in enumerate(rows)}
     cols = {c: set() for c in range(len(rows[0]) if rows else 0)}
     units = set()
     for r, row in live.items():
-        for c, x in row.items():
+        for c, (x, _) in row.items():
             cols[c].add(r)
-            if x.is_unit():
+            if _is_unit(x):
                 units.add((r, c))
     k = 0
     while units:
         _, p, q = min(((len(live[r]) - 1) * (len(cols[c]) - 1), r, c)
                       for r, c in units)
         pivot = live.pop(p)
-        # a unit ±t^e has inverse ±t^-e, its involute
-        inverse = pivot.pop(q).involute()
+        # a unit s * t^e has inverse s * t^-e, under the same bound
+        unit, inverse_bound = pivot.pop(q)
+        (e, s), = unit.items()
         units.discard((p, q))
         for c in pivot:
             cols[c].discard(p)
             units.discard((p, c))
-        pivot_row = {c: x * inverse for c, x in pivot.items()}
+        pivot_row = {c: ({kx - e: s * cx for kx, cx in x.items()},
+                         _bounded(bx + inverse_bound))
+                     for c, (x, bx) in pivot.items()}
         for r in cols.pop(q):
             if r == p:
                 continue
             row = live[r]
-            f = row.pop(q)
+            f, bf = row.pop(q)
             units.discard((r, q))
-            for c, x in pivot_row.items():
-                old = row.get(c)
-                new = -(f * x) if old is None else old - f * x
-                if new.is_zero():
+            for c, (x, bx) in pivot_row.items():
+                bound = _bounded(bf + bx)
+                # f * x term by term, in the order LaurentPoly makes them
+                a, b = (f, x) if len(f) <= len(x) else (x, f)
+                if c in row:
+                    new, old_bound = row[c]
+                    new = dict(new)
+                    bound = max(bound, old_bound)
+                else:
+                    new = {}
+                get = new.get
+                for ka, ca in a.items():
+                    for kb, cb in b.items():
+                        key = ka + kb
+                        new[key] = get(key, 0) - ca * cb
+                if 0 in new.values():
+                    new = {key: v for key, v in new.items() if v}
+                if new:
+                    row[c] = (new, bound)
+                    cols[c].add(r)
+                else:
                     del row[c]
                     cols[c].discard(r)
-                else:
-                    row[c] = new
-                    cols[c].add(r)
-                if new.is_unit():
+                if _is_unit(new):
                     units.add((r, c))
                 else:
                     units.discard((r, c))
         k += 1
     live_cols = sorted(cols)
-    return ([[live[r].get(c, zero) for c in live_cols] for r in sorted(live)],
+    return ([[_new(zero.nvars, *row[c]) if c in row else zero
+              for c in live_cols] for row in map(live.get, sorted(live))],
             k, live_cols)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+from heapq import heapify, heappop, heappush
 
 EXPONENT_LIMIT = 1 << 60
 
@@ -119,6 +120,11 @@ def _collect(pairs):
     for k, c in pairs:
         out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
+
+
+def _is_unit(d):
+    """Are the clean keys d those of a unit ±t^e?"""
+    return len(d) == 1 and abs(next(iter(d.values()))) == 1
 
 
 def _new(nvars, d, bound):
@@ -210,8 +216,7 @@ class LaurentPoly:
         return len(self._d) == 1
 
     def is_unit(self):
-        d = self._d
-        return len(d) == 1 and abs(next(iter(d.values()))) == 1
+        return _is_unit(self._d)
 
     def variables_used(self):
         """Indices of variables occurring with nonzero exponent."""
@@ -414,7 +419,10 @@ def _quotient(a, b):
     """a / b when b divides a exactly, else None; no message is built.
 
     Long division takes leading terms in lex order, the largest keys.
-    Each variable's exponents in the quotient must lie between the
+    The remainder's keys sit in a max-heap, pushed when a key enters the
+    remainder and skipped when popped after leaving it, so finding each
+    leading term costs a logarithm, not a scan of the remainder.  Each
+    variable's exponents in the quotient must lie between the
     differences of a's and b's least and greatest exponents; a quotient
     term outside that box means b does not divide a, and keeping inside
     it ends the loop.
@@ -434,10 +442,15 @@ def _quotient(a, b):
     cb = pb[lead_b]
     rest = dict(a._d)
     get = rest.get
+    # negated keys: heapq keeps the least on top
+    heap = [-key for key in rest]
+    heapify(heap)
     quot = {}
     while rest:
-        lead_r = max(rest)
-        cr = rest[lead_r]
+        lead_r = -heappop(heap)
+        cr = get(lead_r)
+        if cr is None:
+            continue
         qe = lead_r - lead_b
         # every digit of qe - lo and of hi - qe must be nonnegative
         if (qe - lo + ones) & (hi - qe + ones) & ones != ones or cr % cb:
@@ -446,9 +459,12 @@ def _quotient(a, b):
         quot[qe] = qc
         for eb, coeff in pb.items():
             key = qe + eb
-            new = get(key, 0) - qc * coeff
-            if new:
-                rest[key] = new
+            old = get(key)
+            if old is None:
+                rest[key] = -qc * coeff
+                heappush(heap, -key)
+            elif old != qc * coeff:
+                rest[key] = old - qc * coeff
             else:
                 del rest[key]
     bound = max(map(abs, _unpack(lo, n) + _unpack(hi, n)))

@@ -12,7 +12,7 @@ from alexlink.invariants import _rank_and_order
 from alexlink.laurent import LaurentPoly
 
 from conftest import (braid_closure_pd, corpus_diagrams, load_fixture,
-                      random_braid_closures, seeded)
+                      random_braid_closures, random_braid_words, seeded)
 
 HOPF = "X[4,2,1,3], X[2,4,3,1]"
 TREFOIL = "X[4,2,5,1], X[2,6,3,5], X[6,4,1,3]"
@@ -362,6 +362,51 @@ class TestPlanarity:
             al.parse_fixture("pd: X[1,3,2,4], X[2,4,3,1]\n")
 
 
+def reference_fox_jacobian(d, c=None):
+    """The Fox Jacobian cell by cell, as fox_jacobian's docstring states it.
+
+    Cell (r, j) sums the Fox derivatives of x_c = x_o^eps x_a x_o^-eps,
+    abelianized, over the arcs a, o, c of crossing r that are arc j:
+    v, 1 - u, -1 for eps = +1 and 1/v, u/v - 1/v, -1 for eps = -1.
+    """
+    m = d.ncomps if c is None else 1
+    arc_of_edge, arcs = wirtinger_arcs(d, c)
+    one = LaurentPoly.one(m)
+
+    def t(e, power=1):
+        return LaurentPoly.var(m, 0 if c is not None else d.comp_of_edge[e],
+                               power)
+
+    rows = []
+    for i, (a, b, cc, _) in enumerate(d.crossings):
+        if c is not None and d.crossing_components(i) != (c, c):
+            continue
+        # a curl's over-strand may be one of its own under-edges
+        if d.signs[i] > 0:
+            derivatives = [(a, t(b)), (b, one - t(a)), (cc, -one)]
+        else:
+            derivatives = [(a, t(b, -1)), (b, t(b, -1) * t(a) - t(b, -1)),
+                           (cc, -one)]
+        row = []
+        for j in range(len(arcs)):
+            cell = LaurentPoly.zero(m)
+            for e, derivative in derivatives:
+                if arc_of_edge[e] == j:
+                    cell = cell + derivative
+            row.append(cell)
+        rows.append(row)
+    return rows, [d.comp_of_edge[e] for e in arcs]
+
+
+def curled_closures(rng, count):
+    """Seeded braid closures, each Markov-stabilized once: the last
+    strand meets the braid at one crossing, a curl."""
+    return [al.parse_pd(braid_closure_pd(
+        word + [rng.choice([1, -1]) * n], n + 1))
+        for word, n in random_braid_words(rng, count, strands=(2, 3, 4),
+                                          length=(3, 9))]
+
+
 class TestFoxJacobian:
     def test_row_identity_corpus(self):
         """Each row dotted with (t_comp(col) - 1) vanishes, and each row
@@ -382,6 +427,33 @@ class TestFoxJacobian:
                                             else arc_comp[col])
                         acc = acc + entry * (t - LaurentPoly.one(m))
                     assert acc.is_zero(), (d.name, c)
+
+    def test_entries_match_cell_by_cell_reference(self):
+        """fox_jacobian(d) and every fox_jacobian(d, c) equal the Fox
+        derivatives summed cell by cell, with the same exponent bounds,
+        on the corpus, on seeded closures and on curled closures; the
+        cases include rows whose columns coincide: a curl (the over-arc
+        is an under-arc) and a component passing under once (the two
+        under-arcs are one arc)."""
+        cases = (corpus_diagrams()
+                 + random_braid_closures(seeded(82), 40, strands=(2, 3, 4),
+                                         length=(2, 10))
+                 + curled_closures(seeded(83), 40))
+        seen = set()
+        for d in cases:
+            for c in [None] + list(range(d.ncomps)):
+                rows, arc_comp = al.fox_jacobian(d, c)
+                ref_rows, ref_comp = reference_fox_jacobian(d, c)
+                assert (rows, arc_comp) == (ref_rows, ref_comp), (d.name, c)
+                assert [[x._bound for x in row] for row in rows] == \
+                    [[x._bound for x in row] for row in ref_rows], (d.name, c)
+                arc_of_edge, _ = wirtinger_arcs(d, c)
+                for i, (a, b, cc, _) in enumerate(d.crossings):
+                    if c is None or d.crossing_components(i) == (c, c):
+                        g_a, g_o, g_c = (arc_of_edge[e] for e in (a, b, cc))
+                        seen.add("curl" if g_o in (g_a, g_c) else
+                                 "under once" if g_a == g_c else "plain")
+        assert seen == {"curl", "under once", "plain"}
 
     def test_component_jacobian(self):
         # each trefoil of the split union alone: 3 x 3 in one variable

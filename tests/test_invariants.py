@@ -21,7 +21,8 @@ from alexlink.invariants import (CONWAY_CROSSING_BUDGET, AlexanderData,
                                  _linking_cofactor, conway_polynomial,
                                  matrix_rank, one_variable_alexander,
                                  reduce_unit_pivots)
-from alexlink.laurent import (LaurentPoly, ZeroInputError, embed_univariate,
+from alexlink.laurent import (EXPONENT_LIMIT, ExponentLimitExceeded,
+                              LaurentPoly, ZeroInputError, embed_univariate,
                               unit_normal_form)
 
 from conftest import (braid_closure, braid_closure_pd, corpus_diagrams,
@@ -361,6 +362,37 @@ class TestUnitPivotReduction:
                      for _ in range(nc)] for _ in range(nr)]
             assert reduce_unit_pivots(rows) == \
                 reference_reduce_unit_pivots(rows), rows
+
+    def test_sparse_loop_matches_dense_reference_on_large_closures(self):
+        """8-strand closures of 40-80 crossings, whose fill grows entries
+        of a hundred terms and more."""
+        longest = 0
+        for d in random_braid_closures(seeded(84), 20, strands=(8,),
+                                       length=(40, 80)):
+            rows, _ = al.fox_jacobian(d)
+            reduced = reduce_unit_pivots(rows)
+            assert reduced == reference_reduce_unit_pivots(rows), d.name
+            longest = max([longest] + [len(x.terms) for row in reduced[0]
+                                       for x in row])
+        assert longest >= 100
+
+    @pytest.mark.parametrize("rows", [
+        # the pivot 1 clears t^(2^59) below it: the fill t^(2^60)
+        [["1", "t^E"], ["t^E", "2"]],
+        # the pivot t^(2^59) scales its row by t^-(2^59)
+        [["t^E", "t^E"]],
+    ])
+    def test_fill_past_the_exponent_limit_raises(self, rows):
+        """Bounds add up through the fill as LaurentPoly's products do."""
+        def matrix(e):
+            return [[P(x.replace("E", str(e)), 1) for x in row]
+                    for row in rows]
+
+        with pytest.raises(ExponentLimitExceeded):
+            reduce_unit_pivots(matrix(EXPONENT_LIMIT // 2))
+        below = matrix(EXPONENT_LIMIT // 4)
+        assert reduce_unit_pivots(below) == \
+            reference_reduce_unit_pivots(below)
 
     def test_hopf_has_no_unit_pivot(self):
         """Each Hopf component passes under once, so at each crossing the

@@ -566,6 +566,32 @@ class TestDivision:
         with pytest.raises(al.NotDivisible, match=r"t1\^2 \+ t2 .* t1 - t2"):
             al.divide_exact(a, b)
 
+    def test_leading_terms_come_off_a_heap(self, monkeypatch):
+        """Each remainder key is pushed once when it enters, so the heap
+        sees at most |q| * (|b| - 1) pushes and |a| + pushes pops: the
+        division costs O(|q| |b| log) and not a scan of the remainder
+        per quotient term."""
+        counts = {"push": 0, "pop": 0}
+
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(laurent, "heappush",
+                            counted("push", laurent.heappush))
+        monkeypatch.setattr(laurent, "heappop",
+                            counted("pop", laurent.heappop))
+        f, g = P("(t1+t2+t3+1)^6", 3), P("(t1*t2*t3-2)^2", 3)
+        for q, b in ((f, g), (g, f)):
+            a = q * b
+            counts.update(push=0, pop=0)
+            assert laurent._quotient(a, b) == q
+            assert counts["push"] <= len(q.terms) * (len(b.terms) - 1)
+            assert len(q.terms) <= counts["pop"] <= \
+                len(a.terms) + counts["push"]
+
     def test_divide_product_random(self):
         rng = seeded(14)
         for _ in range(N_RANDOM):
