@@ -11,8 +11,8 @@ matching upper bounds.
 from .laurent import (LaurentPoly, NotDivisible, PolyParseError, divide_exact,
                       divides, format_poly, parse_poly, unit_equal,
                       unit_normal_form)
-from .diagram import (LinkDiagram, PDError, fox_jacobian, parse_fixture,
-                      parse_pd, serialize_pd)
+from .diagram import (LinkDiagram, PDError, fox_jacobian, is_planar,
+                      parse_fixture, parse_pd, serialize_pd)
 from .invariants import (AlexanderData, alexander_data, component_polynomials,
                          conway_polynomial, one_variable_alexander,
                          sato_levine)
@@ -28,8 +28,8 @@ from .search import SearchResult, bounded_split_search, certify_gap
 __all__ = [
     "LaurentPoly", "NotDivisible", "PolyParseError", "divide_exact",
     "divides", "format_poly", "parse_poly", "unit_equal", "unit_normal_form",
-    "LinkDiagram", "PDError", "fox_jacobian", "parse_fixture", "parse_pd",
-    "serialize_pd",
+    "LinkDiagram", "PDError", "fox_jacobian", "is_planar", "parse_fixture",
+    "parse_pd", "serialize_pd",
     "AlexanderData", "alexander_data", "component_polynomials",
     "conway_polynomial", "one_variable_alexander", "sato_levine",
     "Factorization", "NormVerdict", "factor_irreducible", "gcd",

@@ -32,8 +32,10 @@ Components, arcs and pieces are numbered by ``_classes``.
 
 from __future__ import annotations
 
+import re
+
 from .factor import MAX_FACTOR_VARS
-from .laurent import _MAX_DIGITS, LaurentPoly
+from .laurent import _MAX_DIGITS, LaurentPoly, _new, _var_key
 
 
 class PDError(ValueError):
@@ -390,32 +392,81 @@ def _integer(text):
     return int(text)
 
 
+def _checked_crossing(rest):
+    """The labels of the crossing X[...] that ``rest`` starts with, each
+    read by ``_integer``, and the text after it and its separators.
+    Raises the PDError that names what is wrong with it."""
+    if not rest.startswith("X["):
+        raise PDError(f"expected X[a,b,c,d] near {rest[:20]!r}")
+    body, closed, rest = rest[2:].partition("]")
+    if not closed:
+        raise PDError("unterminated crossing tuple")
+    try:
+        nums = tuple(map(_integer, body.split(",")))
+    except PDError as exc:
+        raise PDError(f"{exc} in X[{_excerpt(body)}]") from None
+    except ValueError:
+        raise PDError(
+            f"non-integer edge label in X[{_excerpt(body)}]") from None
+    if len(nums) != 4 or any(n < 1 for n in nums):
+        raise PDError(f"crossing X[{_excerpt(body)}] needs 4 positive "
+                      "edge labels")
+    return nums, rest.lstrip(", \t")
+
+
+# a crossing of four positive labels in ASCII digits, no leading zero and
+# at most _MAX_DIGITS digits, with spaces around them and the separators
+# after it; ``_checked_crossing`` reads every other crossing
+_CROSSING = re.compile(
+    r"X\[" + ",".join([rf" *([1-9][0-9]{{0,{_MAX_DIGITS - 1}}}) *"] * 4)
+    + r"\][, \t]*")
+
+
 def _parse_crossing_list(text):
+    """The crossings of a comma-separated list of X[a,b,c,d], as tuples.
+
+    Each crossing is read by one match of ``_CROSSING`` and ``int()``;
+    one the pattern does not take goes through ``_checked_crossing``,
+    which accepts it with the same labels or raises its PDError.
+    """
     crossings = []
     rest = text.strip().lstrip(", \t")
-    while rest:
-        if not rest.startswith("X["):
-            raise PDError(f"expected X[a,b,c,d] near {rest[:20]!r}")
-        body, closed, rest = rest[2:].partition("]")
-        if not closed:
-            raise PDError("unterminated crossing tuple")
-        try:
-            nums = tuple(map(_integer, body.split(",")))
-        except PDError as exc:
-            raise PDError(f"{exc} in X[{_excerpt(body)}]") from None
-        except ValueError:
-            raise PDError(
-                f"non-integer edge label in X[{_excerpt(body)}]") from None
-        if len(nums) != 4 or any(n < 1 for n in nums):
-            raise PDError(f"crossing X[{_excerpt(body)}] needs 4 positive "
-                          "edge labels")
-        crossings.append(nums)
-        rest = rest.lstrip(", \t")
+    at, end = 0, len(rest)
+    match = _CROSSING.match
+    while at < end:
+        found = match(rest, at)
+        if found:
+            a, b, c, d = found.groups()
+            crossings.append((int(a), int(b), int(c), int(d)))
+            at = found.end()
+        else:
+            nums, tail = _checked_crossing(rest[at:])
+            crossings.append(nums)
+            at = end - len(tail)
     return crossings
 
 
+def _edge_map(crossings):
+    """The edge map of a crossing list: ``other[x]``, for each end x of
+    an edge, is the edge's other end, an end being 4 * crossing + slot.
+    Also returns {edge: its ends}; every edge must have two."""
+    ends = {}
+    for x, e in enumerate(e for cr in crossings for e in cr):
+        ends.setdefault(e, []).append(x)
+    other = [0] * (4 * len(crossings))
+    for e, xs in ends.items():
+        if len(xs) != 2:
+            raise PDError(f"edge {e} appears {len(xs)} times, expected 2")
+        x, y = xs
+        other[x] = y
+        other[y] = x
+    return other, ends
+
+
 def _orient(crossings):
-    """Infer edge directions; return (signs, comp_of_edge, ncomps).
+    """Infer edge directions; return (signs, comp_of_edge, ncomps, other),
+    ``other`` the ``_edge_map`` the walks follow, on which ``parse_pd``
+    then counts the faces.
 
     Each component is a cycle of crossing slots: an edge joins two slots
     and a strand runs straight through a crossing from slot s to slot
@@ -426,38 +477,32 @@ def _orient(crossings):
     crossing in the direction of edge-label succession (labels increase
     along the strand, cyclically), the convention of the standard tables.
     """
-    slots = {}  # edge -> list of (crossing, slot)
-    for i, cr in enumerate(crossings):
-        for s, e in enumerate(cr):
-            slots.setdefault(e, []).append((i, s))
-    for e, locs in slots.items():
-        if len(locs) != 2:
-            raise PDError(f"edge {e} appears {len(locs)} times, expected 2")
-    comp_of_edge = _classes(slots, _strand_pairs(crossings))
+    other, ends = _edge_map(crossings)
+    comp_of_edge = _classes(ends, _strand_pairs(crossings))
     ncomps = len(set(comp_of_edge.values()))
 
-    entered = set()  # (crossing, slot) where the walks enter a crossing
-    signs = {}       # +1 where the over-strand enters at d, -1 at b
+    entered = bytearray(len(other))  # the ends where the walks enter
+    signs = [0] * len(crossings)     # +1 where the over-strand enters at d
 
-    def walk(i, s):
-        while (i, s) not in entered:
-            if s == 2:
-                raise PDError(
-                    f"inconsistent strand traversal at edge {crossings[i][2]}")
-            entered.add((i, s))
-            if s % 2:
-                signs[i] = 1 if s == 3 else -1
-            x, y = slots[crossings[i][s ^ 2]]
-            i, s = y if x == (i, s ^ 2) else x
+    def walk(x):
+        while not entered[x]:
+            if x & 3 == 2:
+                raise PDError("inconsistent strand traversal at edge "
+                              f"{crossings[x >> 2][2]}")
+            entered[x] = 1
+            if x & 1:
+                signs[x >> 2] = 1 if x & 3 == 3 else -1
+            x = other[x ^ 2]
 
     for i in range(len(crossings)):
-        walk(i, 0)
+        walk(4 * i)
     for i, (_, b, _, d) in enumerate(crossings):
-        if i not in signs:
-            edges = sorted(e for e in slots
+        if not signs[i]:
+            edges = sorted(e for e in ends
                            if comp_of_edge[e] == comp_of_edge[b])
-            walk(i, 3 if edges[(edges.index(d) + 1) % len(edges)] == b else 1)
-    return [signs[i] for i in range(len(crossings))], comp_of_edge, ncomps
+            walk(4 * i + (3 if edges[(edges.index(d) + 1) % len(edges)] == b
+                          else 1))
+    return signs, comp_of_edge, ncomps, other
 
 
 def parse_pd(text, nfree=0, name="", notes=None):
@@ -467,13 +512,15 @@ def parse_pd(text, nfree=0, name="", notes=None):
     PD components.  A diagram with more than MAX_FACTOR_VARS components,
     free loops included, is rejected before any per-component work: the
     Laurent ring has one variable per component.  A PD code that is not
-    planar is rejected.  ``name`` and ``notes`` are carried into the
-    diagram.
+    planar is rejected: its faces are counted on the edge map that
+    ``_orient`` walked, where ``planar_face_count`` builds its own.  Each
+    crossing is read by one pattern (``_parse_crossing_list``).  ``name``
+    and ``notes`` are carried into the diagram.
     """
     if nfree < 0:
         raise PDError(f"negative free loop count {nfree}")
     crossings = _parse_crossing_list(text)
-    signs, comp_of_edge, ncomps = _orient(crossings)
+    signs, comp_of_edge, ncomps, other = _orient(crossings)
     if ncomps + nfree == 0:
         raise PDError("empty diagram: need crossings or free loops")
     if ncomps + nfree > MAX_FACTOR_VARS:
@@ -482,7 +529,7 @@ def parse_pd(text, nfree=0, name="", notes=None):
                       "per component")
     d = LinkDiagram(crossings, signs, comp_of_edge,
                     ncomps + nfree, nfree, name, notes)
-    if not is_planar(d):
+    if not _embeds(d, _face_count(other)):
         raise PDError("diagram is not planar: its PD code does not embed "
                       "in the sphere")
     return d
@@ -552,6 +599,24 @@ def parse_fixture(text, name_hint=""):
 # ---------------------------------------------------------------------------
 # planarity validation
 
+def _face_count(other):
+    """The number of faces of the surface carrying a diagram, traced on
+    its ``_edge_map``: each face leaves a crossing through the next end
+    in rotation order."""
+    seen = bytearray(len(other))
+    faces = 0
+    for start in range(len(other)):
+        if seen[start]:
+            continue
+        faces += 1
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            y = other[x]
+            x = y - 3 if y & 3 == 3 else y + 1
+    return faces
+
+
 def planar_face_count(d):
     """Number of faces of the surface carrying the diagram.
 
@@ -559,26 +624,13 @@ def planar_face_count(d):
     the PD code is a rotation system; faces are traced by always leaving
     a crossing through the next end in rotation order.
     """
-    darts = {}
-    for i, cr in enumerate(d.crossings):
-        for p, e in enumerate(cr):
-            darts.setdefault(e, []).append((i, p))
-    other = {}
-    for x, y in darts.values():
-        other[x] = y
-        other[y] = x
-    seen = set()
-    faces = 0
-    for start in other:
-        if start in seen:
-            continue
-        faces += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            i, p = other[cur]
-            cur = (i, (p + 1) % 4)
-    return faces
+    return _face_count(_edge_map(d.crossings)[0])
+
+
+def _embeds(d, faces):
+    """Does d, whose surface has ``faces`` faces, embed in the sphere?"""
+    pieces = len(d.split_partition()) - d.nfree
+    return faces == d.ncrossings + 2 * pieces
 
 
 def is_planar(d):
@@ -588,8 +640,7 @@ def is_planar(d):
     equality exactly when it embeds in the sphere, and no face runs
     between pieces; crossing-free loops are trivially planar.
     """
-    pieces = len(d.split_partition()) - d.nfree
-    return planar_face_count(d) == d.ncrossings + 2 * pieces
+    return _embeds(d, planar_face_count(d))
 
 
 # ---------------------------------------------------------------------------
@@ -629,41 +680,41 @@ def fox_jacobian(d, c=None):
     to v, 1-u, -1 (eps=+1) or 1/v, (u-1)/v, -1 (eps=-1), where u and v
     are the under- and over-component variables.  Those entries depend
     only on the crossing's class (u, v, eps), so each class builds them
-    once and its rows share them, with one -1 for every row.
-    Coincident columns accumulate.
+    once, straight from LaurentPoly's packed keys with the bounds its
+    arithmetic would give (1, or 2 for (u-1)/v), and its rows share
+    them, with one -1 for every row.  Coincident columns accumulate.
 
     With a component ``c``, c's own Jacobian over one variable: deleting
     the other components kills their arcs (Dehn filling along their
     meridians), so the columns are ``wirtinger_arcs(d, c)`` and the rows
-    are c's crossings with itself.  With no crossing to read, the
-    presentation is empty: it has no rows.
+    are c's crossings with itself, read off ``comp_of_edge``.  With no
+    crossing to read, the presentation is empty: it has no rows.
 
     Returns (matrix, arc_component) with matrix a list of rows of
     LaurentPoly entries and arc_component the component index of each
     generator column.
     """
     m = d.ncomps if c is None else 1
-    at = [i for i in range(d.ncrossings)
-          if c is None or d.crossing_components(i) == (c, c)]
+    comp = d.comp_of_edge
     arc_of_edge, arcs = wirtinger_arcs(d, c)
-    arc_component = [d.comp_of_edge[a] for a in arcs]
-    var = d.comp_of_edge if c is None else dict.fromkeys(arc_of_edge, 0)
-    zero, one = LaurentPoly.zero(m), LaurentPoly.one(m)
-    minus_one = -one
+    arc_component = [comp[a] for a in arcs]
+    var = comp if c is None else dict.fromkeys(arc_of_edge, 0)
+    zero, minus_one = LaurentPoly.zero(m), -LaurentPoly.one(m)
     entries = {}
     rows = []
-    for i in at:
-        a, b, cc, dd = d.crossings[i]
+    for (a, b, cc, _), sign in zip(d.crossings, d.signs):
+        if c is not None and not comp[a] == comp[b] == c:
+            continue
         g_a, g_o, g_c = arc_of_edge[a], arc_of_edge[b], arc_of_edge[cc]
-        cls = (var[a], var[b], d.signs[i])
+        cls = (var[a], var[b], sign)
         if cls not in entries:
-            u = LaurentPoly.var(m, var[a])
-            if d.signs[i] > 0:
-                v = LaurentPoly.var(m, var[b])
-                entries[cls] = (v, one - u)
+            # with the bounds LaurentPoly gives v, 1 - u, 1/v and (u - 1)/v
+            u, v = _var_key(m, var[a]), _var_key(m, var[b])
+            if sign > 0:
+                entries[cls] = (_new(m, {v: 1}, 1), _new(m, {0: 1, u: -1}, 1))
             else:
-                vinv = LaurentPoly.var(m, var[b], -1)
-                entries[cls] = (vinv, vinv * (u - one))
+                entries[cls] = (_new(m, {-v: 1}, 1),
+                                _new(m, {u - v: 1, -v: -1}, 2))
         under, over = entries[cls]
         row = [zero] * len(arcs)
         row[g_a] = under

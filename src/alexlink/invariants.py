@@ -86,8 +86,8 @@ from math import comb
 
 from .diagram import PDError, _classes, fox_jacobian
 from .factor import gcd_many
-from .laurent import (LaurentPoly, _bounded, _is_unit, _new, _quotient,
-                      unit_normal_form)
+from .laurent import (EXPONENT_LIMIT, LaurentPoly, _bounded, _is_unit, _new,
+                      _quotient, unit_normal_form)
 
 CONWAY_CROSSING_BUDGET = 16
 
@@ -107,10 +107,14 @@ def reduce_unit_pivots(rows):
     entries are kept up to date as entries change, so a step reads the
     costs of the unit entries, a ``min`` over them, and scans nothing
     else.  Entries are kept as LaurentPoly's packed keys, each with its
-    exponent bound under LaurentPoly's rules: a fill step
-    ``old - f * x`` runs in one loop into a copy of old, its bound is
-    f's plus x's, checked against EXPONENT_LIMIT, or old's if larger,
-    and only the entries of M' become polynomials again.  M' keeps
+    exponent bound under LaurentPoly's rules, and only the entries of
+    M' become polynomials again.  A fill step ``old - f * x`` writes in
+    place into a key dict the reduction owns: an input entry, which
+    the input's rows may share, is copied on its first write, and a
+    term is dropped as soon as it cancels.  Its bound is f's plus x's,
+    or old's if larger; ``_bounded`` raises only where f's plus x's
+    reaches EXPONENT_LIMIT, and every entry of a pivot row is checked.
+    The input rows and their entries are left as they were.  M' keeps
     every elementary ideal one size down per pivot, so rank(M) =
     k + rank(M') and the j-minors of M have the gcd of the
     (j - k)-minors of M'.  ``cols`` lists the columns of M that M' keeps,
@@ -124,6 +128,9 @@ def reduce_unit_pivots(rows):
             for r, row in enumerate(rows)}
     cols = {c: set() for c in range(len(rows[0]) if rows else 0)}
     units = set()
+    # owned[r] holds the columns of row r whose key dict the reduction
+    # made and may write in place; the others are the input's
+    owned = {r: set() for r in live}
     for r, row in live.items():
         for c, (x, _) in row.items():
             cols[c].add(r)
@@ -148,32 +155,42 @@ def reduce_unit_pivots(rows):
             if r == p:
                 continue
             row = live[r]
+            mine = owned[r]
             f, bf = row.pop(q)
             units.discard((r, q))
             for c, (x, bx) in pivot_row.items():
-                bound = _bounded(bf + bx)
+                bound = bf + bx
+                if bound >= EXPONENT_LIMIT:
+                    _bounded(bound)
                 # f * x term by term, in the order LaurentPoly makes them
                 a, b = (f, x) if len(f) <= len(x) else (x, f)
                 if c in row:
                     new, old_bound = row[c]
-                    new = dict(new)
-                    bound = max(bound, old_bound)
+                    if c not in mine:
+                        new = dict(new)
+                        mine.add(c)
+                    if old_bound > bound:
+                        bound = old_bound
                 else:
                     new = {}
+                    mine.add(c)
                 get = new.get
                 for ka, ca in a.items():
                     for kb, cb in b.items():
                         key = ka + kb
-                        new[key] = get(key, 0) - ca * cb
-                if 0 in new.values():
-                    new = {key: v for key, v in new.items() if v}
-                if new:
-                    row[c] = (new, bound)
-                    cols[c].add(r)
-                else:
+                        term = get(key, 0) - ca * cb
+                        if term:
+                            new[key] = term
+                        else:
+                            del new[key]
+                if not new:
                     del row[c]
                     cols[c].discard(r)
-                if _is_unit(new):
+                    units.discard((r, c))
+                    continue
+                row[c] = (new, bound)
+                cols[c].add(r)
+                if len(new) == 1 and abs(next(iter(new.values()))) == 1:
                     units.add((r, c))
                 else:
                     units.discard((r, c))

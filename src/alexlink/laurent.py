@@ -77,6 +77,11 @@ def _pack(exps):
     return key
 
 
+def _var_key(n, i):
+    """The key of t_i in n variables."""
+    return 1 << _WIDTH * (n - 1 - i)
+
+
 def _unpack(key, n):
     """The exponent tuple of a key in n variables."""
     out = [0] * n

@@ -5,11 +5,13 @@ from itertools import combinations
 import pytest
 
 import alexlink as al
-from alexlink.diagram import (LinkDiagram, PDError, _classes, _orient,
-                              _strand_pairs, is_planar, planar_face_count,
-                              serialize_pd, wirtinger_arcs)
+from alexlink import diagram
+from alexlink.diagram import (LinkDiagram, PDError, _classes, _excerpt,
+                              _face_count, _integer, _orient,
+                              _parse_crossing_list, _strand_pairs, is_planar,
+                              planar_face_count, serialize_pd, wirtinger_arcs)
 from alexlink.invariants import _rank_and_order
-from alexlink.laurent import LaurentPoly
+from alexlink.laurent import _MAX_DIGITS, LaurentPoly
 
 from conftest import (braid_closure_pd, corpus_diagrams, load_fixture,
                       random_braid_closures, random_braid_words, seeded)
@@ -176,6 +178,119 @@ class TestParsing:
         assert al.parse_fixture(text).name == "hopf"
         with pytest.raises(PDError, match=f"repeated fixture key '{key}'"):
             al.parse_fixture(text + line + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Reference crossing-list reader: every label through ``_integer``, one
+# crossing at a time.  ``_parse_crossing_list`` must accept the same texts,
+# return the same tuples and raise the same PDError text.
+
+def reference_parse_crossing_list(text):
+    crossings = []
+    rest = text.strip().lstrip(", \t")
+    while rest:
+        if not rest.startswith("X["):
+            raise PDError(f"expected X[a,b,c,d] near {rest[:20]!r}")
+        body, closed, rest = rest[2:].partition("]")
+        if not closed:
+            raise PDError("unterminated crossing tuple")
+        try:
+            nums = tuple(map(_integer, body.split(",")))
+        except PDError as exc:
+            raise PDError(f"{exc} in X[{_excerpt(body)}]") from None
+        except ValueError:
+            raise PDError(
+                f"non-integer edge label in X[{_excerpt(body)}]") from None
+        if len(nums) != 4 or any(n < 1 for n in nums):
+            raise PDError(f"crossing X[{_excerpt(body)}] needs 4 positive "
+                          "edge labels")
+        crossings.append(nums)
+        rest = rest.lstrip(", \t")
+    return crossings
+
+
+# labels no pattern of ASCII digits should take as they stand
+ODD_LABELS = ["0", "00", "007", "0" + "4" * (_MAX_DIGITS - 1), "-3", "-0",
+              "+2", "5_0", "_7", "٣", "１２", "3１", "²", "", "x", "- 1", "1 2",
+              "1" * _MAX_DIGITS, "9" * (_MAX_DIGITS + 1),
+              "0" * (_MAX_DIGITS + 1), "-" + "2" * _MAX_DIGITS]
+SPACES = ["", "", " ", "  ", "\t", "\n", "\u00a0", "\u3000", " \t"]
+SEPARATORS = [", ", ",", "", " ", "\t", ",,", ", ,\t", "\n", ", \n",
+              ",\u00a0"]
+
+
+def crossing_list_texts(rng, count):
+    """Seeded crossing lists: mostly plain labels, with odd labels, odd
+    spaces around them, 3 or 5 labels, a missing ']' and separators of
+    every kind (or none) between crossings."""
+    def label():
+        if rng.random() < 0.85:
+            text = str(rng.randrange(1, 60))
+            return rng.choice(["", " "]) + text + rng.choice(["", " "])
+        return rng.choice(SPACES) + rng.choice(ODD_LABELS) + \
+            rng.choice(SPACES)
+
+    def crossing():
+        n = 4 if rng.random() < 0.9 else rng.choice([3, 5])
+        close = "]" if rng.random() < 0.97 else ""
+        return "X[" + ",".join(label() for _ in range(n)) + close
+
+    texts = []
+    for _ in range(count):
+        parts = [crossing() for _ in range(rng.randrange(1, 6))]
+        text = parts[0]
+        for part in parts[1:]:
+            sep = ", " if rng.random() < 0.6 else rng.choice(SEPARATORS)
+            text += sep + part
+        texts.append(rng.choice(["", " ", ", ", "\n", "\u00a0"]) + text +
+                     rng.choice(["", " ", ",", ", ", "\n", "\t"]))
+    return texts
+
+
+def read_or_error(parse, text):
+    try:
+        return parse(text)
+    except PDError as exc:
+        return str(exc)
+
+
+class TestCrossingListMatchesReference:
+    def test_seeded_texts(self, monkeypatch):
+        """The pattern reads most crossings; the rest go through the
+        ``_integer`` route, which accepts some and refuses others."""
+        checked = {"accepted": 0, "refused": 0}
+        route = diagram._checked_crossing
+
+        def counting(rest):
+            try:
+                out = route(rest)
+            except PDError:
+                checked["refused"] += 1
+                raise
+            checked["accepted"] += 1
+            return out
+
+        monkeypatch.setattr(diagram, "_checked_crossing", counting)
+        texts = crossing_list_texts(seeded(90), 3000)
+        outcomes = [read_or_error(_parse_crossing_list, t) for t in texts]
+        for text, got in zip(texts, outcomes):
+            assert got == read_or_error(reference_parse_crossing_list, text), \
+                text
+        accepted = sum(isinstance(x, list) for x in outcomes)
+        assert 300 < accepted < len(texts) - 300
+        assert checked["accepted"] > 100 and checked["refused"] > 300
+
+    @pytest.mark.parametrize("text", [
+        "X[1,2,3,4]X[4,3,2,1]", "X[0,1,2,3]", "X[007,1,2,3]",
+        "X[\u00a01 ,2,3,4]", "X[1,2,3,4", "X[1,2,3]", "X[1,2,3,4,5]",
+        "X[1\n,2,3,4], X[1,\t2,3,4]", ",, X[1,2,3,4] ,\t",
+        "X[1,2,3,4]\nX[1,2,3,4]", "X[１,2,3,4]", "X[+1,2,3,4]",
+        "X[1_0,2,3,4]", "X[" + "7" * _MAX_DIGITS + ",2,3,4]",
+        "X[" + "7" * (_MAX_DIGITS + 1) + ",2,3,4]",
+    ])
+    def test_listed_texts(self, text):
+        assert read_or_error(_parse_crossing_list, text) == \
+            read_or_error(reference_parse_crossing_list, text)
 
 
 class TestOrientationInference:
@@ -825,6 +940,78 @@ class TestSplitPlanarity:
         assert is_planar(d) and reference_is_planar(d)
 
 
+def reference_face_count(d):
+    """Faces traced on a dict from each (crossing, slot) end to the other
+    end of its edge, leaving each crossing by the next end in rotation."""
+    darts = {}
+    for i, cr in enumerate(d.crossings):
+        for p, e in enumerate(cr):
+            darts.setdefault(e, []).append((i, p))
+    other = {}
+    for x, y in darts.values():
+        other[x] = y
+        other[y] = x
+    seen = set()
+    faces = 0
+    for start in other:
+        if start in seen:
+            continue
+        faces += 1
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            i, p = other[cur]
+            cur = (i, (p + 1) % 4)
+    return faces
+
+
+NONPLANAR_CODES = [
+    [(1, 3, 2, 4), (2, 4, 3, 1)],
+    [(4, 2, 5, 1), (2, 6, 3, 5), (6, 4, 1, 3), (7, 9, 8, 10), (8, 10, 9, 7)],
+]
+
+
+def face_count_codes(rng):
+    """Seeded closures, Markov-stabilised closures, the non-planar codes
+    above, and each closure with one crossing's ends rotated by a
+    transposition, which is often not planar."""
+    codes = [list(d.crossings) for d in
+             random_braid_closures(rng, 40, strands=(2, 3, 4), length=(2, 10))
+             + curled_closures(rng, 40)]
+    for cr in list(codes):
+        k = rng.randrange(len(cr))
+        i, j = rng.sample(range(4), 2)
+        swapped = list(cr[k])
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        codes.append(cr[:k] + [tuple(swapped)] + cr[k + 1:])
+    return codes + NONPLANAR_CODES
+
+
+class TestFaceCountOnTheEdgeMap:
+    def test_parse_counts_what_planar_face_count_counts(self):
+        """The faces parse_pd counts on the orientation's edge map are
+        planar_face_count's, and parse_pd accepts exactly the codes that
+        is_planar accepts."""
+        verdicts = []
+        for cr in face_count_codes(seeded(91)):
+            try:
+                signs, comp_of_edge, ncomps, other = _orient(cr)
+            except PDError:
+                continue
+            d = LinkDiagram(cr, signs, comp_of_edge, ncomps)
+            assert _face_count(other) == planar_face_count(d) == \
+                reference_face_count(d), cr
+            try:
+                parsed = al.parse_pd(serialize_pd(d))
+            except PDError as exc:
+                assert "not planar" in str(exc), cr
+                parsed = None
+            verdicts.append(is_planar(d))
+            assert (parsed is not None) == is_planar(d) == \
+                reference_is_planar(d), cr
+        assert verdicts.count(True) >= 80 and verdicts.count(False) >= 20
+
+
 # ---------------------------------------------------------------------------
 # Reference orientation: in/out status per crossing slot, propagated along
 # edges and over-strands to a fixpoint.  ``_orient`` must give the same
@@ -934,7 +1121,7 @@ def orientation_codes(rng):
 
 def oriented_or_error(orient, crossings):
     try:
-        signs, comp_of_edge, ncomps = orient(crossings)
+        signs, comp_of_edge, ncomps = orient(crossings)[:3]
     except PDError:
         return PDError
     return list(signs), comp_of_edge, ncomps

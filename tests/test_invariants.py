@@ -1,5 +1,6 @@
 """Alexander data, Conway polynomials and their consistency relations."""
 
+import copy
 import json
 import random
 import re
@@ -393,6 +394,23 @@ class TestUnitPivotReduction:
         below = matrix(EXPONENT_LIMIT // 4)
         assert reduce_unit_pivots(below) == \
             reference_reduce_unit_pivots(below)
+
+    def test_reduction_leaves_its_input_alone(self):
+        """The fill writes in place only into key dicts the reduction
+        made: fox_jacobian shares each class's entries and one -1 across
+        its rows, and after the reduction those rows and entries equal a
+        deep copy taken before it, bounds included."""
+        pivots = 0
+        for d in random_braid_closures(seeded(92), 40, strands=(2, 3, 4)):
+            for c in [None] + list(range(d.ncomps)):
+                rows, _ = al.fox_jacobian(d, c)
+                before = copy.deepcopy(rows)
+                _, k, _ = reduce_unit_pivots(rows)
+                assert rows == before, (d.name, c)
+                assert [[x._bound for x in row] for row in rows] == \
+                    [[x._bound for x in row] for row in before], (d.name, c)
+                pivots += k
+        assert pivots >= 200
 
     def test_hopf_has_no_unit_pivot(self):
         """Each Hopf component passes under once, so at each crossing the
